@@ -1,9 +1,9 @@
 """Multivariate arithmetic functions on the positive integers.
 
 The componentwise GCD operator, d-variate Dirichlet convolution, the
-arithmetic Mobius function and its d-fold product, the grid and factored
-positivity criteria, and the named example functions exposed on the
-command line.
+grid and factored positivity criteria (both read Mobius-inverted values
+from ``incidence.inverted_values`` over the divisor lattice), and the
+named example functions exposed on the command line.
 """
 
 import math
@@ -13,9 +13,10 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ArityMismatchError, EvaluationError, MeetPDError, UnknownBuiltinError
+from .incidence import inverted_values
 from .intfun import divisors, mobius_int
 from .meetmatrix import LatticeFunction
-from .pdcheck import NEGATIVE, POSITIVE, ElementWitness, PDVerdict
+from .pdcheck import NEGATIVE, POSITIVE, ElementWitness, PDVerdict, pd_criterion
 from .posets import ProductLattice, divisor_lattice
 
 
@@ -99,11 +100,6 @@ def dirichlet_convolution(f, g, name=None):
     return ArithmeticFunction(f.arity, lambda pt: dirichlet_convolve_d(f, g, pt), name=label)
 
 
-def mobius_arith(n):
-    """Classical Mobius function by factorization."""
-    return mobius_int(n)
-
-
 @lru_cache(maxsize=None)
 def mu_star_mu(n):
     """(mu * mu)(n) by direct divisor-sum convolution."""
@@ -122,20 +118,15 @@ def _grid_points(bound, d):
 
 
 def pd_check_grid(f, bound):
-    """Grid criterion: Mobius-invert f at every point of {1..bound}^d.
+    """Grid criterion: the diagonal criterion on {1..bound}^d of the divisor lattice.
 
-    The first strictly negative inverted value becomes an element witness;
-    otherwise the verdict is positive on the tested grid.
+    Points are scanned in lexicographic order and the first strictly
+    negative inverted value becomes an element witness; otherwise the
+    verdict is positive on the tested grid.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    mu = builtin("mu_d", d=f.arity)
-    for point in _grid_points(bound, f.arity):
-        v = dirichlet_convolve_d(f, mu, point)
-        if v < 0:
-            elem = point if f.arity > 1 else point[0]
-            return PDVerdict(NEGATIVE, bound, ElementWitness(elem, v))
-    return PDVerdict(POSITIVE, bound, None, certificate=getattr(f, "certificate", False))
+    return pd_criterion(to_lattice_function(f), None, bound)
 
 
 @dataclass(frozen=True)
@@ -160,13 +151,15 @@ def pd_check_factored(components, bound):
     gs = list(components)
     if not gs:
         raise ValueError("need at least one component")
-    mu1 = builtin("mu_d", d=1)
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    cover = divisor_lattice().covering_set(bound)
     tables = []
     classes = []
     for g in gs:
         if g.arity != 1:
             raise ArityMismatchError(f"components must be univariate, got arity {g.arity}")
-        tab = tuple(dirichlet_convolve_d(g, mu1, (j,)) for j in range(1, bound + 1))
+        tab = tuple(v for _, v in inverted_values(to_lattice_function(g), cover))
         tables.append(tab)
         has_pos = any(v > 0 for v in tab)
         has_neg = any(v < 0 for v in tab)

@@ -12,8 +12,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithmeticFunction, builtin, pd_check_grid, to_lattice_function
-from .errors import EvaluationError, MeetPDError, UnknownBuiltinError
+from .arith import ArithmeticFunction, builtin, to_lattice_function
+from .errors import EvaluationError, MeetPDError
 from .meetmatrix import (
     decomposition_to_json,
     kron_decompose_d,
@@ -25,14 +25,7 @@ from .meetmatrix import (
     table_function,
 )
 from .pdcheck import pd_criterion
-from .posets import (
-    DivisorLattice,
-    MinLattice,
-    divisor_lattice,
-    load_hasse,
-    min_lattice,
-    product_subset,
-)
+from .posets import divisor_lattice, load_hasse, min_lattice
 
 CONFIG_ERROR = 2
 EVAL_ERROR = 3
@@ -90,10 +83,23 @@ def _parse_cell(text):
         return text
 
 
-def _load_table(path):
-    """Value table from CSV rows ``i1,...,id,value`` (ids may be strings)."""
+def _table(rows, path):
+    """Value table from (coordinates, value) rows of one arity."""
     mapping = {}
     arity = None
+    for keys, value in rows:
+        if arity is not None and len(keys) != arity:
+            raise ConfigError(f"rows of {path} have {arity} and {len(keys)} coordinates")
+        arity = len(keys)
+        mapping[keys[0] if arity == 1 else tuple(keys)] = Fraction(value)
+    if not mapping:
+        raise ConfigError(f"value table {path} is empty")
+    return mapping, arity
+
+
+def _load_table(path):
+    """Value table from CSV rows ``i1,...,id,value`` (ids may be strings)."""
+    rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
@@ -102,31 +108,19 @@ def _load_table(path):
             cells = line.split(",")
             if len(cells) < 2:
                 raise ConfigError(f"bad table row: {line}")
-            keys = [_parse_cell(c) for c in cells[:-1]]
-            value = Fraction(cells[-1])
-            key = keys[0] if len(keys) == 1 else tuple(keys)
-            mapping[key] = value
-            arity = len(keys)
-    if not mapping:
-        raise ConfigError(f"value table {path} is empty")
-    return mapping, arity
+            rows.append(([_parse_cell(c) for c in cells[:-1]], cells[-1]))
+    return _table(rows, path)
 
 
 def _load_matrix_diagonal(path):
     """Diagonal of a matrix JSON document as a value table."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if doc.get("kind") != "meet_matrix":
+    if not isinstance(doc, dict) or doc.get("kind") != "meet_matrix":
         raise ConfigError(f"{path} is not a meet matrix document")
-    labels = doc["labels"]
     entries = doc["entries"]
-    mapping = {}
-    arity = None
-    for i, label in enumerate(labels):
-        key = tuple(label) if isinstance(label, list) else label
-        mapping[key] = Fraction(entries[i][i])
-        arity = len(label) if isinstance(label, list) else 1
-    return mapping, arity
+    return _table(((label if isinstance(label, list) else [label], entries[i][i])
+                   for i, label in enumerate(doc["labels"])), path)
 
 
 def _resolve_function(spec, d):
@@ -134,10 +128,11 @@ def _resolve_function(spec, d):
         raise ConfigError("--fn is required for this command")
     if spec.startswith("@"):
         path = spec[1:]
-        if path.endswith(".json"):
-            mapping, arity = _load_matrix_diagonal(path)
-        else:
-            mapping, arity = _load_table(path)
+        load = _load_matrix_diagonal if path.endswith(".json") else _load_table
+        try:
+            mapping, arity = load(path)
+        except (OSError, ValueError, KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}")
         if d is not None and arity is not None and d != arity:
             raise ConfigError(f"table arity {arity} does not match --d {d}")
         return ("table", mapping, arity)
@@ -150,8 +145,6 @@ def _resolve_function(spec, d):
             raise ConfigError(f"bad parameter {param!r} in --fn")
     try:
         fn = builtin(name, alpha=alpha, d=d if d is not None else (2 if name == "ramanujan_C" else 1))
-    except UnknownBuiltinError as exc:
-        raise ConfigError(str(exc))
     except (ValueError, MeetPDError) as exc:
         raise ConfigError(str(exc))
     return ("builtin", fn, fn.arity)
@@ -214,8 +207,11 @@ def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}")
 
 
 def _covering(config):
@@ -233,15 +229,7 @@ def cmd_matrix(config):
 
 
 def cmd_check(config):
-    fn = config.fn
-    if isinstance(fn, ArithmeticFunction) and isinstance(config.family, DivisorLattice):
-        verdict = pd_check_grid(fn, config.bound)
-    elif (isinstance(fn, ArithmeticFunction)
-          and getattr(config.family, "kind", "") == "product"
-          and all(isinstance(f, DivisorLattice) for f in config.family.factors)):
-        verdict = pd_check_grid(fn, config.bound)
-    else:
-        verdict = pd_criterion(_as_lattice_function(config), config.family, config.bound)
+    verdict = pd_criterion(_as_lattice_function(config), config.family, config.bound)
     doc = {"schema": 1}
     doc.update(verdict.to_json())
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -251,16 +239,13 @@ def cmd_check(config):
 def cmd_decompose(config):
     f = _as_lattice_function(config)
     cover = _covering(config)
-    if cover.factor_subsets is not None:
-        dec = kron_decompose_d(cover.factor_subsets, f)
-    else:
-        dec = kron_decompose_d([cover], f)
+    dec = kron_decompose_d(cover.factor_subsets or [cover], f)
     rebuilt = reconstruct(dec)
     direct = meet_matrix(cover, f)
-    residual = max(
-        (abs(a - b) for ra, rb in zip(rebuilt.rows, direct.rows) for a, b in zip(ra, rb)),
-        default=Fraction(0),
-    )
+    residual = 0
+    if rebuilt.rows != direct.rows:
+        residual = max(abs(a - b) for ra, rb in zip(rebuilt.rows, direct.rows)
+                       for a, b in zip(ra, rb))
     doc = decomposition_to_json(dec, residual=residual)
     fmt = config.fmt or "json"
     if fmt == "csv":

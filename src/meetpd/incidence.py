@@ -8,6 +8,8 @@ relation is implicitly zero.
 """
 
 from fractions import Fraction
+from itertools import product as iter_product
+from math import prod
 from weakref import WeakKeyDictionary
 
 from .errors import NoLeastElementError, NotMeetClosedError, PosetMismatchError
@@ -184,6 +186,35 @@ def mobius_invert(fr):
     return convolve(fr, mobius(fr.subset))
 
 
+def inverted_values(f, subset):
+    """Yield (x, sum of f(z) mu(z, x) over members z below x) in member order.
+
+    These values are the diagonal of the E diag(d) E^T factorization of the
+    meet matrix and the numbers the diagonal criterion inspects; this is
+    the one routine that computes them.  Over a product subset the Mobius
+    weight of (z, x) is the product of the factor weights mu_t(z_t, x_t)
+    (Rota's product rule), so only the factor subsets are ever inverted.
+    Every z is at or before x in member order, so a consumer that stops
+    early never evaluates f beyond the element it stopped at.
+    """
+    factors = subset.factor_subsets or (subset,)
+    # per distinct factor and member x: the (z, mu(z, x)) pairs with mu nonzero
+    below = {}
+    for s in factors:
+        if s not in below:
+            terms = {x: [] for x in s.members}
+            for (z, x), v in mobius(s).pairs().items():
+                terms[x].append((z, v.numerator))
+            below[s] = [terms[x] for x in s.members]
+    single = subset.factor_subsets is None
+    for x, combo in zip(subset.members, iter_product(*(below[s] for s in factors))):
+        total = _ZERO
+        for parts in iter_product(*combo):
+            zs, ws = zip(*parts)
+            total += f(zs[0] if single else zs) * prod(ws)
+        yield x, total
+
+
 def ambient_mobius(lattice, x, y):
     """Mobius value of the ambient lattice between two comparable elements.
 
@@ -203,34 +234,3 @@ def ambient_mobius(lattice, x, y):
     if closed is not None:
         return Fraction(closed(x, y))
     return mobius(lattice)(x, y)
-
-
-def mobius_subset_via_ambient(s):
-    """Mobius function of a meet closed subset via ambient Mobius sums.
-
-    Alternative route used as a cross-check oracle: the value at
-    (x_i, x_j) is the sum of ambient mu(x_i, z) over ambient z below x_j
-    that are not below any earlier member x_k, k < j.
-    """
-    if not s.meet_closed:
-        raise NotMeetClosedError("subset is not meet closed")
-    lattice = s.lattice
-    ms = s.members
-    vals = {}
-    for j, xj in enumerate(ms):
-        earlier = ms[:j]
-        zs = [
-            z
-            for z in lattice.lower_set(xj)
-            if not any(lattice.leq(z, xk) for xk in earlier)
-        ]
-        for xi in ms[: j + 1]:
-            if not lattice.leq(xi, xj):
-                continue
-            total = _ZERO
-            for z in zs:
-                if lattice.leq(xi, z):
-                    total += ambient_mobius(lattice, xi, z)
-            if total:
-                vals[(xi, xj)] = total
-    return IncidenceFunction(s, vals)

@@ -4,7 +4,8 @@ The matrix of a subset S under f has entries f(x_i meet x_j).  Over a
 lower closed subset it factors as E diag(d) E^T with E the 0/1 order
 indicator and d the Mobius-inverted values of f; over a Cartesian product
 of meet closed subsets the indicator factors combine as a Kronecker
-product that is never materialized.
+product that is never materialized.  Both diagonals come from
+``incidence.inverted_values``, the routine behind the diagonal criterion.
 """
 
 from fractions import Fraction
@@ -19,8 +20,8 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia
-from .incidence import mobius, mobius_of_subset
-from .posets import ElementSubset, ProductLattice, product_subset
+from .incidence import inverted_values
+from .posets import ProductLattice, product_subset
 
 
 class LatticeFunction:
@@ -59,10 +60,6 @@ class LatticeFunction:
 
     def __repr__(self):
         return f"LatticeFunction({self.name})"
-
-
-def lattice_function(lattice, fn, name=None):
-    return LatticeFunction(lattice, fn, name=name)
 
 
 def constant_function(lattice, c, name=None):
@@ -264,107 +261,29 @@ def ldl_lower_closed(subset, f):
     if not subset.lower_closed:
         raise NotLowerClosedError("subset is not lower closed in its lattice")
     _require_exact(f)
-    mu = mobius(subset)
-    ms = subset.members
-    n = len(ms)
-    leq = subset.leq
-    diag = []
-    for i in range(n):
-        total = Fraction(0)
-        for k in range(i + 1):
-            z = ms[k]
-            if leq(z, ms[i]):
-                v = mu(z, ms[i])
-                if v:
-                    total += f(z) * v
-        diag.append(total)
-    return Decomposition((subset,), (_indicator(subset),), diag, subset, OrderMap((n,)))
-
-
-def kron_decompose(s, t, f):
-    """Two-factor decomposition over meet closed subsets.
-
-    The diagonal entry at multi-index (i, j) is the double Mobius sum of
-    f over the subset lower sets of (x_i, y_j), using the Mobius functions
-    of the subsets themselves.
-    """
-    for sub in (s, t):
-        if not sub.meet_closed:
-            raise NotMeetClosedError("factor subset is not meet closed")
-    _require_exact(f)
-    _check_arity(f, 2)
-    mu_s = mobius_of_subset(s)
-    mu_t = mobius_of_subset(t)
-    xs, ys = s.members, t.members
-    diag = []
-    for x in xs:
-        for y in ys:
-            total = Fraction(0)
-            for xk in xs:
-                if not s.leq(xk, x):
-                    continue
-                mx = mu_s(xk, x)
-                if not mx:
-                    continue
-                for yl in ys:
-                    if not t.leq(yl, y):
-                        continue
-                    my = mu_t(yl, y)
-                    if not my:
-                        continue
-                    total += f((xk, yl)) * mx * my
-            diag.append(total)
-    prod = product_subset([s, t])
-    return Decomposition((s, t), (_indicator(s), _indicator(t)), diag, prod,
-                         OrderMap((len(xs), len(ys))))
+    diag = [v for _, v in inverted_values(f, subset)]
+    return Decomposition((subset,), (_indicator(subset),), diag, subset, OrderMap((len(subset),)))
 
 
 def kron_decompose_d(subsets, f):
-    """d-factor decomposition; reduces to the single-subset form at d = 1.
+    """d-factor decomposition over meet closed subsets, in lexicographic order.
 
     The diagonal entry at a multi-index is the Mobius sum of f over the
     componentwise lower sets, with the product of the factor Mobius
-    functions as weight.
+    functions as weight; at d = 1 this is the single-subset form.
     """
     subs = list(subsets)
-    d = len(subs)
-    if d == 0:
+    if not subs:
         raise ValueError("need at least one subset")
     for sub in subs:
         if not sub.meet_closed:
             raise NotMeetClosedError("factor subset is not meet closed")
     _require_exact(f)
-    _check_arity(f, d)
-    mus = [mobius_of_subset(sub) for sub in subs]
-    members = [sub.members for sub in subs]
-    # per factor, the member indices below each member
-    lowers = []
-    for t, sub in enumerate(subs):
-        ms = members[t]
-        lowers.append([
-            [k for k in range(i + 1) if sub.leq(ms[k], ms[i])]
-            for i in range(len(ms))
-        ])
-    shape = tuple(len(sub) for sub in subs)
-    om = OrderMap(shape)
-    diag = []
-    for multi in om:
-        total = Fraction(0)
-        for kmulti in iter_product(*(lowers[t][multi[t]] for t in range(d))):
-            w = Fraction(1)
-            for t in range(d):
-                v = mus[t](members[t][kmulti[t]], members[t][multi[t]])
-                if not v:
-                    w = 0
-                    break
-                w *= v
-            if not w:
-                continue
-            z = tuple(members[t][kmulti[t]] for t in range(d))
-            total += f(z if d > 1 else z[0]) * w
-        diag.append(total)
-    subset = subs[0] if d == 1 else product_subset(subs)
-    return Decomposition(subs, tuple(_indicator(sub) for sub in subs), diag, subset, om)
+    _check_arity(f, len(subs))
+    subset = product_subset(subs)
+    diag = [v for _, v in inverted_values(f, subset)]
+    return Decomposition(subs, tuple(_indicator(sub) for sub in subs), diag, subset,
+                         OrderMap(len(sub) for sub in subs))
 
 
 def reconstruct(dec):

@@ -1,7 +1,9 @@
 """Positive definiteness verdicts for lattice functions.
 
-The diagonal criterion Mobius-inverts the function over a lower closed
-covering set and inspects signs; the oracle route converts the meet
+The diagonal criterion reads the Mobius-inverted values of the function
+over a lower closed covering set from ``incidence.inverted_values`` (the
+same values that form the diagonal of the meet matrix decomposition) and
+stops at the first negative one.  The oracle route converts the meet
 matrix to floats and bounds its smallest eigenvalue, preferring an exact
 rational elimination for matrices up to 64x64 (no tolerance on that
 path).  A positive verdict is always relative to the tested covering
@@ -22,8 +24,8 @@ from .errors import (
     PosetMismatchError,
 )
 from .exact import Inertia, quadratic_form, symmetric_elimination
-from .incidence import mobius
-from .meetmatrix import LatticeFunction, MeetMatrix, meet_matrix
+from .incidence import inverted_values
+from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable, meet_matrix
 from .posets import ProductLattice, product_subset
 
 POSITIVE = "positive_definite_on_tested_covering"
@@ -31,12 +33,6 @@ NEGATIVE = "not_positive_definite"
 
 EXACT_ORACLE_LIMIT = 64
 DEFAULT_TOL = 1e-9
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(c) for c in x]
-    return x
 
 
 @dataclass(frozen=True)
@@ -151,20 +147,7 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
 
 def inverted_table(f, subset):
     """Mobius-inverted values of f over the subset, in member order."""
-    mu = mobius(subset)
-    ms = subset.members
-    leq = subset.leq
-    out = []
-    for i, x in enumerate(ms):
-        total = Fraction(0)
-        for k in range(i + 1):
-            z = ms[k]
-            if leq(z, x):
-                v = mu(z, x)
-                if v:
-                    total += f(z) * v
-        out.append((x, total))
-    return out
+    return list(inverted_values(f, subset))
 
 
 def pd_criterion(f, family, bound):
@@ -172,14 +155,15 @@ def pd_criterion(f, family, bound):
 
     The function is positive definite on the tested covering iff every
     Mobius-inverted value over the (lower closed) covering set is
-    nonnegative; the first negative value becomes an element witness.
+    nonnegative; the scan stops at the first negative value, which becomes
+    an element witness, so f is never evaluated past it.
     """
     if family is None:
         family = f.lattice
     if getattr(family, "least", None) is None:
         raise NoLeastElementError("family has no least element")
     s = family.covering_set(bound)
-    for x, value in inverted_table(f, s):
+    for x, value in inverted_values(f, s):
         if value < 0:
             return PDVerdict(NEGATIVE, bound, ElementWitness(x, value))
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)

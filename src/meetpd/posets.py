@@ -104,11 +104,6 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.cover_edges)} covers)"
 
 
-def build_poset(elements, cover_edges=()):
-    """Validated poset from element ids and Hasse cover edges."""
-    return Poset(elements, cover_edges)
-
-
 class MeetSemilattice:
     """Explicit finite meet semilattice: a poset plus its total meet table.
 
@@ -459,14 +454,6 @@ def subset(lattice, members):
     return ElementSubset(lattice, members)
 
 
-def is_meet_closed(s):
-    return s.meet_closed
-
-
-def is_lower_closed(s):
-    return s.lower_closed
-
-
 def meet_closure(s):
     """Smallest meet closed superset, as a new ordered subset."""
     items = list(s.members)
@@ -565,4 +552,4 @@ def load_hasse(source):
         if elements or edges:
             raise ValueError("family declarations cannot be mixed with elem/edge records")
         return family
-    return MeetSemilattice(build_poset(elements, edges))
+    return MeetSemilattice(Poset(elements, edges))

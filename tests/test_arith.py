@@ -10,7 +10,6 @@ from meetpd.arith import (
     dirichlet_convolution,
     dirichlet_convolve_d,
     gcd_d,
-    mobius_arith,
     mu_star_mu,
     pd_check_factored,
     pd_check_grid,
@@ -19,7 +18,7 @@ from meetpd.arith import (
     to_lattice_function,
 )
 from meetpd.errors import ArityMismatchError, UnknownBuiltinError
-from meetpd.intfun import divisors
+from meetpd.intfun import divisors, mobius_int
 from meetpd.meetmatrix import meet_matrix, rank_collapse
 from meetpd.pdcheck import pd_criterion, psd_oracle
 from meetpd.posets import divisor_lattice, min_lattice, product_subset
@@ -87,11 +86,11 @@ def test_dirichlet_convolution_wrapper():
 
 
 def test_mobius_arith_values():
-    assert mobius_arith(1) == 1
-    assert mobius_arith(6) == 1
-    assert mobius_arith(12) == 0
+    assert mobius_int(1) == 1
+    assert mobius_int(6) == 1
+    assert mobius_int(12) == 0
     for p in PRIMES_BELOW_100:
-        assert mobius_arith(p) == -1
+        assert mobius_int(p) == -1
 
 
 def test_mu_star_mu_prime_power_table():

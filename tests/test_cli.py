@@ -209,3 +209,31 @@ def test_hasse_family_declaration(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--hasse", str(fam), "--fn", "zeta_d",
                        "--d", "2", "--m", "3")
     assert code == 0
+
+
+# case: (file passed as --fn @file, its text; None writes no file)
+HOSTILE_INPUTS = {
+    "missing_table": ("t.csv", None),
+    "cell_not_rational": ("t.csv", "1,1\n2,two\n"),
+    "json_not_json": ("m.json", "{not json"),
+    "json_without_labels": ("m.json", '{"kind": "meet_matrix"}'),
+    "json_mixed_label_lengths": (
+        "m.json", '{"kind": "meet_matrix", "labels": [[1, 1], [2]], "entries": [["1"], ["1", "2"]]}'),
+    "mixed_row_lengths": ("t.csv", "1,1\n1,2,3\n"),
+    "unwritable_out": (None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
+    name, text = HOSTILE_INPUTS[case]
+    if name is None:
+        argv = ["--fn", "gcd_pow:1", "--out", str(tmp_path / "no_dir" / "m.json")]
+    else:
+        if text is not None:
+            (tmp_path / name).write_text(text)
+        argv = ["--fn", f"@{tmp_path / name}"]
+    code, _, err = run(capsys, "matrix", "--m", "3", *argv)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -14,19 +14,21 @@ from meetpd.incidence import (
     convolve,
     delta,
     from_point_function,
+    inverted_values,
     mobius,
     mobius_invert,
     mobius_of_subset,
     mobius_product,
-    mobius_subset_via_ambient,
     zeta,
 )
 from meetpd.intfun import mobius_int
+from meetpd.meetmatrix import table_function
 from meetpd.posets import (
     MeetSemilattice,
-    build_poset,
+    Poset,
     divisor_lattice,
     lower_closure,
+    meet_closure,
     min_lattice,
     product_lattice,
     product_subset,
@@ -48,7 +50,32 @@ def random_poset(rng, n):
         for j in range(i + 1, n)
         if rng.random() < 0.4
     ]
-    return build_poset(elements, edges)
+    return Poset(elements, edges)
+
+
+def mobius_subset_via_ambient(s):
+    """Mobius function of a meet closed subset via ambient Mobius sums.
+
+    Cross-check oracle: the value at (x_i, x_j) is the sum of ambient
+    mu(x_i, z) over ambient z below x_j that are not below any earlier
+    member x_k, k < j.
+    """
+    lattice = s.lattice
+    ms = s.members
+    vals = {}
+    for j, xj in enumerate(ms):
+        zs = [
+            z
+            for z in lattice.lower_set(xj)
+            if not any(lattice.leq(z, xk) for xk in ms[:j])
+        ]
+        for xi in ms[: j + 1]:
+            if lattice.leq(xi, xj):
+                vals[(xi, xj)] = sum(
+                    (ambient_mobius(lattice, xi, z) for z in zs if lattice.leq(xi, z)),
+                    Fraction(0),
+                )
+    return IncidenceFunction(s, vals)
 
 
 def zeta_inverse_oracle(domain):
@@ -85,7 +112,7 @@ def test_mobius_matches_matrix_inversion_oracle():
 
 def test_delta_is_identity_of_convolution():
     rng = random.Random(9)
-    chain = build_poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    chain = Poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
     s = chain.covering_set(None)
     vals = {}
     for i, x in enumerate(s.members):
@@ -137,7 +164,7 @@ def test_mobius_two_prime_square_free():
 
 
 def test_mobius_singleton():
-    p = build_poset(["a"], [])
+    p = Poset(["a"], [])
     assert mobius(p)("a", "a") == 1
 
 
@@ -183,16 +210,16 @@ SMALL_POSETS = [
 def test_mobius_product_agrees_with_product_poset_inversion():
     for elems_p, edges_p in SMALL_POSETS:
         for elems_q, edges_q in SMALL_POSETS:
-            p = MeetSemilattice(build_poset(elems_p, edges_p))
-            q = MeetSemilattice(build_poset(elems_q, edges_q))
+            p = MeetSemilattice(Poset(elems_p, edges_p))
+            q = MeetSemilattice(Poset(elems_q, edges_q))
             prod_mu = mobius_product(mobius(p), mobius(q))
             direct = mobius(product_subset([p.covering_set(None), q.covering_set(None)]))
             assert prod_mu == direct
 
 
 def test_mobius_product_of_singletons():
-    p = MeetSemilattice(build_poset(["a"], []))
-    q = MeetSemilattice(build_poset(["b"], []))
+    p = MeetSemilattice(Poset(["a"], []))
+    q = MeetSemilattice(Poset(["b"], []))
     mu = mobius_product(mobius(p), mobius(q))
     assert mu(("a", "b"), ("a", "b")) == 1
 
@@ -243,7 +270,7 @@ def test_subset_mobius_singleton():
 
 
 def test_mobius_invert_constant_on_chain():
-    chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    chain = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     fr = from_point_function(chain, lambda _x: 1)
     g = mobius_invert(fr)
     assert [g("a", x) for x in ("a", "b", "c")] == [1, 0, 0]
@@ -279,7 +306,7 @@ def test_mobius_invert_round_trip_on_random_posets():
             (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
             if rng.random() < 0.3
         ]
-        p = build_poset(elements, edges)
+        p = Poset(elements, edges)
         fr = from_point_function(p, lambda x: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         g = mobius_invert(fr)
         assert convolve(g, zeta(p)) == fr
@@ -298,7 +325,7 @@ def test_ambient_mobius_closed_forms():
 
 
 def test_ambient_mobius_explicit_poset():
-    diamond = MeetSemilattice(build_poset(
+    diamond = MeetSemilattice(Poset(
         ["0", "x", "y", "1"],
         [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")],
     ))
@@ -320,3 +347,24 @@ def test_remark_sum_oracle_matches_inversion_on_products():
 def test_remark_sum_oracle_matches_on_min_grid():
     grid = min_lattice(2).covering_set(3)
     assert mobius_subset_via_ambient(grid) == mobius_of_subset(grid)
+
+
+def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
+    import meetpd.incidence as incidence
+
+    real = incidence.mobius
+    inverted = []
+    monkeypatch.setattr(incidence, "mobius", lambda s: inverted.append(s) or real(s))
+    rng = random.Random(41)
+    # a meet closed factor that is not lower closed, so its Mobius
+    # function is not the ambient one
+    left = meet_closure(subset(divisor_lattice(), [4, 6, 10]))
+    grid = product_subset([left, min_lattice().covering_set(3)])
+    f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5)) for x in grid.members})
+    got = list(inverted_values(f, grid))
+    assert inverted and all(s.factor_subsets is None for s in inverted)
+    mu = real(grid)
+    assert got == [
+        (x, sum((f(z) * mu(z, x) for z in grid.members if grid.leq(z, x)), Fraction(0)))
+        for x in grid.members
+    ]

@@ -11,14 +11,13 @@ from meetpd.errors import (
     NotLowerClosedError,
     NotMeetClosedError,
 )
-from meetpd.incidence import convolve, from_point_function, mobius
+from meetpd.incidence import convolve, from_point_function, mobius, mobius_of_subset
 from meetpd.meetmatrix import (
+    LatticeFunction,
     OrderMap,
     constant_function,
     identity_function,
-    kron_decompose,
     kron_decompose_d,
-    lattice_function,
     ldl_lower_closed,
     matrix_to_csv,
     matrix_to_json,
@@ -31,6 +30,8 @@ from meetpd.meetmatrix import (
     table_function,
 )
 from meetpd.posets import (
+    MeetSemilattice,
+    Poset,
     divisor_lattice,
     lower_closure,
     meet_closure,
@@ -43,8 +44,12 @@ from meetpd.posets import (
 def lcm_function(d):
     lat = divisor_lattice(d)
     if d == 1:
-        return lattice_function(lat, lambda x: Fraction(x), name="lcm1")
-    return lattice_function(lat, lambda x: Fraction(math.lcm(*x)), name=f"lcm{d}")
+        return LatticeFunction(lat, lambda x: Fraction(x), name="lcm1")
+    return LatticeFunction(lat, lambda x: Fraction(math.lcm(*x)), name=f"lcm{d}")
+
+
+def _indicator_of(s):
+    return tuple(tuple(int(s.leq(z, x)) for z in s.members) for x in s.members)
 
 
 def brute_meet_matrix(members, meet, f):
@@ -112,7 +117,7 @@ def test_ldl_divisors_of_four_gives_totients():
 def test_ldl_singleton_bottom():
     dl = divisor_lattice()
     s = subset(dl, [1])
-    f = lattice_function(dl, lambda x: Fraction(9))
+    f = LatticeFunction(dl, lambda x: Fraction(9))
     dec = ldl_lower_closed(s, f)
     assert dec.diag == (9,)
     assert dec.factors[0] == ((1,),)
@@ -147,7 +152,7 @@ def test_ldl_reconstruction_random():
 def test_kron_reconstructs_lcm_grid():
     dl = divisor_lattice()
     s = subset(dl, [1, 2])
-    dec = kron_decompose(s, s, lcm_function(2))
+    dec = kron_decompose_d([s, s], lcm_function(2))
     grid = product_subset([s, s])
     assert reconstruct(dec) == meet_matrix(grid, lcm_function(2))
 
@@ -156,8 +161,8 @@ def test_kron_singletons():
     dl = divisor_lattice()
     s = subset(dl, [3])
     t = subset(dl, [5])
-    f = lattice_function(divisor_lattice(2), lambda x: Fraction(x[0] * x[1]))
-    dec = kron_decompose(s, t, f)
+    f = LatticeFunction(divisor_lattice(2), lambda x: Fraction(x[0] * x[1]))
+    dec = kron_decompose_d([s, t], f)
     assert dec.diag == (15,)
 
 
@@ -169,8 +174,8 @@ def test_kron_separable_diagonal_is_outer_product():
     s = meet_closure(subset(dl, [2, 4, 6, 12]))
     gvals = {x: Fraction(rng.randint(-5, 5)) for x in s.members}
     g = table_function(dl, gvals)
-    f = lattice_function(divisor_lattice(2), lambda xy: g(xy[0]) * g(xy[1]))
-    dec = kron_decompose(s, s, f)
+    f = LatticeFunction(divisor_lattice(2), lambda xy: g(xy[0]) * g(xy[1]))
+    dec = kron_decompose_d([s, s], f)
     mu = mobius(s)
     lam = []
     for x in s.members:
@@ -182,28 +187,34 @@ def test_kron_separable_diagonal_is_outer_product():
 def test_kron_rejects_non_meet_closed():
     dl = divisor_lattice()
     with pytest.raises(NotMeetClosedError):
-        kron_decompose(subset(dl, [2, 3]), subset(dl, [1, 2]), lcm_function(2))
+        kron_decompose_d([subset(dl, [2, 3]), subset(dl, [1, 2])], lcm_function(2))
 
 
 def test_kron_diag_equals_bottom_row_inversion_when_lower_closed():
     # over lower closed factors the diagonal equals the Mobius-inverted
-    # bottom row of the product domain, computed independently via the
-    # incidence layer
+    # bottom row of the whole product domain, computed independently by
+    # generic inversion in the incidence layer
     rng = random.Random(23)
     dl = divisor_lattice()
-    s = lower_closure(subset(dl, [4, 6]))
-    t = lower_closure(subset(dl, [9]))
-    values = {}
-    grid = product_subset([s, t])
-    for x in grid.members:
-        values[x] = Fraction(rng.randint(-6, 6))
-    f = table_function(grid.lattice, values)
-    dec = kron_decompose(s, t, f)
-    fr = from_point_function(grid, f)
-    inverted = convolve(fr, mobius(grid))
-    bottom = grid.members[0]
-    expected = [inverted(bottom, x) for x in grid.members]
-    assert list(dec.diag) == expected
+    hasse = MeetSemilattice(Poset(
+        ["0", "a", "b", "c", "ab", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+         ("ab", "1"), ("c", "1")],
+    ))
+    cases = [
+        [lower_closure(subset(dl, [4, 6])), lower_closure(subset(dl, [9]))],
+        [hasse.covering_set()],
+        [dl.covering_set(3), lower_closure(subset(dl, [4])), min_lattice().covering_set(2)],
+    ]
+    for subs in cases:
+        grid = product_subset(subs)
+        values = {x: Fraction(rng.randint(-6, 6)) for x in grid.members}
+        f = table_function(grid.lattice, values)
+        dec = kron_decompose_d(subs, f)
+        inverted = convolve(from_point_function(grid, f), mobius(grid))
+        bottom = grid.members[0]
+        assert list(dec.diag) == [inverted(bottom, x) for x in grid.members]
+        assert reconstruct(dec) == meet_matrix(grid, f)
 
 
 def test_kron_d_reduces_to_ldl_on_lower_closed():
@@ -219,7 +230,7 @@ def test_kron_d_reduces_to_ldl_on_lower_closed():
 def test_kron_d_three_factor_reconstruction():
     dl = divisor_lattice()
     s = subset(dl, [1, 2])
-    f = lattice_function(
+    f = LatticeFunction(
         divisor_lattice(3),
         lambda x: Fraction(math.lcm(*x) * x[0]),
         name="mixed3",
@@ -231,6 +242,8 @@ def test_kron_d_three_factor_reconstruction():
 
 
 def test_kron_d_matches_kron_on_random_meet_closed_pairs():
+    # reference: the double Mobius sum over the subset lower sets of
+    # (x, y), with each factor inverted on its own
     rng = random.Random(37)
     dl = divisor_lattice()
     for _ in range(15):
@@ -241,10 +254,16 @@ def test_kron_d_matches_kron_on_random_meet_closed_pairs():
         grid = product_subset([s, t])
         values = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for x in grid.members}
         f = table_function(grid.lattice, values)
-        two = kron_decompose(s, t, f)
+        mu_s, mu_t = mobius_of_subset(s), mobius_of_subset(t)
+        expected = [
+            sum((f((xk, yl)) * mu_s(xk, x) * mu_t(yl, y)
+                 for xk in s.members if s.leq(xk, x)
+                 for yl in t.members if t.leq(yl, y)), Fraction(0))
+            for x in s.members for y in t.members
+        ]
         gen = kron_decompose_d([s, t], f)
-        assert two.diag == gen.diag
-        assert two.factors == gen.factors
+        assert list(gen.diag) == expected
+        assert gen.factors == (_indicator_of(s), _indicator_of(t))
         assert reconstruct(gen) == meet_matrix(grid, f)
 
 
@@ -339,7 +358,7 @@ def test_rank_collapse_requires_meet_closed_base():
 def test_csv_export_round_trip():
     dl = divisor_lattice()
     s = dl.covering_set(3)
-    f = lattice_function(dl, lambda x: Fraction(1, x))
+    f = LatticeFunction(dl, lambda x: Fraction(1, x))
     m = meet_matrix(s, f)
     text = matrix_to_csv(m)
     rows = [

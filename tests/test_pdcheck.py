@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from meetpd.arith import ArithmeticFunction, pd_check_grid
 from meetpd.errors import (
     ComponentNotCertifiedError,
     NegativeScalarError,
@@ -13,8 +14,8 @@ from meetpd.errors import (
 from meetpd.exact import quadratic_form, symmetric_elimination
 from meetpd.meetmatrix import (
     constant_function,
+    LatticeFunction,
     identity_function,
-    lattice_function,
     ldl_lower_closed,
     meet_matrix,
     summatory_function,
@@ -35,7 +36,7 @@ from meetpd.pdcheck import (
     separable_product,
 )
 from meetpd.posets import (
-    build_poset,
+    Poset,
     divisor_lattice,
     lower_closure,
     min_lattice,
@@ -46,7 +47,7 @@ from meetpd.posets import (
 
 def lcm_grid_matrix():
     grid = divisor_lattice(2).covering_set(2)
-    f = lattice_function(divisor_lattice(2), lambda x: Fraction(math.lcm(*x)), name="lcm")
+    f = LatticeFunction(divisor_lattice(2), lambda x: Fraction(math.lcm(*x)), name="lcm")
     return meet_matrix(grid, f)
 
 
@@ -140,9 +141,43 @@ def test_criterion_negative_witness_replays():
     assert table[w.element] == w.value < 0
 
 
+def _planted_negative(family, bound):
+    """Point function whose only negative inverted value (-3) sits mid-scan
+    and that raises at every member after it in member order."""
+    members = family.covering_set(bound).members
+    planted = members[len(members) // 2]
+    position = {x: i for i, x in enumerate(members)}
+
+    def fn(x):
+        if position[x] > position[planted]:
+            raise RuntimeError(f"evaluated past the first negative at {x!r}")
+        return sum((-3 if z == planted else 1) for z in family.lower_set(x))
+
+    return planted, fn
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("make", [divisor_lattice, min_lattice])
+def test_criterion_stops_at_first_negative(make, d):
+    fam = make(d)
+    planted, fn = _planted_negative(fam, 6)
+    verdict = pd_criterion(LatticeFunction(fam, fn), fam, 6)
+    assert verdict.verdict == NEGATIVE
+    assert (verdict.witness.element, verdict.witness.value) == (planted, -3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_check_stops_at_first_negative(d):
+    planted, fn = _planted_negative(divisor_lattice(d), 6)
+    f = ArithmeticFunction(d, lambda pt: fn(pt[0] if d == 1 else pt))
+    verdict = pd_check_grid(f, 6)
+    assert verdict.verdict == NEGATIVE
+    assert (verdict.witness.element, verdict.witness.value) == (planted, -3)
+
+
 def test_criterion_requires_least():
-    antichain = build_poset(["a", "b"], [])
-    f = lattice_function(antichain, lambda _x: Fraction(1))
+    antichain = Poset(["a", "b"], [])
+    f = LatticeFunction(antichain, lambda _x: Fraction(1))
     with pytest.raises(NoLeastElementError):
         pd_criterion(f, antichain, 1)
 

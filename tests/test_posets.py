@@ -11,11 +11,9 @@ from meetpd.errors import (
 )
 from meetpd.posets import (
     MeetSemilattice,
+    Poset,
     ProductLattice,
-    build_poset,
     divisor_lattice,
-    is_lower_closed,
-    is_meet_closed,
     linear_extension,
     load_hasse,
     lower_closure,
@@ -28,13 +26,13 @@ from meetpd.posets import (
 
 
 def test_singleton_poset_has_least():
-    p = build_poset(["a"], [])
+    p = Poset(["a"], [])
     assert p.least == "a"
     assert p.leq("a", "a")
 
 
 def test_chain_transitivity():
-    p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    p = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert p.leq("a", "c")
     assert not p.leq("c", "a")
     assert p.least == "a"
@@ -42,22 +40,22 @@ def test_chain_transitivity():
 
 def test_cycle_detected():
     with pytest.raises(CycleError):
-        build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+        Poset(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_self_loop_detected():
     with pytest.raises(CycleError):
-        build_poset(["a"], [("a", "a")])
+        Poset(["a"], [("a", "a")])
 
 
 def test_duplicate_element_rejected():
     with pytest.raises(DuplicateElementError):
-        build_poset(["a", "a"], [])
+        Poset(["a", "a"], [])
 
 
 def test_unknown_edge_endpoint_rejected():
     with pytest.raises(ValueError):
-        build_poset(["a"], [("a", "b")])
+        Poset(["a"], [("a", "b")])
 
 
 def test_divisor_meet_is_gcd():
@@ -69,14 +67,14 @@ def test_min_meet_is_min():
 
 
 def test_antichain_without_bottom_is_not_a_semilattice():
-    p = build_poset(["a", "b"], [])
+    p = Poset(["a", "b"], [])
     with pytest.raises(NotASemilatticeError):
         MeetSemilattice(p)
 
 
 def test_explicit_semilattice_meets():
     # diamond: bottom 0, incomparable a/b, top 1
-    p = build_poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    p = Poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     lat = MeetSemilattice(p)
     assert lat.meet("a", "b") == "0"
     assert lat.meet("a", "1") == "a"
@@ -103,13 +101,13 @@ def test_mixed_product_divisor_min():
 def test_meet_and_lower_closed_flags():
     dl = divisor_lattice()
     s = subset(dl, [1, 2, 3, 6])
-    assert is_meet_closed(s)
-    assert is_lower_closed(s)
+    assert s.meet_closed
+    assert s.lower_closed
     t = subset(dl, [2, 3])
-    assert not is_meet_closed(t)
+    assert not t.meet_closed
     u = subset(dl, [1, 4])
-    assert is_meet_closed(u)
-    assert not is_lower_closed(u)
+    assert u.meet_closed
+    assert not u.lower_closed
 
 
 def test_lower_closed_implies_meet_closed_on_samples():
@@ -240,7 +238,7 @@ def test_explicit_meet_agrees_with_gcd_oracle():
             if a != b and b % a == 0
             and not any(a != c != b and c % a == 0 and b % c == 0 for c in members)
         ]
-        lat = MeetSemilattice(build_poset([str(x) for x in members], covers))
+        lat = MeetSemilattice(Poset([str(x) for x in members], covers))
         for x in members:
             for y in members:
                 assert lat.meet(str(x), str(y)) == str(math.gcd(x, y))
@@ -306,8 +304,8 @@ def test_lower_closure_needs_enumerable_ambient():
     from meetpd.errors import AmbientNotEnumerableError
 
     s = subset(_OrderOnly(), [1, 2, 4])
-    assert is_meet_closed(s)
+    assert s.meet_closed
     with pytest.raises(AmbientNotEnumerableError):
-        is_lower_closed(s)
+        s.lower_closed
     with pytest.raises(AmbientNotEnumerableError):
         lower_closure(s)
