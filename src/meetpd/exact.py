@@ -1,13 +1,24 @@
 """Exact linear algebra over the rationals for symmetric matrices.
 
 Symmetric congruence elimination with diagonal pivoting decides inertia
-(and hence positive semidefiniteness) without any tolerance.  When the
-active block has an all-zero diagonal but a nonzero off-diagonal entry,
-that entry is used as an indefinite 2x2 pivot block, so the elimination
-always runs to completion.  For matrices that are not positive
-semidefinite, a rational vector v with v^T A v < 0 is reported.
+(and hence positive semidefiniteness) without any tolerance.  The
+elimination is fraction-free (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination"): the matrix is first
+multiplied by the lcm of its denominators, a positive scalar congruence
+that keeps the inertia, and every active entry is then an integer
+bordered minor of the leading pivot block, so each update divides
+exactly by the previous pivot.  The pivot is the largest |diagonal|
+(first in search order on ties).  When the active block has an all-zero
+diagonal but a nonzero entry a_ij, the unimodular congruence "add row
+and column j to row and column i" makes a_ii = 2 a_ij the next pivot, so
+the elimination always runs to completion.  For matrices that are not
+positive semidefinite, a rational vector v with v^T A v < 0 is reported:
+v = P^T L^-T e_k for the first negative pivot k of P A P^T = L D L^T,
+computed fraction-free as the adjugate column adj(B) e_k of the leading
+pivot block B (and mapped back through any row-add congruences).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,157 +44,123 @@ class SymmetricFactorization:
         return self.inertia.negative == 0
 
 
-def _as_fraction_matrix(rows):
-    a = [[Fraction(v) for v in row] for row in rows]
-    n = len(a)
-    for row in a:
+def _rational(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _integer_matrix(rows):
+    """The matrix times the lcm c of its denominators, as ints, and c."""
+    q = [[_rational(v) for v in row] for row in rows]
+    n = len(q)
+    for row in q:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    c = math.lcm(*{v.denominator for row in q for v in row})
+    a = [[v.numerator * (c // v.denominator) for v in row] for row in q]
     for i in range(n):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    return a
+    return a, c
 
 
-def _swap(a, lmat, perm, filled, s, t):
-    if s == t:
-        return
-    a[s], a[t] = a[t], a[s]
-    for row in a:
-        row[s], row[t] = row[t], row[s]
-    for c in range(filled):
-        lmat[s][c], lmat[t][c] = lmat[t][c], lmat[s][c]
-    perm[s], perm[t] = perm[t], perm[s]
+def _entry(tri, t, u):
+    return tri[t][u - t] if t <= u else tri[u][t - u]
 
 
 def symmetric_elimination(rows):
     """Exact inertia of a symmetric rational matrix by pivoted elimination."""
-    a = _as_fraction_matrix(rows)
+    a, scale = _integer_matrix(rows)
     n = len(a)
-    zero = Fraction(0)
-    one = Fraction(1)
-    lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    perm = list(range(n))
-    pos = neg = nul = 0
-    neg_block = None  # (kind, position, pivot value)
-    k = 0
-    while k < n:
-        p = -1
-        best = None
-        for i in range(k, n):
-            d = a[i][i]
-            if d != 0 and (best is None or abs(d) > best):
-                p, best = i, abs(d)
-        if p >= 0:
-            _swap(a, lmat, perm, k, k, p)
-            d = a[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-                if neg_block is None:
-                    neg_block = ("1x1", k, d)
-            mults = [a[i][k] / d for i in range(k + 1, n)]
-            for off, m in enumerate(mults):
-                i = k + 1 + off
-                if m == 0:
-                    continue
-                lmat[i][k] = m
-                rk = a[k]
-                ri = a[i]
-                for j in range(k + 1, n):
-                    ri[j] -= m * rk[j]
-            for i in range(k + 1, n):
-                a[i][k] = zero
-                a[k][i] = zero
-            k += 1
-            continue
-        # all active diagonal entries are zero: look for an off-diagonal pivot
-        pivot = None
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
+    act = list(range(n))  # active indices, ascending
+    tri = [a[i][i:] for i in range(n)]  # tri[t][u - t]: entry (act[t], act[u]), t <= u
+    order = list(range(n))  # active indices in pivot search order
+    pivots = []  # eliminated indices, in pivot order
+    saved = []  # bordered pivot rows {index: entry}, up to the first negative pivot
+    adds = []  # row-add congruences (i, j): row and column j added to i
+    prev = 1  # previous pivot = leading principal minor of the eliminated block
+    pos = neg = 0
+    first_negative = None
+    while act:
+        where = {x: t for t, x in enumerate(act)}
+        q = -1
+        best = 0
+        for s, x in enumerate(order):
+            d = abs(tri[where[x]][0])
+            if d > best:
+                q, qs, best = where[x], s, d
+        if q < 0:
+            pair = next(((x, y) for s, x in enumerate(order) for y in order[s + 1:]
+                         if _entry(tri, where[x], where[y])), None)
+            if pair is None:
                 break
-        if pivot is None:
-            nul += n - k
-            break
-        i0, j0 = pivot
-        _swap(a, lmat, perm, k, k, i0)
-        if j0 == k:
-            j0 = i0
-        _swap(a, lmat, perm, k, k + 1, j0)
-        av = a[k][k + 1]
-        pos += 1
-        neg += 1
-        if neg_block is None:
-            neg_block = ("2x2", k, av)
-        us = [a[i][k] for i in range(k + 2, n)]
-        vs = [a[i][k + 1] for i in range(k + 2, n)]
-        for off in range(len(us)):
-            i = k + 2 + off
-            if vs[off]:
-                lmat[i][k] = vs[off] / av
-            if us[off]:
-                lmat[i][k + 1] = us[off] / av
-        for ioff in range(len(us)):
-            i = k + 2 + ioff
-            ui, vi = us[ioff], vs[ioff]
-            if ui == 0 and vi == 0:
-                continue
-            ri = a[i]
-            for joff in range(len(us)):
-                j = k + 2 + joff
-                ri[j] -= (vi * us[joff] + ui * vs[joff]) / av
-        for i in range(k + 2, n):
-            a[i][k] = a[k][i] = zero
-            a[i][k + 1] = a[k + 1][i] = zero
-        k += 2
-
-    direction = None
-    value = None
-    if neg_block is not None:
-        kind, kidx, pv = neg_block
-        y = [zero] * n
-        if kind == "1x1":
-            y[kidx] = one
-            value = pv
+            # all active diagonal entries are zero: add row/column y to x
+            x, y = pair
+            t, u = where[x], where[y]
+            row = [_entry(tri, t, v) + _entry(tri, u, v) for v in range(len(act))]
+            row[t] = 2 * _entry(tri, t, u)
+            for v in range(t):
+                tri[v][t - v] = row[v]
+            tri[t] = row[t:]
+            for kept in saved:
+                kept[x] += kept[y]
+            adds.append(pair)
+            continue
+        piv = tri[q][0]
+        r = [tri[t][q - t] for t in range(q)] + tri[q]
+        if first_negative is None:
+            saved.append(dict(zip(act, r)))
+        if (piv > 0) == (prev > 0):
+            pos += 1
         else:
-            y[kidx] = one
-            y[kidx + 1] = one if pv < 0 else -one
-            value = -2 * abs(pv)
-        # back substitution for L^T z = y
-        z = list(y)
-        for i in range(n - 1, -1, -1):
-            acc = y[i]
-            for j in range(i + 1, n):
-                if lmat[j][i]:
-                    acc -= lmat[j][i] * z[j]
-            z[i] = acc
-        v = [zero] * n
-        for i in range(n):
-            v[perm[i]] = z[i]
-        direction = tuple(v)
-    return SymmetricFactorization(Inertia(pos, neg, nul), direction, value)
+            neg += 1
+            if first_negative is None:
+                first_negative = len(pivots)
+        pivots.append(act[q])
+        order[qs] = order[0]
+        del order[0]
+        del act[q], r[q], tri[q]
+        for t in range(q):
+            del tri[t][q - t]
+        tri = [[(piv * e - c * rj) // prev for e, rj in zip(row, r[t:])]
+               for t, (row, c) in enumerate(zip(tri, r))]
+        prev = piv
+    inertia = Inertia(pos, neg, n - pos - neg)
+    if first_negative is None:
+        return SymmetricFactorization(inertia, None, None)
+    # y = adj(B) e_k by fraction-free back substitution on the saved rows:
+    # U[i][i] y_i = -sum_{j > i} U[i][j] y_j, with y_k = det of B's leading k block
+    k = first_negative
+    lead = pivots[:k + 1]
+    minors = [1] + [r[x] for r, x in zip(saved, lead)]
+    y = {lead[k]: minors[k]}
+    for i in range(k - 1, -1, -1):
+        r = saved[i]
+        y[lead[i]] = -sum(r[x] * y[x] for x in lead[i + 1:]) // minors[i + 1]
+    v = [Fraction(0)] * n
+    for x, yx in y.items():
+        v[x] = Fraction(yx, minors[k])
+    for i, j in reversed(adds):
+        v[j] += v[i]
+    value = Fraction(minors[k + 1], minors[k] * scale)
+    return SymmetricFactorization(inertia, tuple(v), value)
 
 
 def quadratic_form(rows, v):
-    """v^T A v in exact arithmetic."""
-    n = len(rows)
-    total = Fraction(0)
-    vf = [Fraction(c) for c in v]
-    for i in range(n):
-        if vf[i] == 0:
-            continue
-        acc = Fraction(0)
-        for j in range(n):
-            if vf[j]:
-                acc += Fraction(rows[i][j]) * vf[j]
-        total += vf[i] * acc
-    return total
+    """v^T A v in exact arithmetic.
+
+    v and the block of A on v's support are scaled to integers by the lcm
+    of their denominators, so the sum runs on ints and is divided once.
+    """
+    vq = [_rational(c) for c in v]
+    support = [i for i, c in enumerate(vq) if c]
+    block = [[_rational(rows[i][j]) for j in support] for i in support]
+    vden = math.lcm(*(vq[i].denominator for i in support))
+    aden = math.lcm(*{x.denominator for row in block for x in row})
+    w = [vq[i].numerator * (vden // vq[i].denominator) for i in support]
+    total = sum(wi * sum(x.numerator * (aden // x.denominator) * wj for x, wj in zip(row, w))
+                for wi, row in zip(w, block))
+    return Fraction(total, aden * vden * vden)
 
 
 def _matmul(a, b):
@@ -209,7 +186,8 @@ def char_poly(rows):
     Faddeev-LeVerrier recurrence in exact arithmetic: returns
     (1, c1, ..., cn) for lambda^n + c1 lambda^(n-1) + ... + cn.
     """
-    a = _as_fraction_matrix(rows)
+    ints, c = _integer_matrix(rows)
+    a = [[Fraction(x, c) for x in row] for row in ints]
     n = len(a)
     coeffs = [Fraction(1)]
     m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]

@@ -4,10 +4,11 @@ The diagonal criterion reads the Mobius-inverted values of the function
 over a lower closed covering set from ``incidence.inverted_values`` (the
 same values that form the diagonal of the meet matrix decomposition) and
 stops at the first negative one.  The oracle route converts the meet
-matrix to floats and bounds its smallest eigenvalue, preferring an exact
-rational elimination for matrices up to 64x64 (no tolerance on that
-path).  A positive verdict is always relative to the tested covering
-bound; negative verdicts carry a reproducible witness.
+matrix to floats and bounds its smallest eigenvalue, preferring the exact
+fraction-free elimination of ``exact.symmetric_elimination`` for
+matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256; no
+tolerance on that path).  A positive verdict is always relative to the
+tested covering bound; negative verdicts carry a reproducible witness.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .posets import ProductLattice, product_subset
 POSITIVE = "positive_definite_on_tested_covering"
 NEGATIVE = "not_positive_definite"
 
-EXACT_ORACLE_LIMIT = 64
+EXACT_ORACLE_LIMIT = 256
 DEFAULT_TOL = 1e-9
 
 
@@ -106,8 +107,9 @@ def _rows_and_labels(matrix):
 def psd_oracle(matrix, tol=DEFAULT_TOL):
     """Positive semidefiniteness of a symmetric rational matrix.
 
-    Matrices up to 64x64 are decided exactly by pivoted congruence
-    elimination; larger ones fall back to a float eigenvalue bound with
+    Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
+    decided exactly by fraction-free pivoted congruence elimination on
+    integers; larger ones fall back to a float eigenvalue bound with
     relative tolerance tol.  The float minimum eigenvalue is reported as
     an estimate in both cases.
     """

@@ -4,8 +4,313 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meetpd.exact import char_poly, quadratic_form, symmetric_elimination
+from meetpd.exact import (
+    Inertia,
+    SymmetricFactorization,
+    char_poly,
+    quadratic_form,
+    symmetric_elimination,
+)
+from meetpd.meetmatrix import meet_matrix, summatory_function
+from meetpd.posets import divisor_lattice, min_lattice
+
+
+# --------------------------------------------------------------------------
+# Reference: the Fraction elimination that the fraction-free one replaced.
+# It eliminates a 2x2 pivot block where the fraction-free route applies a
+# row-add congruence, so the two agree exactly unless that block occurs.
+
+def _reference_fraction_matrix(rows):
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    for row in a:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    return a
+
+
+def _reference_swap(a, lmat, perm, filled, s, t):
+    if s == t:
+        return
+    a[s], a[t] = a[t], a[s]
+    for row in a:
+        row[s], row[t] = row[t], row[s]
+    for c in range(filled):
+        lmat[s][c], lmat[t][c] = lmat[t][c], lmat[s][c]
+    perm[s], perm[t] = perm[t], perm[s]
+
+
+def reference_elimination(rows):
+    """(factorization, whether a 2x2 pivot block was eliminated)."""
+    a = _reference_fraction_matrix(rows)
+    n = len(a)
+    zero = Fraction(0)
+    one = Fraction(1)
+    lmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    pos = neg = nul = 0
+    neg_block = None  # (kind, position, pivot value)
+    used_block = False
+    k = 0
+    while k < n:
+        p = -1
+        best = None
+        for i in range(k, n):
+            d = a[i][i]
+            if d != 0 and (best is None or abs(d) > best):
+                p, best = i, abs(d)
+        if p >= 0:
+            _reference_swap(a, lmat, perm, k, k, p)
+            d = a[k][k]
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+                if neg_block is None:
+                    neg_block = ("1x1", k, d)
+            mults = [a[i][k] / d for i in range(k + 1, n)]
+            for off, m in enumerate(mults):
+                i = k + 1 + off
+                if m == 0:
+                    continue
+                lmat[i][k] = m
+                rk = a[k]
+                ri = a[i]
+                for j in range(k + 1, n):
+                    ri[j] -= m * rk[j]
+            for i in range(k + 1, n):
+                a[i][k] = zero
+                a[k][i] = zero
+            k += 1
+            continue
+        pivot = None
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if a[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            nul += n - k
+            break
+        used_block = True
+        i0, j0 = pivot
+        _reference_swap(a, lmat, perm, k, k, i0)
+        if j0 == k:
+            j0 = i0
+        _reference_swap(a, lmat, perm, k, k + 1, j0)
+        av = a[k][k + 1]
+        pos += 1
+        neg += 1
+        if neg_block is None:
+            neg_block = ("2x2", k, av)
+        us = [a[i][k] for i in range(k + 2, n)]
+        vs = [a[i][k + 1] for i in range(k + 2, n)]
+        for off in range(len(us)):
+            i = k + 2 + off
+            if vs[off]:
+                lmat[i][k] = vs[off] / av
+            if us[off]:
+                lmat[i][k + 1] = us[off] / av
+        for ioff in range(len(us)):
+            i = k + 2 + ioff
+            ui, vi = us[ioff], vs[ioff]
+            if ui == 0 and vi == 0:
+                continue
+            ri = a[i]
+            for joff in range(len(us)):
+                j = k + 2 + joff
+                ri[j] -= (vi * us[joff] + ui * vs[joff]) / av
+        for i in range(k + 2, n):
+            a[i][k] = a[k][i] = zero
+            a[i][k + 1] = a[k + 1][i] = zero
+        k += 2
+
+    direction = None
+    value = None
+    if neg_block is not None:
+        kind, kidx, pv = neg_block
+        y = [zero] * n
+        if kind == "1x1":
+            y[kidx] = one
+            value = pv
+        else:
+            y[kidx] = one
+            y[kidx + 1] = one if pv < 0 else -one
+            value = -2 * abs(pv)
+        z = list(y)
+        for i in range(n - 1, -1, -1):
+            acc = y[i]
+            for j in range(i + 1, n):
+                if lmat[j][i]:
+                    acc -= lmat[j][i] * z[j]
+            z[i] = acc
+        v = [zero] * n
+        for i in range(n):
+            v[perm[i]] = z[i]
+        direction = tuple(v)
+    fact = SymmetricFactorization(Inertia(pos, neg, nul), direction, value)
+    return fact, used_block
+
+
+def reference_quadratic_form(rows, v):
+    """v^T A v by Fraction arithmetic on every entry."""
+    n = len(rows)
+    total = Fraction(0)
+    vf = [Fraction(c) for c in v]
+    for i in range(n):
+        if vf[i] == 0:
+            continue
+        acc = Fraction(0)
+        for j in range(n):
+            if vf[j]:
+                acc += Fraction(rows[i][j]) * vf[j]
+        total += vf[i] * acc
+    return total
+
+
+def assert_matches_reference(rows):
+    """Identical factorization unless the reference needed a 2x2 block;
+    then identical inertia and a witness that replays exactly.  Returns
+    whether the block occurred."""
+    fact = symmetric_elimination(rows)
+    ref, used_block = reference_elimination(rows)
+    if not used_block:
+        assert fact == ref
+    assert fact.inertia == ref.inertia
+    assert (fact.negative_direction is None) == fact.is_psd
+    if not fact.is_psd:
+        assert quadratic_form(rows, fact.negative_direction) == fact.negative_value < 0
+    return used_block
+
+
+def symmetric_from_upper(n, upper):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return rows
+
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def rational_symmetric_matrices(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    m = n * (n + 1) // 2
+    return symmetric_from_upper(n, draw(st.lists(small_rationals, min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_symmetric_matrices())
+def test_matches_reference_on_random_rational_matrices(rows):
+    assert_matches_reference(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_matches_reference_on_rank_deficient_outer_products(n, data):
+    rank = data.draw(st.integers(1, n - 1))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(rank):
+        u = data.draw(st.lists(small_rationals, min_size=n, max_size=n))
+        sign = data.draw(st.sampled_from((-1, 1)))
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] += sign * u[i] * u[j]
+    assert_matches_reference(rows)
+    fact = symmetric_elimination(rows)
+    assert fact.inertia.zero >= n - rank
+
+
+@pytest.mark.parametrize("make,d,bound", [
+    (divisor_lattice, 1, 12), (divisor_lattice, 2, 4), (min_lattice, 1, 10),
+    (min_lattice, 2, 4), (min_lattice, 3, 2),
+])
+def test_matches_reference_on_summatory_meet_matrices(make, d, bound):
+    rng = random.Random(1000 * d + bound)
+    lat = make(d)
+    for _ in range(6):
+        g = {}
+        f = summatory_function(
+            lat, lambda z: g.setdefault(z, Fraction(rng.randint(-3, 4), rng.randint(1, 3))),
+            certify_nonneg=False)
+        m = meet_matrix(lat.covering_set(bound), f)
+        assert_matches_reference(m.rows)
+
+
+HYPERBOLIC = [[0, 1], [1, 0]]
+
+
+def direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                rows[at + i][at + j] = Fraction(v)
+        at += len(b)
+    return rows
+
+
+@pytest.mark.parametrize("blocks,inertia", [
+    ([HYPERBOLIC], (1, 1, 0)),
+    ([HYPERBOLIC, HYPERBOLIC], (2, 2, 0)),
+    ([HYPERBOLIC, HYPERBOLIC, HYPERBOLIC], (3, 3, 0)),
+    ([[[0, -3], [-3, 0]], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]], (2, 2, 0)),
+    ([[[0, 0], [0, 0]], HYPERBOLIC], (1, 1, 2)),
+    ([[[2]], HYPERBOLIC, [[0]]], (2, 1, 1)),
+    ([[[0, 1, 1], [1, 0, 1], [1, 1, 0]]], (1, 2, 0)),
+    ([[[0, 2, 0, 0], [2, 0, 1, 0], [0, 1, 0, 3], [0, 0, 3, 0]]], (2, 2, 0)),
+])
+def test_all_zero_diagonal_blocks(blocks, inertia):
+    rows = direct_sum(*blocks)
+    assert assert_matches_reference(rows)
+    assert symmetric_elimination(rows).inertia.as_tuple() == inertia
+
+
+def test_all_zero_diagonal_after_a_negative_pivot_keeps_the_witness():
+    # the first pivot (-5) is negative; the hyperbolic block comes later
+    rows = direct_sum([[-5]], HYPERBOLIC, [[0, 2], [2, 0]])
+    fact = symmetric_elimination(rows)
+    assert fact.inertia.as_tuple() == (2, 3, 0)
+    assert fact.negative_direction == (1, 0, 0, 0, 0)
+    assert fact.negative_value == -5
+
+
+def test_scaled_integer_elimination_keeps_inertia_of_tiny_entries():
+    rows = [[Fraction(1, 10 ** 30), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 7)]]
+    fact = symmetric_elimination(rows)
+    assert fact.inertia.as_tuple() == (1, 1, 0)
+    assert quadratic_form(rows, fact.negative_direction) == fact.negative_value < 0
+    assert_matches_reference(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_symmetric_matrices(), st.data())
+def test_quadratic_form_matches_fraction_reference(rows, data):
+    v = data.draw(st.lists(small_rationals, min_size=len(rows), max_size=len(rows)))
+    assert quadratic_form(rows, v) == reference_quadratic_form(rows, v)
+
+
+def test_quadratic_form_accepts_ints_floats_and_strings():
+    rows = [[1, 2.5], [2.5, "1/3"]]
+    assert quadratic_form(rows, [1, "-1/2"]) == Fraction(1) - Fraction(5, 2) + Fraction(1, 12)
+    assert quadratic_form(rows, [0, 0]) == 0
 
 
 def random_symmetric(rng, n, lo=-6, hi=6):

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetpd.arith import ArithmeticFunction, pd_check_grid
 from meetpd.errors import (
@@ -22,6 +25,7 @@ from meetpd.meetmatrix import (
     table_function,
 )
 from meetpd.pdcheck import (
+    EXACT_ORACLE_LIMIT,
     NEGATIVE,
     POSITIVE,
     add,
@@ -88,7 +92,7 @@ def test_oracle_rejects_negative_tolerance():
 
 
 def test_oracle_float_path_large_psd():
-    n = 70
+    n = EXACT_ORACLE_LIMIT + 6
     rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     report = psd_oracle(rows)
     assert report.method == "float"
@@ -96,7 +100,7 @@ def test_oracle_float_path_large_psd():
 
 
 def test_oracle_float_path_large_indefinite_witness_replays():
-    n = 70
+    n = EXACT_ORACLE_LIMIT + 6
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = Fraction(1)
@@ -105,6 +109,50 @@ def test_oracle_float_path_large_indefinite_witness_replays():
     assert report.method == "float"
     assert not report.is_psd
     assert quadratic_form(rows, report.witness.vector) == report.witness.value < 0
+
+
+def test_oracle_exact_path_near_the_limit_on_summatory_meet_matrix():
+    # M = E diag(g) E^T with E unimodular (zeta of the order), so by
+    # Sylvester's law the inertia is the sign counts of g
+    lat = min_lattice(2)
+    cover = lat.covering_set(12)
+    assert len(cover) == 144 <= EXACT_ORACLE_LIMIT
+    rng = random.Random(144)
+    g = {x: rng.randint(-3, 6) for x in cover.members}
+    f = summatory_function(lat, lambda z: g[z], certify_nonneg=False)
+    report = psd_oracle(meet_matrix(cover, f))
+    assert report.method == "exact"
+    signs = (sum(v > 0 for v in g.values()), sum(v < 0 for v in g.values()),
+             sum(v == 0 for v in g.values()))
+    assert report.inertia.as_tuple() == signs
+    assert not report.is_psd
+    assert report.witness.value < 0
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """(A, s) with A = U^T diag(s) U for a unit upper-triangular integer U."""
+    n = draw(st.integers(1, 8))
+    s = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    u = [[1 if i == j else (draw(st.integers(-2, 2)) if j > i else 0) for j in range(n)]
+         for i in range(n)]
+    a = [[sum(u[k][i] * s[k] * u[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    return a, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(congruent_diagonals())
+def test_exact_and_float_oracles_agree(case):
+    a, s = case
+    report = psd_oracle(a)
+    signs = (sum(v > 0 for v in s), sum(v < 0 for v in s), sum(v == 0 for v in s))
+    assert report.method == "exact"
+    assert report.inertia.as_tuple() == signs
+    assert report.is_psd == (signs[1] == 0)
+    eigs = np.linalg.eigvalsh(np.array(a, dtype=float))
+    if np.min(np.abs(eigs)) > 1e-6 * np.max(np.abs(eigs)):
+        assert (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)), 0) == signs
 
 
 def test_criterion_summatory_of_one_is_certified_positive():
