@@ -1,9 +1,12 @@
 """Multivariate arithmetic functions on the positive integers.
 
-The componentwise GCD operator, d-variate Dirichlet convolution, the
-grid and factored positivity criteria (both read Mobius-inverted values
-from ``incidence.inverted_values`` over the divisor lattice), and the
-named example functions exposed on the command line.
+An arithmetic function of d variables is a ``LatticeFunction`` on the
+cached ``divisor_lattice(d)``: its elements are positive integers at
+d = 1 and d-tuples of them above.  This module holds the componentwise
+GCD operator, d-variate Dirichlet convolution, the grid and factored
+positivity criteria (both read Mobius-inverted values from
+``incidence.inverted_values`` over the divisor lattice), and the named
+example functions exposed on the command line.
 """
 
 import math
@@ -12,63 +15,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .errors import ArityMismatchError, EvaluationError, MeetPDError, UnknownBuiltinError
+from .errors import ArityMismatchError, UnknownBuiltinError
 from .incidence import inverted_values
 from .intfun import divisors, mobius_int
-from .meetmatrix import LatticeFunction
+from .meetmatrix import LatticeFunction, constant_function, meet_composed_function
 from .pdcheck import NEGATIVE, POSITIVE, ElementWitness, PDVerdict, pd_criterion
 from .posets import ProductLattice, divisor_lattice
 
 
-class ArithmeticFunction:
-    """d-variate function on positive integer tuples, memoized.
+def _coords(x):
+    """The coordinates of an element of divisor_lattice(d), as a tuple."""
+    return x if isinstance(x, tuple) else (x,)
 
-    Values are exact rationals unless the function was built through a
-    float fallback (exact=False), in which case it is only suitable for
-    the float oracle.
-    """
 
-    def __init__(self, arity, fn, name="f", exact=True, factors=None, composed_from=None):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        self.arity = arity
-        self._fn = fn
-        self.name = name
-        self.exact = exact
-        self.factors = tuple(factors) if factors is not None else None
-        self.composed_from = composed_from
-        self._memo = {}
-
-    def _point(self, args):
-        if len(args) == 1 and isinstance(args[0], tuple):
-            point = args[0]
-        else:
-            point = args
-        if len(point) != self.arity:
-            raise ArityMismatchError(f"{self.name} takes {self.arity} arguments, got {len(point)}")
-        for c in point:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"arguments must be positive integers, got {c!r}")
-        return tuple(point)
-
-    def __call__(self, *args):
-        point = self._point(args)
-        memo = self._memo
-        if point in memo:
-            return memo[point]
-        try:
-            v = self._fn(point)
-        except MeetPDError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"{self.name} failed at {point!r}: {exc}") from exc
-        if self.exact:
-            v = Fraction(v)
-        memo[point] = v
-        return v
-
-    def __repr__(self):
-        return f"ArithmeticFunction({self.name}, arity {self.arity})"
+def _element(coords):
+    """The element of divisor_lattice(len(coords)) with these coordinates."""
+    return coords if len(coords) > 1 else coords[0]
 
 
 def gcd_d(x, y):
@@ -80,24 +42,25 @@ def gcd_d(x, y):
 
 def dirichlet_convolve_d(f, g, point):
     """(f * g)(i) summed over all componentwise divisor tuples k of i."""
-    if f.arity != g.arity:
-        raise ArityMismatchError(f"arities differ: {f.arity} vs {g.arity}")
-    if not isinstance(point, tuple):
-        point = (point,)
-    if len(point) != f.arity:
-        raise ArityMismatchError(f"point has length {len(point)}, expected {f.arity}")
+    d = f.lattice.arity
+    if g.lattice.arity != d:
+        raise ArityMismatchError(f"arities differ: {d} vs {g.lattice.arity}")
+    point = _coords(point)
+    if len(point) != d:
+        raise ArityMismatchError(f"point has length {len(point)}, expected {d}")
     total = Fraction(0)
     for ks in iter_product(*(divisors(i) for i in point)):
-        total += f(ks) * g(tuple(i // k for i, k in zip(point, ks)))
+        total += f(_element(ks)) * g(_element(tuple(i // k for i, k in zip(point, ks))))
     return total
 
 
 def dirichlet_convolution(f, g, name=None):
     """The convolution as a new memoized arithmetic function."""
-    if f.arity != g.arity:
-        raise ArityMismatchError(f"arities differ: {f.arity} vs {g.arity}")
+    if f.lattice.arity != g.lattice.arity:
+        raise ArityMismatchError(f"arities differ: {f.lattice.arity} vs {g.lattice.arity}")
     label = name or f"({f.name}*{g.name})"
-    return ArithmeticFunction(f.arity, lambda pt: dirichlet_convolve_d(f, g, pt), name=label)
+    return LatticeFunction(divisor_lattice(f.lattice.arity),
+                           lambda x: dirichlet_convolve_d(f, g, x), name=label)
 
 
 @lru_cache(maxsize=None)
@@ -113,10 +76,6 @@ def ramanujan_C(m, n):
     return sum(d * mobius_int(n // d) for d in divisors(math.gcd(m, n)))
 
 
-def _grid_points(bound, d):
-    return iter_product(*(range(1, bound + 1) for _ in range(d)))
-
-
 def pd_check_grid(f, bound):
     """Grid criterion: the diagonal criterion on {1..bound}^d of the divisor lattice.
 
@@ -126,7 +85,7 @@ def pd_check_grid(f, bound):
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    return pd_criterion(to_lattice_function(f), None, bound)
+    return pd_criterion(f, divisor_lattice(f.lattice.arity), bound)
 
 
 @dataclass(frozen=True)
@@ -157,9 +116,9 @@ def pd_check_factored(components, bound):
     tables = []
     classes = []
     for g in gs:
-        if g.arity != 1:
-            raise ArityMismatchError(f"components must be univariate, got arity {g.arity}")
-        tab = tuple(v for _, v in inverted_values(to_lattice_function(g), cover))
+        if g.lattice.arity != 1:
+            raise ArityMismatchError(f"components must be univariate, got arity {g.lattice.arity}")
+        tab = tuple(v for _, v in inverted_values(g, cover))
         tables.append(tab)
         has_pos = any(v > 0 for v in tab)
         has_neg = any(v < 0 for v in tab)
@@ -234,120 +193,88 @@ def _power_value(base, alpha):
     return float(base) ** float(alpha)
 
 
-def _power_function(alpha, name):
-    a = Fraction(alpha)
-    return ArithmeticFunction(1, lambda pt: _power_value(pt[0], a),
-                              name=name, exact=a.denominator == 1)
-
-
 def builtin(name, alpha=None, d=None, g=None):
-    """Named arithmetic function.
+    """Named arithmetic function on divisor_lattice(d).
 
     Known names: gcd_pow, lcm_pow (exponent alpha; integer exponents stay
-    exact, others fall back to floats flagged oracle-only), zeta_d,
+    exact, others fall back to floats flagged exact=False), zeta_d,
     delta_d, mu_d, divisor_count, ramanujan_C, meet_composed (wraps a
     univariate g around the componentwise gcd).
     """
     arity = 1 if d is None else d
     if arity < 1:
         raise ValueError("arity must be at least 1")
+    lattice = divisor_lattice(arity)
 
     if name == "gcd_pow":
         if alpha is None:
             raise ValueError("gcd_pow needs an exponent")
         a = Fraction(alpha)
-        exact = a.denominator == 1
-        base = _power_function(a, f"n^{a}")
-
-        def fn(pt):
-            gv = math.gcd(*pt)
-            return _power_value(gv, a)
-
-        return ArithmeticFunction(arity, fn, name=f"gcd_pow:{a}", exact=exact,
-                                  composed_from=base)
+        base = LatticeFunction(divisor_lattice(), lambda n: _power_value(n, a),
+                               name=f"n^{a}", exact=a.denominator == 1)
+        return meet_composed_function(base, arity, name=f"gcd_pow:{a}")
 
     if name == "lcm_pow":
         if alpha is None:
             raise ValueError("lcm_pow needs an exponent")
         a = Fraction(alpha)
-        exact = a.denominator == 1
-
-        def fn(pt):
-            lv = math.lcm(*pt)
-            return _power_value(lv, a)
-
-        return ArithmeticFunction(arity, fn, name=f"lcm_pow:{a}", exact=exact)
+        return LatticeFunction(lattice, lambda x: _power_value(math.lcm(*_coords(x)), a),
+                               name=f"lcm_pow:{a}", exact=a.denominator == 1)
 
     if name == "zeta_d":
-        return ArithmeticFunction(arity, lambda pt: Fraction(1), name=f"zeta_{arity}")
+        return constant_function(lattice, 1, name=f"zeta_{arity}")
 
     if name == "delta_d":
-        return ArithmeticFunction(
-            arity, lambda pt: Fraction(1) if all(c == 1 for c in pt) else Fraction(0),
-            name=f"delta_{arity}")
+        return LatticeFunction(lattice, lambda x: int(x == lattice.least), name=f"delta_{arity}")
 
     if name == "mu_d":
-        def fn(pt):
-            out = 1
-            for c in pt:
-                v = mobius_int(c)
-                if v == 0:
-                    return Fraction(0)
-                out *= v
-            return Fraction(out)
-
-        return ArithmeticFunction(arity, fn, name=f"mu_{arity}")
+        return LatticeFunction(lattice, lambda x: math.prod(mobius_int(c) for c in _coords(x)),
+                               name=f"mu_{arity}")
 
     if name == "divisor_count":
-        def fn(pt):
-            out = 1
-            for c in pt:
-                out *= len(divisors(c))
-            return Fraction(out)
-
-        return ArithmeticFunction(arity, fn, name=f"divisor_count_{arity}")
+        return LatticeFunction(lattice, lambda x: math.prod(len(divisors(c)) for c in _coords(x)),
+                               name=f"divisor_count_{arity}")
 
     if name == "ramanujan_C":
         if d not in (None, 2):
             raise ValueError("ramanujan_C is bivariate")
-        return ArithmeticFunction(2, lambda pt: Fraction(ramanujan_C(pt[0], pt[1])),
-                                  name="ramanujan_C")
+        return LatticeFunction(divisor_lattice(2), lambda x: ramanujan_C(*x), name="ramanujan_C")
 
     if name == "meet_composed":
         if g is None:
             raise ValueError("meet_composed needs a univariate function g")
-        if g.arity != 1:
+        if g.lattice.arity != 1:
             raise ArityMismatchError("meet_composed wraps a univariate function")
-        return ArithmeticFunction(arity, lambda pt: g(math.gcd(*pt)),
-                                  name=f"{g.name}(gcd)", exact=g.exact, composed_from=g)
+        return meet_composed_function(g, arity)
 
     raise UnknownBuiltinError(f"unknown builtin {name!r}")
 
 
 def to_lattice_function(f, lattice=None):
-    """Adapt an arithmetic function to a lattice function.
+    """f on the given lattice: f itself when that is its own lattice.
 
-    Defaults to the d-fold divisor lattice; any lattice whose elements are
-    the same integer tuples (for example the MIN lattice) works too.  A
-    meet-composed source keeps its collapse marker, with the inner
-    function transplanted onto the base lattice.
+    Otherwise f is moved onto the lattice, which should have the same
+    elements (for example the MIN lattice of the same arity): the moved
+    function calls f, so an element f does not know fails to evaluate.
+    A meet-composed f keeps its collapse marker, with g moved onto the
+    base of the new lattice.
     """
-    lat = lattice if lattice is not None else divisor_lattice(f.arity)
-    arity = getattr(lat, "arity", 1)
-    if arity != f.arity:
-        raise ArityMismatchError(f"lattice arity {arity} does not match function arity {f.arity}")
+    if lattice is None or lattice == f.lattice:
+        return f
+    if lattice.arity != f.lattice.arity:
+        raise ArityMismatchError(
+            f"lattice arity {lattice.arity} does not match function arity {f.lattice.arity}")
     composed = None
     if f.composed_from is not None:
-        inner = f.composed_from
-        base = lat.factors[0] if isinstance(lat, ProductLattice) else lat
-        composed = LatticeFunction(base, lambda x: inner(x), name=inner.name, exact=inner.exact)
-    return LatticeFunction(lat, lambda x: f(x), name=f.name, exact=f.exact,
-                           composed_from=composed)
+        g = f.composed_from
+        base = lattice.factors[0] if isinstance(lattice, ProductLattice) else lattice
+        composed = LatticeFunction(base, g, name=g.name, exact=g.exact)
+    return LatticeFunction(lattice, f, name=f.name, exact=f.exact, composed_from=composed)
 
 
 def table_to_csv(f, bound):
     """CSV rows ``i1,...,id,value`` over the grid {1..bound}^d."""
     lines = []
-    for point in _grid_points(bound, f.arity):
-        lines.append(",".join(str(c) for c in point) + "," + str(f(point)))
+    for x in divisor_lattice(f.lattice.arity).covering_set(bound):
+        lines.append(",".join(str(c) for c in _coords(x)) + "," + str(f(x)))
     return "\n".join(lines) + "\n"

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a positive verdict (or successful output), 1 for a
 negative verdict, 2 for configuration errors, 3 for evaluation errors.
-JSON documents carry a top-level ``schema: 1`` field; CSV uses a comma
+JSON documents carry a top-level ``schema`` field: 1 for check and
+matrix, 2 for decompose (whose ``order_map`` holds only ``shape``; the
+diagonal is in lexicographic multi-index order).  CSV uses a comma
 separator with exact rationals rendered as p/q.
 """
 
@@ -12,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithmeticFunction, builtin, to_lattice_function
+from .arith import builtin, to_lattice_function
 from .errors import EvaluationError, MeetPDError
 from .meetmatrix import (
     decomposition_to_json,
@@ -40,8 +42,7 @@ class RunConfig:
     family: object
     family_name: str
     d: int
-    fn: object            # ArithmeticFunction, LatticeFunction, or None
-    fn_spec: str | None
+    fn: object            # LatticeFunction on family, or None
     bound: int
     tol: float
     fmt: str
@@ -124,6 +125,7 @@ def _load_matrix_diagonal(path):
 
 
 def _resolve_function(spec, d):
+    """The --fn value as (value table or builtin function, its arity)."""
     if spec is None:
         raise ConfigError("--fn is required for this command")
     if spec.startswith("@"):
@@ -133,9 +135,9 @@ def _resolve_function(spec, d):
             mapping, arity = load(path)
         except (OSError, ValueError, KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}")
-        if d is not None and arity is not None and d != arity:
+        if d is not None and d != arity:
             raise ConfigError(f"table arity {arity} does not match --d {d}")
-        return ("table", mapping, arity)
+        return mapping, arity
     name, _, param = spec.partition(":")
     alpha = None
     if param:
@@ -147,7 +149,7 @@ def _resolve_function(spec, d):
         fn = builtin(name, alpha=alpha, d=d if d is not None else (2 if name == "ramanujan_C" else 1))
     except (ValueError, MeetPDError) as exc:
         raise ConfigError(str(exc))
-    return ("builtin", fn, fn.arity)
+    return fn, fn.lattice.arity
 
 
 def _resolve_config(args, need_fn=True):
@@ -168,21 +170,8 @@ def _resolve_config(args, need_fn=True):
             raise ConfigError(f"cannot load {args.hasse}: {exc}")
         family_name = "hasse"
 
-    fn = None
-    fn_spec = args.fn
-    d = args.d
-    if need_fn:
-        kind, payload, arity = _resolve_function(args.fn, d)
-        if d is None:
-            d = arity if arity is not None else 1
-        if arity is not None and arity != d:
-            raise ConfigError(f"function arity {arity} does not match --d {d}")
-        if kind == "builtin":
-            fn = payload
-        else:
-            fn = ("table", payload)
-    if d is None:
-        d = 1
+    fn, d = _resolve_function(args.fn, args.d) if need_fn else (None, args.d)
+    d = 1 if d is None else d
     if d < 1:
         raise ConfigError("--d must be at least 1")
 
@@ -191,16 +180,11 @@ def _resolve_config(args, need_fn=True):
             family = divisor_lattice(d)
         else:
             family = min_lattice(d)
-    return RunConfig(family, family_name, d, fn, fn_spec, bound, args.tol,
-                     args.fmt, args.out)
-
-
-def _as_lattice_function(config):
-    fn = config.fn
-    if isinstance(fn, ArithmeticFunction):
-        return to_lattice_function(fn, config.family)
-    kind, mapping = fn
-    return table_function(config.family, mapping, name=config.fn_spec or "table")
+    if isinstance(fn, dict):
+        fn = table_function(family, fn, name=args.fn)
+    elif fn is not None:
+        fn = to_lattice_function(fn, family)
+    return RunConfig(family, family_name, d, fn, bound, args.tol, args.fmt, args.out)
 
 
 def _emit(text, out):
@@ -219,7 +203,7 @@ def _covering(config):
 
 
 def cmd_matrix(config):
-    m = meet_matrix(_covering(config), _as_lattice_function(config))
+    m = meet_matrix(_covering(config), config.fn)
     fmt = config.fmt or "json"
     if fmt == "csv":
         _emit(matrix_to_csv(m), config.out)
@@ -229,7 +213,7 @@ def cmd_matrix(config):
 
 
 def cmd_check(config):
-    verdict = pd_criterion(_as_lattice_function(config), config.family, config.bound)
+    verdict = pd_criterion(config.fn, config.family, config.bound)
     doc = {"schema": 1}
     doc.update(verdict.to_json())
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -237,7 +221,7 @@ def cmd_check(config):
 
 
 def cmd_decompose(config):
-    f = _as_lattice_function(config)
+    f = config.fn
     cover = _covering(config)
     dec = kron_decompose_d(cover.factor_subsets or [cover], f)
     rebuilt = reconstruct(dec)
@@ -262,8 +246,7 @@ def cmd_grid(config):
     if config.d != 2:
         raise ConfigError("grid data is two-dimensional; use --d 2")
     bound = config.bound or 10
-    family = divisor_lattice(2) if config.family_name == "divisor" else min_lattice(2)
-    f = summatory_function(family, lambda _z: 1, name="lower_set_size")
+    f = summatory_function(config.family, lambda _z: 1, name="lower_set_size")
     lines = []
     for x1 in range(1, bound + 1):
         for x2 in range(1, bound + 1):
@@ -275,17 +258,10 @@ def cmd_grid(config):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "grid" and args.d is None:
+        args.d = 2
     try:
-        if args.command == "grid":
-            if args.d is None:
-                args.d = 2
-            config = _resolve_config(args, need_fn=False)
-        else:
-            config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    try:
+        config = _resolve_config(args, need_fn=args.command != "grid")
         if args.command == "matrix":
             return cmd_matrix(config)
         if args.command == "check":

@@ -45,6 +45,10 @@ class EvaluationError(MeetPDError):
     """A user supplied function failed to produce a value."""
 
 
+class InexactFunctionError(MeetPDError, ValueError):
+    """An exact routine was given a function with float-derived values."""
+
+
 class NumericalFailureError(MeetPDError):
     """The floating point path failed and no exact path applies."""
 

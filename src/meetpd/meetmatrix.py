@@ -9,11 +9,13 @@ product that is never materialized.  Both diagonals come from
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 
 from .errors import (
     DimensionMismatchError,
     EvaluationError,
+    InexactFunctionError,
     MeetPDError,
     NotDiagonalFormError,
     NotLowerClosedError,
@@ -21,26 +23,30 @@ from .errors import (
 )
 from .exact import Inertia
 from .incidence import inverted_values
-from .posets import ProductLattice, product_subset
+from .posets import lattice_power, product_subset
 
 
 class LatticeFunction:
     """Memoized pure map from lattice elements to exact rationals.
 
+    Arithmetic functions of d variables are LatticeFunctions on
+    ``divisor_lattice(d)``, whose elements are integers at d = 1 and
+    d-tuples of integers above.  An argument is checked to be an element
+    of the lattice when it is first seen (ValueError otherwise).
     Evaluation is serialized per process (a plain dict memo under the
     GIL); values are immutable once computed.  Functions built through a
-    float fallback carry exact=False and are only suitable for the float
-    oracle, not for exact decompositions.
+    float fallback carry exact=False: their float values are read as exact
+    rationals, and exact decompositions refuse them.  composed_from holds
+    g when the function was built as g(meet of coordinates).
     """
 
     def __init__(self, lattice, fn, name=None, exact=True, certificate=False,
-                 provenance=None, composed_from=None):
+                 composed_from=None):
         self.lattice = lattice
         self._fn = fn
         self.name = name or getattr(fn, "__name__", "f")
         self.exact = exact
         self.certificate = certificate
-        self.provenance = provenance
         self.composed_from = composed_from
         self._memo = {}
 
@@ -48,6 +54,8 @@ class LatticeFunction:
         memo = self._memo
         if x in memo:
             return memo[x]
+        if not self.lattice.contains(x):
+            raise ValueError(f"arguments must be elements of {self.lattice!r}, got {x!r}")
         try:
             v = self._fn(x)
         except MeetPDError:
@@ -103,7 +111,6 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
         lattice, fn,
         name=name or "summatory",
         certificate=certify_nonneg,
-        provenance=("summatory", certify_nonneg),
     )
 
 
@@ -111,22 +118,14 @@ def meet_composed_function(g, d, name=None):
     """f(x_1, ..., x_d) = g(x_1 meet ... meet x_d) on the d-fold product.
 
     g must be a LatticeFunction on the base lattice; the composed function
-    remembers g so the rank collapse can recover the small block.
+    lives on the cached ``lattice_power(base, d)`` and remembers g so the
+    rank collapse can recover the small block.
     """
     base = g.lattice
-    if d == 1:
-        return LatticeFunction(base, lambda x: g(x), name=name or g.name,
-                               exact=g.exact, composed_from=g)
-    prod = ProductLattice((base,) * d)
     meet = base.meet
-
-    def fn(x):
-        m = x[0]
-        for c in x[1:]:
-            m = meet(m, c)
-        return g(m)
-
-    return LatticeFunction(prod, fn, name=name or f"{g.name}(meet)",
+    fn = g if d == 1 else (lambda x: g(reduce(meet, x)))
+    return LatticeFunction(lattice_power(base, d), fn,
+                           name=name or (g.name if d == 1 else f"{g.name}(meet)"),
                            exact=g.exact, composed_from=g)
 
 
@@ -242,7 +241,8 @@ def _indicator(s):
 
 def _require_exact(f):
     if not getattr(f, "exact", True):
-        raise ValueError(f"{f!r} carries float-derived values; exact decompositions refuse it")
+        raise InexactFunctionError(
+            f"{f!r} carries float-derived values; exact decompositions refuse it")
 
 
 def _check_arity(f, d):
@@ -417,15 +417,12 @@ def matrix_to_json(m):
 def decomposition_to_json(dec, residual=None):
     om = dec.order_map
     doc = {
-        "schema": 1,
+        "schema": 2,
         "kind": "decomposition",
         "factor_labels": [[_jsonable(x) for x in s.members] for s in dec.subsets],
         "factors": [[list(row) for row in fac] for fac in dec.factors],
         "diag": [str(v) for v in dec.diag],
-        "order_map": {
-            "shape": list(om.shape),
-            "flat_to_multi": [list(om.multi(i)) for i in range(om.size)],
-        },
+        "order_map": {"shape": list(om.shape)},
     }
     if residual is not None:
         doc["reconstruction_residual"] = str(residual)

@@ -253,7 +253,6 @@ def scale(f, a):
     return LatticeFunction(
         f.lattice, lambda x: q * f(x),
         name=f"{q}*{f.name}", certificate=certificate,
-        provenance=("scale", q, f.name),
     )
 
 
@@ -263,7 +262,6 @@ def add(f, g):
     return LatticeFunction(
         f.lattice, lambda x: f(x) + g(x),
         name=f"{f.name}+{g.name}", certificate=f.certificate and g.certificate,
-        provenance=("add", f.name, g.name),
     )
 
 
@@ -274,7 +272,6 @@ def pointwise_mul(f, g):
     return LatticeFunction(
         f.lattice, lambda x: f(x) * g(x),
         name=f"{f.name}*{g.name}", certificate=f.certificate and g.certificate,
-        provenance=("mul", f.name, g.name),
     )
 
 
@@ -285,7 +282,6 @@ def separable_product(g, h):
         lat, lambda xy: g(xy[0]) * h(xy[1]),
         name=f"{g.name}(x){h.name}",
         certificate=g.certificate and h.certificate,
-        provenance=("separable", g.name, h.name),
     )
 
 

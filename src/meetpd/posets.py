@@ -1,10 +1,13 @@
 """Finite posets, meet semilattices, and the divisor/MIN lattice families.
 
 Explicit posets are stored as cover edges plus per-element reachability
-bitsets, so order queries are O(1) after construction.  The divisor and
-MIN lattices on the positive integers are never materialized: they answer
-order, meet, and lower-set queries directly and hand out finite lower
-closed covering grids ({1..m} and its powers) on request.
+bitsets, so order queries are O(1) after construction; a MeetSemilattice
+is such a Poset plus its meet table.  The divisor and MIN lattices on the
+positive integers share one IntegerLattice base and are never
+materialized: they answer order, meet, and lower-set queries directly and
+hand out finite lower closed covering grids ({1..m} and its powers) on
+request.  Their d-fold powers come from the cached ``lattice_power``, so
+every caller asking for one gets the same instance.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ class Poset:
     """Finite poset over opaque element ids, built from Hasse cover edges."""
 
     kind = "explicit"
+    arity = 1
 
     def __init__(self, elements, cover_edges=()):
         elems = list(elements)
@@ -104,19 +108,20 @@ class Poset:
         return f"Poset({len(self.elements)} elements, {len(self.cover_edges)} covers)"
 
 
-class MeetSemilattice:
+class MeetSemilattice(Poset):
     """Explicit finite meet semilattice: a poset plus its total meet table.
 
     Construction fails with NotASemilatticeError as soon as some pair of
     elements has no greatest lower bound.
     """
 
-    kind = "explicit"
+    # benchmarks/tracer.py wraps covering_set where a class body defines it
+    covering_set = Poset.covering_set
 
-    def __init__(self, poset):
-        self.poset = poset
-        n = len(poset.elements)
-        down = poset._down
+    def __init__(self, elements, cover_edges=()):
+        super().__init__(elements, cover_edges)
+        down = self._down
+        n = len(down)
         table = {}
         for i in range(n):
             for j in range(i, n):
@@ -132,56 +137,59 @@ class MeetSemilattice:
                     probe ^= low
                 if m < 0:
                     raise NotASemilatticeError(
-                        f"elements {poset.elements[i]!r} and {poset.elements[j]!r} have no meet"
+                        f"elements {self.elements[i]!r} and {self.elements[j]!r} have no meet"
                     )
                 table[(i, j)] = m
         self._table = table
-        self._covering = None
-
-    @property
-    def elements(self):
-        return self.poset.elements
-
-    @property
-    def least(self):
-        return self.poset.least
-
-    def leq(self, x, y):
-        return self.poset.leq(x, y)
-
-    def contains(self, x):
-        return self.poset.contains(x)
-
-    def lower_set(self, x):
-        return self.poset.lower_set(x)
 
     def meet(self, x, y):
-        i = self.poset._index[x]
-        j = self.poset._index[y]
+        i = self._index[x]
+        j = self._index[y]
         if i > j:
             i, j = j, i
         return self.elements[self._table[(i, j)]]
-
-    def covering_set(self, bound=None):
-        if self._covering is None:
-            self._covering = ElementSubset(self, self.elements)
-        return self._covering
-
-    def __len__(self):
-        return len(self.elements)
 
     def __repr__(self):
         return f"MeetSemilattice({len(self.elements)} elements)"
 
 
-class DivisorLattice:
-    """Positive integers under divisibility; meet is gcd, least element 1."""
+class IntegerLattice:
+    """Positive integers under the order a subclass defines; least element 1.
 
-    kind = "divisor"
+    Never materialized: covering sets are the ranges {1..m}.  All
+    instances of one subclass are equal.
+    """
+
     least = 1
+    arity = 1
 
     def __init__(self):
         self._covers = {}
+
+    def contains(self, x):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+    def covering_set(self, bound):
+        if bound not in self._covers:
+            self._covers[bound] = ElementSubset(self, range(1, bound + 1), _presorted=True)
+        return self._covers[bound]
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+class DivisorLattice(IntegerLattice):
+    """Positive integers under divisibility; meet is gcd."""
+
+    kind = "divisor"
+    # benchmarks/tracer.py wraps covering_set where a class body defines it
+    covering_set = IntegerLattice.covering_set
 
     def leq(self, x, y):
         return y % x == 0
@@ -189,38 +197,19 @@ class DivisorLattice:
     def meet(self, x, y):
         return math.gcd(x, y)
 
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
     def lower_set(self, x):
         return list(divisors(x))
-
-    def covering_set(self, bound):
-        if bound not in self._covers:
-            self._covers[bound] = ElementSubset(self, range(1, bound + 1), _presorted=True)
-        return self._covers[bound]
 
     def ambient_mobius(self, x, y):
         return mobius_int(y // x) if y % x == 0 else 0
 
-    def __eq__(self, other):
-        return isinstance(other, DivisorLattice)
 
-    def __hash__(self):
-        return hash(DivisorLattice)
-
-    def __repr__(self):
-        return "DivisorLattice()"
-
-
-class MinLattice:
-    """Positive integers under <=; meet is min, least element 1."""
+class MinLattice(IntegerLattice):
+    """Positive integers under <=; meet is min."""
 
     kind = "min"
-    least = 1
-
-    def __init__(self):
-        self._covers = {}
+    # benchmarks/tracer.py wraps covering_set where a class body defines it
+    covering_set = IntegerLattice.covering_set
 
     def leq(self, x, y):
         return x <= y
@@ -228,16 +217,8 @@ class MinLattice:
     def meet(self, x, y):
         return min(x, y)
 
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
     def lower_set(self, x):
         return list(range(1, x + 1))
-
-    def covering_set(self, bound):
-        if bound not in self._covers:
-            self._covers[bound] = ElementSubset(self, range(1, bound + 1), _presorted=True)
-        return self._covers[bound]
 
     def ambient_mobius(self, x, y):
         # chain: 1 on the diagonal, -1 one step up, 0 beyond
@@ -246,15 +227,6 @@ class MinLattice:
         if y == x + 1:
             return -1
         return 0
-
-    def __eq__(self, other):
-        return isinstance(other, MinLattice)
-
-    def __hash__(self):
-        return hash(MinLattice)
-
-    def __repr__(self):
-        return "MinLattice()"
 
 
 class ProductLattice:
@@ -317,19 +289,26 @@ class ProductLattice:
 
 
 @lru_cache(maxsize=None)
+def lattice_power(base, d):
+    """The d-fold product of base with itself, or base itself at d = 1.
+
+    Cached on (base, d), with the base itself taken through the cache, so
+    equal requests get one instance and share its covering sets and the
+    Mobius values cached on them.
+    """
+    if d == 1:
+        return base
+    return ProductLattice((lattice_power(base, 1),) * d)
+
+
 def divisor_lattice(d=1):
     """The divisor lattice, or its d-fold product with tuple elements."""
-    if d == 1:
-        return DivisorLattice()
-    return ProductLattice((divisor_lattice(1),) * d)
+    return lattice_power(DivisorLattice(), d)
 
 
-@lru_cache(maxsize=None)
 def min_lattice(d=1):
     """The MIN lattice, or its d-fold product with tuple elements."""
-    if d == 1:
-        return MinLattice()
-    return ProductLattice((min_lattice(1),) * d)
+    return lattice_power(MinLattice(), d)
 
 
 def product_lattice(factors):
@@ -552,4 +531,4 @@ def load_hasse(source):
         if elements or edges:
             raise ValueError("family declarations cannot be mixed with elem/edge records")
         return family
-    return MeetSemilattice(Poset(elements, edges))
+    return MeetSemilattice(elements, edges)

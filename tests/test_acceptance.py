@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from meetpd.arith import (
-    ArithmeticFunction,
     builtin,
     dirichlet_convolve_d,
     mu_star_mu,
@@ -24,6 +23,7 @@ from meetpd.cli import main as cli_main
 from meetpd.exact import char_poly, quadratic_form, symmetric_elimination
 from meetpd.intfun import factorize
 from meetpd.meetmatrix import (
+    LatticeFunction,
     identity_function,
     kron_decompose_d,
     meet_composed_function,
@@ -230,9 +230,10 @@ def test_criterion_7_separable_criterion():
                     tab = {n: -sum(g[d] for d in range(1, n + 1) if n % d == 0)
                            for n in range(1, 13)}
                 tabs.append(tab)
-            g1 = ArithmeticFunction(1, lambda pt, t=tabs[0]: t[pt[0]], name="g1")
-            g2 = ArithmeticFunction(1, lambda pt, t=tabs[1]: t[pt[0]], name="g2")
-            product = ArithmeticFunction(2, lambda pt: g1(pt[0]) * g2(pt[1]), name="g1xg2")
+            g1 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[0]: t[n], name="g1")
+            g2 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[1]: t[n], name="g2")
+            product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]),
+                                      name="g1xg2")
             factored = pd_check_factored([g1, g2], 12)
             grid = pd_check_grid(product, 12)
             assert factored.verdict.is_positive == grid.is_positive

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import meetpd.pdcheck
 from meetpd.arith import (
-    ArithmeticFunction,
     builtin,
     dirichlet_convolution,
     dirichlet_convolve_d,
@@ -19,7 +19,7 @@ from meetpd.arith import (
 )
 from meetpd.errors import ArityMismatchError, UnknownBuiltinError
 from meetpd.intfun import divisors, mobius_int
-from meetpd.meetmatrix import meet_matrix, rank_collapse
+from meetpd.meetmatrix import LatticeFunction, meet_matrix, rank_collapse
 from meetpd.pdcheck import pd_criterion, psd_oracle
 from meetpd.posets import divisor_lattice, min_lattice, product_subset
 
@@ -46,11 +46,12 @@ def test_delta_is_identity_of_dirichlet_convolution():
         def f(pt, values=values, rng=rng):
             return values.setdefault(pt, Fraction(rng.randint(-9, 9)))
 
-        fa = ArithmeticFunction(d, f, name="rand")
+        fa = LatticeFunction(divisor_lattice(d), f, name="rand")
         for _ in range(20):
             pt = tuple(rng.randint(1, 12) for _ in range(d))
-            assert dirichlet_convolve_d(delta, fa, pt) == fa(pt)
-            assert dirichlet_convolve_d(fa, delta, pt) == fa(pt)
+            x = pt if d > 1 else pt[0]
+            assert dirichlet_convolve_d(delta, fa, pt) == fa(x)
+            assert dirichlet_convolve_d(fa, delta, pt) == fa(x)
 
 
 def test_mobius_zeta_pair_is_delta():
@@ -207,27 +208,26 @@ def test_factored_check_two_nonpositive_components():
     rng = random.Random(3)
     hvals = {n: rng.randint(0, 4) + (1 if n == 1 else 0) for n in range(1, 13)}
 
-    def g_fn(pt):
-        n = pt[0]
+    def g_fn(n):
         return Fraction(-sum(hvals[d] for d in divisors(n)))
 
-    g = ArithmeticFunction(1, g_fn, name="neg_summatory")
+    g = LatticeFunction(divisor_lattice(), g_fn, name="neg_summatory")
     report = pd_check_factored([g, g], 12)
     assert report.sign_classes == ("nonpositive", "nonpositive")
     assert report.index_set == (0, 1)
     assert report.verdict.is_positive
-    product = ArithmeticFunction(2, lambda pt: g(pt[0]) * g(pt[1]), name="gxg")
+    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * g(pt[1]), name="gxg")
     assert pd_check_grid(product, 12).is_positive
 
 
 def test_factored_check_mixed_component_negative():
     values = {1: Fraction(1), 2: Fraction(3)}
-    g = ArithmeticFunction(1, lambda pt: values.get(pt[0], Fraction(0)), name="mixed")
+    g = LatticeFunction(divisor_lattice(), lambda n: values.get(n, Fraction(0)), name="mixed")
     z = builtin("zeta_d", d=1)
     report = pd_check_factored([g, z], 6)
     assert "mixed" in report.sign_classes
     assert not report.verdict.is_positive
-    product = ArithmeticFunction(2, lambda pt: g(pt[0]) * z(pt[1]), name="gxz")
+    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * z(pt[1]), name="gxz")
     grid_verdict = pd_check_grid(product, 6)
     assert not grid_verdict.is_positive
     # the factored witness replays through the grid inversion
@@ -237,25 +237,26 @@ def test_factored_check_mixed_component_negative():
 
 
 def test_factored_check_odd_nonpositive_count_negative():
-    def g_fn(pt):
-        return Fraction(-len(divisors(pt[0])))
+    def g_fn(n):
+        return Fraction(-len(divisors(n)))
 
-    g = ArithmeticFunction(1, g_fn, name="neg_tau")
+    g = LatticeFunction(divisor_lattice(), g_fn, name="neg_tau")
     report = pd_check_factored([g, builtin("zeta_d", d=1)], 8)
     assert report.sign_classes[0] == "nonpositive"
     assert not report.verdict.is_positive
-    product = ArithmeticFunction(2, lambda pt: g(pt[0]) * Fraction(1), name="gx1")
+    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * Fraction(1), name="gx1")
     assert not pd_check_grid(product, 8).is_positive
 
 
 def test_factored_check_zero_component_positive():
-    zero = ArithmeticFunction(1, lambda pt: Fraction(0), name="zero")
+    zero = LatticeFunction(divisor_lattice(), lambda n: Fraction(0), name="zero")
     mixed_vals = {1: Fraction(1), 2: Fraction(5)}
-    mixed = ArithmeticFunction(1, lambda pt: mixed_vals.get(pt[0], Fraction(0)), name="mixed")
+    mixed = LatticeFunction(divisor_lattice(), lambda n: mixed_vals.get(n, Fraction(0)),
+                            name="mixed")
     report = pd_check_factored([zero, mixed], 5)
     assert report.sign_classes[0] == "zero"
     assert report.verdict.is_positive
-    product = ArithmeticFunction(2, lambda pt: zero(pt[0]) * mixed(pt[1]), name="0xm")
+    product = LatticeFunction(divisor_lattice(2), lambda pt: zero(pt[0]) * mixed(pt[1]), name="0xm")
     assert pd_check_grid(product, 5).is_positive
 
 
@@ -265,9 +266,9 @@ def test_factored_matches_grid_on_random_separable_functions():
         tabs = []
         for _ in range(2):
             tabs.append({n: Fraction(rng.randint(-3, 5)) for n in range(1, 9)})
-        g1 = ArithmeticFunction(1, lambda pt, t=tabs[0]: t[pt[0]], name="g1")
-        g2 = ArithmeticFunction(1, lambda pt, t=tabs[1]: t[pt[0]], name="g2")
-        product = ArithmeticFunction(2, lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
+        g1 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[0]: t[n], name="g1")
+        g2 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[1]: t[n], name="g2")
+        product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
         factored = pd_check_factored([g1, g2], 8)
         grid = pd_check_grid(product, 8)
         assert factored.verdict.is_positive == grid.is_positive
@@ -279,9 +280,9 @@ def test_separability_of_inversion():
     mu2 = builtin("mu_d", d=2)
     t1 = {n: Fraction(rng.randint(-6, 6)) for n in range(1, 13)}
     t2 = {n: Fraction(rng.randint(-6, 6)) for n in range(1, 13)}
-    g1 = ArithmeticFunction(1, lambda pt: t1[pt[0]], name="g1")
-    g2 = ArithmeticFunction(1, lambda pt: t2[pt[0]], name="g2")
-    product = ArithmeticFunction(2, lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
+    g1 = LatticeFunction(divisor_lattice(), lambda n: t1[n], name="g1")
+    g2 = LatticeFunction(divisor_lattice(), lambda n: t2[n], name="g2")
+    product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
     for i in range(1, 13):
         for j in range(1, 13):
             lhs = dirichlet_convolve_d(product, mu2, (i, j))
@@ -306,8 +307,7 @@ def test_grid_check_matches_lattice_criterion():
             values = {}
             for pt in fam.covering_set(bound).members:
                 values[pt] = Fraction(rng.randint(-5, 5))
-            f = ArithmeticFunction(
-                d, lambda pt, v=values: v[pt if d > 1 else pt[0]], name="rand")
+            f = LatticeFunction(fam, lambda x, v=values: v[x], name="rand")
             lat = to_lattice_function(f)
             gv = pd_check_grid(f, bound)
             cv = pd_criterion(lat, fam, bound)
@@ -335,6 +335,23 @@ def test_builtin_meet_composed():
     assert f((4, 6, 10)) == 4  # gcd 2 squared
 
 
+@pytest.mark.parametrize("name, alpha, d", [
+    ("gcd_pow", 1, 1), ("gcd_pow", 1, 2), ("lcm_pow", 2, 2), ("zeta_d", None, 3),
+    ("delta_d", None, 2), ("mu_d", None, 1), ("divisor_count", None, 2), ("ramanujan_C", None, 2),
+])
+def test_builtins_live_on_the_cached_divisor_lattice(name, alpha, d):
+    assert builtin(name, alpha=alpha, d=d).lattice is divisor_lattice(d)
+
+
+def test_criterion_on_a_builtin_uses_the_cached_covering_set(monkeypatch):
+    seen = []
+    inverted = meetpd.pdcheck.inverted_values
+    monkeypatch.setattr(meetpd.pdcheck, "inverted_values",
+                        lambda f, s: seen.append(s) or inverted(f, s))
+    assert pd_criterion(builtin("gcd_pow", alpha=1, d=2), None, 8).is_positive
+    assert len(seen) == 1 and seen[0] is divisor_lattice(2).covering_set(8)
+
+
 def test_builtin_unknown():
     with pytest.raises(UnknownBuiltinError):
         builtin("nope")
@@ -348,10 +365,10 @@ def test_builtin_float_fallback_flagged():
 
 def test_arguments_validated():
     f = builtin("zeta_d", d=2)
-    with pytest.raises(ArityMismatchError):
-        f(1, 2, 3)
     with pytest.raises(ValueError):
-        f(0, 1)
+        f((1, 2, 3))
+    with pytest.raises(ValueError):
+        f((0, 1))
 
 
 def test_to_lattice_function_arity_check():

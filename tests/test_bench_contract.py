@@ -1,11 +1,14 @@
-"""The names the benchmark's span tracer binds must exist.
+"""The benchmark's contract with meetpd.
 
 ``benchmarks/tracer.py`` wraps meetpd functions by module attribute and
 ``covering_set`` in the body of each lattice class; a traced run
-(``--trace 1``) fails if one of them is deleted or moved.
+(``--trace 1``) fails if one of them is deleted or moved.  Each workload's
+correctness gate must accept meetpd's outputs and reject tampered ones.
 """
 
 from pathlib import Path
+
+import pytest
 
 import meetpd
 import meetpd.cli
@@ -37,3 +40,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert meetpd.meetmatrix.kron_decompose_d is originals["kron_decompose_d"]
     for name, fn in coverings.items():
         assert vars(getattr(meetpd.posets, name))["covering_set"] is fn
+
+
+@pytest.mark.parametrize("name", ["criterion_sweep", "oracle_exact", "cli_cold"])
+def test_benchmark_gate_passes_and_rejects_tampering(monkeypatch, tmp_path, name):
+    """The benchmark's own self-check: correct outputs pass its gate and
+    tampered copies fail it, so a change to an output format or to a call
+    the benchmark makes fails here too."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import run
+    import workloads
+
+    workload = workloads.make(name, tmp_path, run.SRC)
+    if workload.in_process:
+        workload.setup()
+    rejected, problems = run.gate_self_check(workload)
+    assert problems == []
+    assert rejected > 0

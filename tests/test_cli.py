@@ -1,8 +1,12 @@
+import itertools
 import json
 
 import pytest
 
+from meetpd.arith import builtin
 from meetpd.cli import main
+from meetpd.incidence import inverted_values
+from meetpd.posets import divisor_lattice
 
 
 def run(capsys, *argv):
@@ -80,8 +84,16 @@ def test_decompose_lcm_has_negative_diag(capsys, tmp_path):
     assert doc["reconstruction_residual"] == "0"
     diag = [json.loads(v) if "/" not in v else None for v in doc["diag"]]
     assert any(v is not None and v < 0 for v in diag)
-    assert doc["order_map"]["shape"] == [2, 2]
-    assert doc["order_map"]["flat_to_multi"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert doc["schema"] == 2
+    assert doc["order_map"] == {"shape": [2, 2]}
+    # the flat diagonal runs over the multi-indices in lexicographic order
+    expected = list(inverted_values(builtin("lcm_pow", alpha=1, d=2),
+                                    divisor_lattice(2).covering_set(2)))
+    labels = doc["factor_labels"]
+    multis = itertools.product(*map(range, doc["order_map"]["shape"]))
+    assert [tuple(labels[t][i] for t, i in enumerate(multi)) for multi in multis] == [
+        x for x, _ in expected]
+    assert doc["diag"] == [str(v) for _, v in expected]
 
 
 def test_decompose_bound_one(capsys):
@@ -211,7 +223,9 @@ def test_hasse_family_declaration(capsys, tmp_path):
     assert code == 0
 
 
-# case: (file passed as --fn @file, its text; None writes no file)
+# case: (file passed as --fn @file, its text; None writes no file); the two
+# cases without a file run matrix into a missing directory and decompose on
+# a float exponent
 HOSTILE_INPUTS = {
     "missing_table": ("t.csv", None),
     "cell_not_rational": ("t.csv", "1,1\n2,two\n"),
@@ -221,19 +235,23 @@ HOSTILE_INPUTS = {
         "m.json", '{"kind": "meet_matrix", "labels": [[1, 1], [2]], "entries": [["1"], ["1", "2"]]}'),
     "mixed_row_lengths": ("t.csv", "1,1\n1,2,3\n"),
     "unwritable_out": (None, None),
+    "decompose_float_exponent": (None, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
 def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     name, text = HOSTILE_INPUTS[case]
-    if name is None:
+    command = "matrix"
+    if case == "decompose_float_exponent":
+        command, argv = "decompose", ["--fn", "gcd_pow:1/2"]
+    elif name is None:
         argv = ["--fn", "gcd_pow:1", "--out", str(tmp_path / "no_dir" / "m.json")]
     else:
         if text is not None:
             (tmp_path / name).write_text(text)
         argv = ["--fn", f"@{tmp_path / name}"]
-    code, _, err = run(capsys, "matrix", "--m", "3", *argv)
+    code, _, err = run(capsys, command, "--m", "3", *argv)
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -210,16 +210,16 @@ SMALL_POSETS = [
 def test_mobius_product_agrees_with_product_poset_inversion():
     for elems_p, edges_p in SMALL_POSETS:
         for elems_q, edges_q in SMALL_POSETS:
-            p = MeetSemilattice(Poset(elems_p, edges_p))
-            q = MeetSemilattice(Poset(elems_q, edges_q))
+            p = MeetSemilattice(elems_p, edges_p)
+            q = MeetSemilattice(elems_q, edges_q)
             prod_mu = mobius_product(mobius(p), mobius(q))
             direct = mobius(product_subset([p.covering_set(None), q.covering_set(None)]))
             assert prod_mu == direct
 
 
 def test_mobius_product_of_singletons():
-    p = MeetSemilattice(Poset(["a"], []))
-    q = MeetSemilattice(Poset(["b"], []))
+    p = MeetSemilattice(["a"], [])
+    q = MeetSemilattice(["b"], [])
     mu = mobius_product(mobius(p), mobius(q))
     assert mu(("a", "b"), ("a", "b")) == 1
 
@@ -325,10 +325,10 @@ def test_ambient_mobius_closed_forms():
 
 
 def test_ambient_mobius_explicit_poset():
-    diamond = MeetSemilattice(Poset(
+    diamond = MeetSemilattice(
         ["0", "x", "y", "1"],
         [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")],
-    ))
+    )
     assert ambient_mobius(diamond, "0", "1") == 1
     assert ambient_mobius(diamond, "0", "x") == -1
 

@@ -31,7 +31,6 @@ from meetpd.meetmatrix import (
 )
 from meetpd.posets import (
     MeetSemilattice,
-    Poset,
     divisor_lattice,
     lower_closure,
     meet_closure,
@@ -196,11 +195,11 @@ def test_kron_diag_equals_bottom_row_inversion_when_lower_closed():
     # generic inversion in the incidence layer
     rng = random.Random(23)
     dl = divisor_lattice()
-    hasse = MeetSemilattice(Poset(
+    hasse = MeetSemilattice(
         ["0", "a", "b", "c", "ab", "1"],
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
          ("ab", "1"), ("c", "1")],
-    ))
+    )
     cases = [
         [lower_closure(subset(dl, [4, 6])), lower_closure(subset(dl, [9]))],
         [hasse.covering_set()],
@@ -379,7 +378,7 @@ def test_json_export_shapes():
 
     dec = kron_decompose_d(grid.factor_subsets, lcm_function(2))
     ddoc = decomposition_to_json(dec, residual=Fraction(0))
-    assert ddoc["schema"] == 1
+    assert ddoc["schema"] == 2
     assert ddoc["order_map"]["shape"] == [2, 2]
     assert ddoc["reconstruction_residual"] == "0"
     assert len(ddoc["diag"]) == 4

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meetpd.arith import ArithmeticFunction, pd_check_grid
+from meetpd.arith import pd_check_grid
 from meetpd.errors import (
     ComponentNotCertifiedError,
     NegativeScalarError,
@@ -217,7 +217,7 @@ def test_criterion_stops_at_first_negative(make, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_grid_check_stops_at_first_negative(d):
     planted, fn = _planted_negative(divisor_lattice(d), 6)
-    f = ArithmeticFunction(d, lambda pt: fn(pt[0] if d == 1 else pt))
+    f = LatticeFunction(divisor_lattice(d), fn)
     verdict = pd_check_grid(f, 6)
     assert verdict.verdict == NEGATIVE
     assert (verdict.witness.element, verdict.witness.value) == (planted, -3)

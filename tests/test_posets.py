@@ -10,10 +10,12 @@ from meetpd.errors import (
     NotASemilatticeError,
 )
 from meetpd.posets import (
+    DivisorLattice,
     MeetSemilattice,
     Poset,
     ProductLattice,
     divisor_lattice,
+    lattice_power,
     linear_extension,
     load_hasse,
     lower_closure,
@@ -67,15 +69,14 @@ def test_min_meet_is_min():
 
 
 def test_antichain_without_bottom_is_not_a_semilattice():
-    p = Poset(["a", "b"], [])
     with pytest.raises(NotASemilatticeError):
-        MeetSemilattice(p)
+        MeetSemilattice(["a", "b"], [])
 
 
 def test_explicit_semilattice_meets():
     # diamond: bottom 0, incomparable a/b, top 1
-    p = Poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    lat = MeetSemilattice(p)
+    lat = MeetSemilattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    assert isinstance(lat, Poset)
     assert lat.meet("a", "b") == "0"
     assert lat.meet("a", "1") == "a"
     assert lat.least == "0"
@@ -89,6 +90,19 @@ def test_product_meet_componentwise():
 def test_product_of_one_factor_is_identity():
     dl = divisor_lattice()
     assert product_lattice([dl]) is dl
+
+
+def test_integer_lattices_are_equal_by_exact_type():
+    assert DivisorLattice() == DivisorLattice()
+    assert hash(DivisorLattice()) == hash(DivisorLattice())
+    for d in (1, 2):
+        assert divisor_lattice(d) != min_lattice(d)
+
+
+def test_lattice_powers_are_shared_instances():
+    assert divisor_lattice(2) is lattice_power(DivisorLattice(), 2)
+    assert all(f is divisor_lattice() for f in divisor_lattice(3).factors)
+    assert all(f is min_lattice() for f in min_lattice(2).factors)
 
 
 def test_mixed_product_divisor_min():
@@ -238,7 +252,7 @@ def test_explicit_meet_agrees_with_gcd_oracle():
             if a != b and b % a == 0
             and not any(a != c != b and c % a == 0 and b % c == 0 for c in members)
         ]
-        lat = MeetSemilattice(Poset([str(x) for x in members], covers))
+        lat = MeetSemilattice([str(x) for x in members], covers)
         for x in members:
             for y in members:
                 assert lat.meet(str(x), str(y)) == str(math.gcd(x, y))
