@@ -10,7 +10,7 @@ example functions exposed on the command line.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -20,7 +20,7 @@ from .incidence import inverted_values
 from .intfun import divisors, mobius_int
 from .meetmatrix import LatticeFunction, constant_function, meet_composed_function
 from .pdcheck import NEGATIVE, POSITIVE, ElementWitness, PDVerdict, pd_criterion
-from .posets import ProductLattice, divisor_lattice
+from .posets import divisor_lattice
 
 
 def _coords(x):
@@ -88,12 +88,8 @@ def pd_check_grid(f, bound):
     return pd_criterion(f, divisor_lattice(f.lattice.arity), bound)
 
 
-@dataclass(frozen=True)
-class FactoredCheck:
-    verdict: PDVerdict
-    sign_classes: tuple
-    index_set: tuple
-    tables: tuple
+class FactoredCheck(namedtuple("FactoredCheck", "verdict sign_classes index_set tables")):
+    __slots__ = ()
 
 
 def pd_check_factored(components, bound):
@@ -256,20 +252,15 @@ def to_lattice_function(f, lattice=None):
     Otherwise f is moved onto the lattice, which should have the same
     elements (for example the MIN lattice of the same arity): the moved
     function calls f, so an element f does not know fails to evaluate.
-    A meet-composed f keeps its collapse marker, with g moved onto the
-    base of the new lattice.
+    The moved function has no collapse marker (composed_from): f is g of
+    the meet in f's own lattice, which is not the meet of the new one.
     """
     if lattice is None or lattice == f.lattice:
         return f
     if lattice.arity != f.lattice.arity:
         raise ArityMismatchError(
             f"lattice arity {lattice.arity} does not match function arity {f.lattice.arity}")
-    composed = None
-    if f.composed_from is not None:
-        g = f.composed_from
-        base = lattice.factors[0] if isinstance(lattice, ProductLattice) else lattice
-        composed = LatticeFunction(base, g, name=g.name, exact=g.exact)
-    return LatticeFunction(lattice, f, name=f.name, exact=f.exact, composed_from=composed)
+    return LatticeFunction(lattice, f, name=f.name, exact=f.exact)
 
 
 def table_to_csv(f, bound):

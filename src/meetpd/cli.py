@@ -11,7 +11,7 @@ separator with exact rationals rendered as p/q.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import builtin, to_lattice_function
@@ -27,7 +27,7 @@ from .meetmatrix import (
     table_function,
 )
 from .pdcheck import pd_criterion
-from .posets import divisor_lattice, load_hasse, min_lattice
+from .posets import Poset, divisor_lattice, load_hasse, min_lattice
 
 CONFIG_ERROR = 2
 EVAL_ERROR = 3
@@ -37,16 +37,10 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    family: object
-    family_name: str
-    d: int
-    fn: object            # LatticeFunction on family, or None
-    bound: int
-    tol: float
-    fmt: str
-    out: str | None
+class RunConfig(namedtuple("RunConfig", "family family_name d fn bound tol fmt out")):
+    """One resolved command line; fn is a LatticeFunction on family, or None."""
+
+    __slots__ = ()
 
 
 def build_parser():
@@ -98,8 +92,9 @@ def _table(rows, path):
     return mapping, arity
 
 
-def _load_table(path):
+def _load_table(path, text_ids):
     """Value table from CSV rows ``i1,...,id,value`` (ids may be strings)."""
+    cell = str.strip if text_ids else _parse_cell
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
@@ -109,30 +104,37 @@ def _load_table(path):
             cells = line.split(",")
             if len(cells) < 2:
                 raise ConfigError(f"bad table row: {line}")
-            rows.append(([_parse_cell(c) for c in cells[:-1]], cells[-1]))
+            rows.append(([cell(c) for c in cells[:-1]], cells[-1]))
     return _table(rows, path)
 
 
-def _load_matrix_diagonal(path):
+def _load_matrix_diagonal(path, text_ids):
     """Diagonal of a matrix JSON document as a value table."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "meet_matrix":
         raise ConfigError(f"{path} is not a meet matrix document")
     entries = doc["entries"]
-    return _table(((label if isinstance(label, list) else [label], entries[i][i])
-                   for i, label in enumerate(doc["labels"])), path)
+    labels = [x if isinstance(x, list) else [x] for x in doc["labels"]]
+    if text_ids:
+        labels = [[str(c) for c in x] for x in labels]
+    return _table(((x, entries[i][i]) for i, x in enumerate(labels)), path)
 
 
-def _resolve_function(spec, d):
-    """The --fn value as (value table or builtin function, its arity)."""
+def _resolve_function(spec, d, text_ids):
+    """The --fn value as (value table or builtin function, its arity).
+
+    With text_ids (an explicit Hasse lattice, whose element ids are
+    strings) table ids are read as text; otherwise a CSV id that parses
+    as an integer is read as one.
+    """
     if spec is None:
         raise ConfigError("--fn is required for this command")
     if spec.startswith("@"):
         path = spec[1:]
         load = _load_matrix_diagonal if path.endswith(".json") else _load_table
         try:
-            mapping, arity = load(path)
+            mapping, arity = load(path, text_ids)
         except (OSError, ValueError, KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}")
         if d is not None and d != arity:
@@ -170,7 +172,8 @@ def _resolve_config(args, need_fn=True):
             raise ConfigError(f"cannot load {args.hasse}: {exc}")
         family_name = "hasse"
 
-    fn, d = _resolve_function(args.fn, args.d) if need_fn else (None, args.d)
+    text_ids = isinstance(family, Poset)
+    fn, d = _resolve_function(args.fn, args.d, text_ids) if need_fn else (None, args.d)
     d = 1 if d is None else d
     if d < 1:
         raise ConfigError("--d must be at least 1")

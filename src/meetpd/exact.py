@@ -19,25 +19,20 @@ pivot block B (and mapped back through any row-add congruences).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Inertia:
-    positive: int
-    negative: int
-    zero: int
+class Inertia(namedtuple("Inertia", "positive negative zero")):
+    __slots__ = ()
 
     def as_tuple(self):
-        return (self.positive, self.negative, self.zero)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class SymmetricFactorization:
-    inertia: Inertia
-    negative_direction: tuple | None
-    negative_value: Fraction | None
+class SymmetricFactorization(
+        namedtuple("SymmetricFactorization", "inertia negative_direction negative_value")):
+    __slots__ = ()
 
     @property
     def is_psd(self):

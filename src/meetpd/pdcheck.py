@@ -3,18 +3,19 @@
 The diagonal criterion reads the Mobius-inverted values of the function
 over a lower closed covering set from ``incidence.inverted_values`` (the
 same values that form the diagonal of the meet matrix decomposition) and
-stops at the first negative one.  The oracle route converts the meet
-matrix to floats and bounds its smallest eigenvalue, preferring the exact
-fraction-free elimination of ``exact.symmetric_elimination`` for
-matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256; no
-tolerance on that path).  A positive verdict is always relative to the
-tested covering bound; negative verdicts carry a reproducible witness.
+stops at the first negative one.  The oracle route decides matrices up
+to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) by the exact
+fraction-free elimination of ``exact.symmetric_elimination``, with no
+tolerance and no float work; only larger matrices are converted to
+floats and bounded by their smallest eigenvalue.  NumPy is imported on
+that float path alone, so importing meetpd does not load it.  A positive
+verdict is always relative to the tested covering bound; negative
+verdicts carry a reproducible witness.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
 
 from .errors import (
     ComponentNotCertifiedError,
@@ -24,7 +25,7 @@ from .errors import (
     NumericalFailureError,
     PosetMismatchError,
 )
-from .exact import Inertia, quadratic_form, symmetric_elimination
+from .exact import quadratic_form, symmetric_elimination
 from .incidence import inverted_values
 from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable, meet_matrix
 from .posets import ProductLattice, product_subset
@@ -36,27 +37,20 @@ EXACT_ORACLE_LIMIT = 256
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ElementWitness:
+class ElementWitness(namedtuple("ElementWitness", "element value")):
     """Element whose Mobius-inverted value is strictly negative."""
 
-    element: object
-    value: Fraction
-
+    __slots__ = ()
     kind = "element"
 
     def to_json(self):
         return {"kind": self.kind, "element": _jsonable(self.element), "value": str(self.value)}
 
 
-@dataclass(frozen=True)
-class VectorWitness:
+class VectorWitness(namedtuple("VectorWitness", "labels vector value")):
     """Finite subset plus a vector v with v^T (S)_f v < 0."""
 
-    labels: tuple
-    vector: tuple
-    value: Fraction
-
+    __slots__ = ()
     kind = "subset_vector"
 
     def to_json(self):
@@ -68,12 +62,9 @@ class VectorWitness:
         }
 
 
-@dataclass(frozen=True)
-class PDVerdict:
-    verdict: str
-    tested_bound: int
-    witness: object = None
-    certificate: bool = False
+class PDVerdict(namedtuple("PDVerdict", "verdict tested_bound witness certificate",
+                           defaults=(None, False))):
+    __slots__ = ()
 
     @property
     def is_positive(self):
@@ -88,13 +79,19 @@ class PDVerdict:
         }
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    is_psd: bool
-    method: str
-    min_eigenvalue: float | None
-    inertia: Inertia | None
-    witness: VectorWitness | None
+class OracleReport(namedtuple("OracleReport", "is_psd method min_eigenvalue inertia witness")):
+    """Oracle outcome; min_eigenvalue is the float estimate (None if it failed).
+
+    On the exact path the estimate plays no part in the verdict, so the
+    min_eigenvalue field holds a cached thunk, run when first read.
+    """
+
+    __slots__ = ()
+
+    @property
+    def min_eigenvalue(self):
+        v = self[2]
+        return v() if callable(v) else v
 
 
 def _rows_and_labels(matrix):
@@ -104,31 +101,40 @@ def _rows_and_labels(matrix):
     return rows, tuple(range(len(rows)))
 
 
+def _float_eigen(rows):
+    """The matrix as a float array and its smallest eigenvalue (None if that fails)."""
+    import numpy as np
+
+    fl = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    try:
+        return fl, float(np.linalg.eigvalsh(fl)[0])
+    except np.linalg.LinAlgError:
+        return fl, None
+
+
 def psd_oracle(matrix, tol=DEFAULT_TOL):
     """Positive semidefiniteness of a symmetric rational matrix.
 
     Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
     decided exactly by fraction-free pivoted congruence elimination on
-    integers; larger ones fall back to a float eigenvalue bound with
-    relative tolerance tol.  The float minimum eigenvalue is reported as
-    an estimate in both cases.
+    integers, with no float work; the float minimum eigenvalue is still
+    reported, computed when min_eigenvalue is first read.  Larger
+    matrices fall back to a float eigenvalue bound with relative
+    tolerance tol.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     rows, labels = _rows_and_labels(matrix)
-    n = len(rows)
-    fl = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    lam_min = None
-    try:
-        lam_min = float(np.linalg.eigvalsh(fl)[0])
-    except np.linalg.LinAlgError:
-        pass
-    if n <= EXACT_ORACLE_LIMIT:
+    if len(rows) <= EXACT_ORACLE_LIMIT:
         fact = symmetric_elimination(rows)
         witness = None
         if fact.negative_direction is not None:
             witness = VectorWitness(labels, fact.negative_direction, fact.negative_value)
-        return OracleReport(fact.is_psd, "exact", lam_min, fact.inertia, witness)
+        return OracleReport(fact.is_psd, "exact", cache(lambda: _float_eigen(rows)[1]),
+                            fact.inertia, witness)
+    import numpy as np
+
+    fl, lam_min = _float_eigen(rows)
     if lam_min is None:
         raise NumericalFailureError(
             "float eigenvalue computation failed and the matrix exceeds the exact path limit"
@@ -171,20 +177,16 @@ def pd_criterion(f, family, bound):
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)
 
 
-@dataclass(frozen=True)
-class CoveringComparison:
-    bound: int
-    criterion_positive: bool
-    oracle_psd: bool
+class CoveringComparison(namedtuple("CoveringComparison", "bound criterion_positive oracle_psd")):
+    __slots__ = ()
 
     @property
     def agree(self):
         return self.criterion_positive == self.oracle_psd
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    comparisons: tuple
+class CoveringReport(namedtuple("CoveringReport", "comparisons")):
+    __slots__ = ()
 
     @property
     def all_agree(self):
@@ -207,10 +209,8 @@ def check_covering_equivalence(f, family, bound, tol=DEFAULT_TOL):
     return CoveringReport(tuple(comparisons))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    negative_values: tuple
-    order_violations: tuple
+class MonotonicityReport(namedtuple("MonotonicityReport", "negative_values order_violations")):
+    __slots__ = ()
 
     @property
     def passed(self):

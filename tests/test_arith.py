@@ -17,7 +17,7 @@ from meetpd.arith import (
     table_to_csv,
     to_lattice_function,
 )
-from meetpd.errors import ArityMismatchError, UnknownBuiltinError
+from meetpd.errors import ArityMismatchError, NotDiagonalFormError, UnknownBuiltinError
 from meetpd.intfun import divisors, mobius_int
 from meetpd.meetmatrix import LatticeFunction, meet_matrix, rank_collapse
 from meetpd.pdcheck import pd_criterion, psd_oracle
@@ -193,6 +193,17 @@ def test_rank_collapse_verdict_matches_full_oracle_for_gcd():
     result = rank_collapse(grid, lat)
     assert psd_oracle(result.submatrix).is_psd
     assert psd_oracle(meet_matrix(grid, lat)).is_psd
+
+
+@pytest.mark.parametrize("bound", [3, 12])
+def test_rank_collapse_refuses_a_function_moved_to_the_min_lattice(bound):
+    # moved onto MIN, gcd_pow is still n^1 of the gcd, not of the min, so it
+    # has no collapsed block; at bound 12 the grid is too large to verify
+    f = to_lattice_function(builtin("gcd_pow", 1, d=2), min_lattice(2))
+    assert f.composed_from is None
+    assert not pd_criterion(f, None, bound).is_positive
+    with pytest.raises(NotDiagonalFormError):
+        rank_collapse(min_lattice(2).covering_set(bound), f)
 
 
 def test_factored_check_zeta_component():

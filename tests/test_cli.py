@@ -1,11 +1,16 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from meetpd.arith import builtin
 from meetpd.cli import main
 from meetpd.incidence import inverted_values
+from meetpd.pdcheck import POSITIVE
 from meetpd.posets import divisor_lattice
 
 
@@ -215,6 +220,21 @@ def test_hasse_matrix_with_table(capsys, tmp_path):
     assert lines[3] == "1,2,3,6"
 
 
+@pytest.mark.parametrize("name, text", [
+    ("t.csv", "1,1\n2,3\n"),
+    ("m.json", '{"kind": "meet_matrix", "labels": [1, 2], "entries": [["1", "1"], ["1", "3"]]}'),
+], ids=["csv", "json"])
+def test_hasse_with_numeric_ids_takes_a_value_table(capsys, tmp_path, name, text):
+    # Hasse ids are strings, so the table's ids must be matched as strings
+    hasse = tmp_path / "chain.txt"
+    hasse.write_text("elem 1\nelem 2\nedge 1 2\n")
+    table = tmp_path / name
+    table.write_text(text)
+    code, out, _ = run(capsys, "check", "--hasse", str(hasse), "--fn", f"@{table}", "--m", "1")
+    assert code == 0
+    assert json.loads(out)["verdict"] == POSITIVE
+
+
 def test_hasse_family_declaration(capsys, tmp_path):
     fam = tmp_path / "fam.txt"
     fam.write_text("family divisor d=2\n")
@@ -255,3 +275,43 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Runs in a fresh interpreter: imports meetpd.cli, records which of the
+# heavy modules it loaded, then blocks NumPy (any import of it raises
+# ImportError) and runs each command line of argv[1] through cli.main.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import meetpd.cli
+loaded = sorted(m for m in ("numpy", "dataclasses") if m in sys.modules)
+sys.modules["numpy"] = None
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([meetpd.cli.main(argv), out.getvalue()])
+from meetpd.pdcheck import psd_oracle
+print(json.dumps({"loaded": loaded, "runs": runs, "method": psd_oracle([[2, 1], [1, 2]]).method}))
+"""
+
+EXACT_COMMANDS = [
+    ["check", "--fn", "ramanujan_C", "--m", "6"],
+    ["check", "--family", "min", "--d", "2", "--fn", "divisor_count", "--m", "4"],
+    ["matrix", "--family", "divisor", "--d", "2", "--fn", "lcm_pow:1", "--m", "3"],
+    ["matrix", "--fn", "gcd_pow:1", "--m", "6", "--format", "csv"],
+    ["decompose", "--family", "divisor", "--d", "2", "--fn", "lcm_pow:1", "--m", "3"],
+]
+
+
+def test_cli_imports_neither_numpy_nor_dataclasses_and_runs_without_numpy(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(EXACT_COMMANDS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["loaded"] == []
+    assert probe["method"] == "exact"
+    expected = [list(run(capsys, *argv)[:2]) for argv in EXACT_COMMANDS]
+    assert probe["runs"] == expected
+    assert [code for code, _ in expected] == [1, 0, 0, 0, 0]
