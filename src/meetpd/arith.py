@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ArityMismatchError, UnknownBuiltinError
+from .exact import rational_sum
 from .incidence import inverted_values
 from .intfun import divisors, mobius_int
 from .meetmatrix import LatticeFunction, constant_function, meet_composed_function
@@ -48,10 +49,9 @@ def dirichlet_convolve_d(f, g, point):
     point = _coords(point)
     if len(point) != d:
         raise ArityMismatchError(f"point has length {len(point)}, expected {d}")
-    total = Fraction(0)
-    for ks in iter_product(*(divisors(i) for i in point)):
-        total += f(_element(ks)) * g(_element(tuple(i // k for i, k in zip(point, ks))))
-    return total
+    terms = ((f(_element(ks)) * g(_element(tuple(i // k for i, k in zip(point, ks)))), 1)
+             for ks in iter_product(*(divisors(i) for i in point)))
+    return rational_sum(terms)
 
 
 def dirichlet_convolution(f, g, name=None):

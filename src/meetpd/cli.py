@@ -37,7 +37,7 @@ class ConfigError(Exception):
     pass
 
 
-class RunConfig(namedtuple("RunConfig", "family family_name d fn bound tol fmt out")):
+class RunConfig(namedtuple("RunConfig", "family family_name d fn bound fmt out")):
     """One resolved command line; fn is a LatticeFunction on family, or None."""
 
     __slots__ = ()
@@ -63,7 +63,6 @@ def build_parser():
                        help="builtin name[:param], or @file.csv / @file.json value table")
         p.add_argument("--m", type=int, required=(name != "grid"), default=None,
                        help="covering bound")
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--hasse", default=None, help="explicit lattice description file")
@@ -160,8 +159,6 @@ def _resolve_config(args, need_fn=True):
     bound = args.m
     if bound is not None and bound < 1:
         raise ConfigError("--m must be at least 1")
-    if args.tol < 0:
-        raise ConfigError("--tol must be nonnegative")
 
     family = None
     family_name = args.family or "divisor"
@@ -187,7 +184,7 @@ def _resolve_config(args, need_fn=True):
         fn = table_function(family, fn, name=args.fn)
     elif fn is not None:
         fn = to_lattice_function(fn, family)
-    return RunConfig(family, family_name, d, fn, bound, args.tol, args.fmt, args.out)
+    return RunConfig(family, family_name, d, fn, bound, args.fmt, args.out)
 
 
 def _emit(text, out):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals for symmetric matrices.
+"""Exact rational sums, and exact linear algebra for symmetric matrices.
 
 Symmetric congruence elimination with diagonal pivoting decides inertia
 (and hence positive semidefiniteness) without any tolerance.  The
@@ -41,6 +41,24 @@ class SymmetricFactorization(
 
 def _rational(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def rational_sum(terms):
+    """Exact sum of v * w over (value, int weight) pairs, as one Fraction.
+
+    Values are ints or Fractions.  The sum runs on ints over one running
+    common denominator, raised only when a term's denominator does not
+    divide it, so the only Fraction built (and reduced) is the result.
+    """
+    num, den = 0, 1
+    for v, w in terms:
+        vd = v.denominator
+        if den % vd:
+            s = vd // math.gcd(den, vd)
+            num *= s
+            den *= s
+        num += v.numerator * (den // vd) * w
+    return Fraction(num, den)
 
 
 def _integer_matrix(rows):
@@ -158,39 +176,22 @@ def quadratic_form(rows, v):
     return Fraction(total, aden * vden * vden)
 
 
-def _matmul(a, b):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(n):
-                if bk[j]:
-                    oi[j] += aik * bk[j]
-    return out
-
-
 def char_poly(rows):
     """Coefficients of det(lambda I - A), leading coefficient first.
 
-    Faddeev-LeVerrier recurrence in exact arithmetic: returns
-    (1, c1, ..., cn) for lambda^n + c1 lambda^(n-1) + ... + cn.
+    Faddeev-LeVerrier recurrence, run on ints: on B = c A (c the lcm of
+    A's denominators) every coefficient and iterate is an integer, and A's
+    k-th coefficient is B's over c**k.  Returns (1, c1, ..., cn) for
+    lambda^n + c1 lambda^(n-1) + ... + cn.
     """
-    ints, c = _integer_matrix(rows)
-    a = [[Fraction(x, c) for x in row] for row in ints]
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    b, c = _integer_matrix(rows)
+    n = len(b)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = _matmul(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        coeffs.append(-sum(m[i][i] for i in range(n)) // k)
         for i in range(n):
-            am[i][i] += c
-        m = am
-    return tuple(coeffs)
+            m[i][i] += coeffs[k]
+    return tuple(Fraction(ck, c ** k) for k, ck in enumerate(coeffs))

@@ -1,10 +1,12 @@
 """Incidence functions on finite ordered domains.
 
 Convolution, the order indicator zeta, the equality indicator delta, and
-Mobius functions, all in exact rational arithmetic.  A function is defined
-on ordered pairs (x, y) with x below y inside a fixed finite domain (an
-ElementSubset or a whole finite poset); everything outside the order
-relation is implicitly zero.
+Mobius functions, all exact.  A function is defined on ordered pairs
+(x, y) with x below y inside a fixed finite domain (an ElementSubset or a
+whole finite poset); everything outside the order relation is implicitly
+zero.  The Mobius-inverted values behind the diagonal criterion
+(``inverted_values``) are summed on ints over one common denominator,
+with one Fraction built per value.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from math import prod
 from weakref import WeakKeyDictionary
 
 from .errors import NoLeastElementError, NotMeetClosedError, PosetMismatchError
+from .exact import rational_sum
 from .posets import ElementSubset, ProductLattice, product_subset
 
 _ZERO = Fraction(0)
@@ -96,19 +99,15 @@ def mobius(domain):
     ms = s.members
     n = len(ms)
     leq = s.leq
-    vals = {}
+    vals = {}  # integer values; IncidenceFunction stores them as Fractions
     for i in range(n):
         x = ms[i]
-        vals[(x, x)] = Fraction(1)
+        vals[(x, x)] = 1
         for j in range(i + 1, n):
             y = ms[j]
             if not leq(x, y):
                 continue
-            total = _ZERO
-            for k in range(i, j):
-                z = ms[k]
-                if leq(x, z) and leq(z, y):
-                    total += vals.get((x, z), _ZERO)
+            total = sum(vals.get((x, z), 0) for z in ms[i:j] if leq(x, z) and leq(z, y))
             if total:
                 vals[(x, y)] = -total
     fn = IncidenceFunction(s, vals)
@@ -134,11 +133,8 @@ def convolve(f, g):
             y = ms[j]
             if not leq(x, y):
                 continue
-            total = _ZERO
-            for k in range(i, j + 1):
-                z = ms[k]
-                if leq(x, z) and leq(z, y):
-                    total += f(x, z) * g(z, y)
+            total = rational_sum((f(x, z) * g(z, y), 1)
+                                 for z in ms[i:j + 1] if leq(x, z) and leq(z, y))
             if total:
                 vals[(x, y)] = total
     return IncidenceFunction(s, vals)
@@ -194,25 +190,28 @@ def inverted_values(f, subset):
     the one routine that computes them.  Over a product subset the Mobius
     weight of (z, x) is the product of the factor weights mu_t(z_t, x_t)
     (Rota's product rule), so only the factor subsets are ever inverted.
-    Every z is at or before x in member order, so a consumer that stops
-    early never evaluates f beyond the element it stopped at.
+    Each sum runs on ints over one common denominator
+    (``exact.rational_sum``), so one Fraction is built per value.  Every z
+    is at or before x in member order, so a consumer that stops early
+    never evaluates f beyond the element it stopped at.
     """
     factors = subset.factor_subsets or (subset,)
-    # per distinct factor and member x: the (z, mu(z, x)) pairs with mu nonzero
+    # per distinct factor and member x: the z with mu(z, x) nonzero, and those weights
     below = {}
     for s in factors:
         if s not in below:
             terms = {x: [] for x in s.members}
             for (z, x), v in mobius(s).pairs().items():
                 terms[x].append((z, v.numerator))
-            below[s] = [terms[x] for x in s.members]
+            below[s] = [tuple(zip(*terms[x])) for x in s.members]
     single = subset.factor_subsets is None
     for x, combo in zip(subset.members, iter_product(*(below[s] for s in factors))):
-        total = _ZERO
-        for parts in iter_product(*combo):
-            zs, ws = zip(*parts)
-            total += f(zs[0] if single else zs) * prod(ws)
-        yield x, total
+        zs, ws = zip(*combo)
+        if single:
+            values, weights = map(f, zs[0]), ws[0]
+        else:
+            values, weights = map(f, iter_product(*zs)), map(prod, iter_product(*ws))
+        yield x, rational_sum(zip(values, weights))
 
 
 def ambient_mobius(lattice, x, y):

@@ -1,19 +1,23 @@
 """Small number-theoretic helpers shared by the lattice and arithmetic layers.
 
-A smallest-prime-factor sieve is grown on demand; everything here is desk
-scale (n up to about 10**5).
+A smallest-prime-factor sieve is grown on demand up to a fixed cap of
+2**20 entries, so no input allocates more than that.
 """
 
+import math
 from functools import lru_cache
 
+_SIEVE_CAP = 1 << 20  # the sieve holds at most _SIEVE_CAP + 1 entries
 _spf = [0, 1]  # smallest prime factor; _spf[1] = 1 by convention
+_primes = []  # the primes below len(_spf), ascending
 
 
 def _grow_sieve(limit):
-    global _spf
+    global _spf, _primes
+    limit = min(limit, _SIEVE_CAP)
     if limit < len(_spf):
         return
-    size = max(limit + 1, 2 * len(_spf))
+    size = min(max(limit + 1, 2 * len(_spf)), _SIEVE_CAP + 1)
     spf = list(range(size))
     p = 2
     while p * p < size:
@@ -23,14 +27,31 @@ def _grow_sieve(limit):
                     spf[q] = p
         p += 1
     _spf = spf
+    _primes = [p for p in range(2, size) if spf[p] == p]
 
 
 def factorize(n):
-    """Prime factorization as a dict prime -> exponent."""
+    """Prime factorization as a dict prime -> exponent.
+
+    Up to the sieve cap the factors are read off the sieve; above it n is
+    trial-divided by the sieve's primes, and a cofactor left above cap**2
+    (it may be two primes beyond the sieve) raises ValueError.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _grow_sieve(n)
+    _grow_sieve(n if n <= _SIEVE_CAP else math.isqrt(n))
     out = {}
+    for p in _primes if n >= len(_spf) else ():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n >= len(_spf):
+        if n > _SIEVE_CAP ** 2:
+            raise ValueError(f"cannot factor: cofactor {n} has no prime factor up to {_SIEVE_CAP}")
+        out[n] = 1
+        return out
     while n > 1:
         p = _spf[n]
         out[p] = out.get(p, 0) + 1

@@ -21,7 +21,7 @@ from .errors import (
     NotLowerClosedError,
     NotMeetClosedError,
 )
-from .exact import Inertia
+from .exact import Inertia, rational_sum
 from .incidence import inverted_values
 from .posets import lattice_power, product_subset
 
@@ -94,21 +94,22 @@ def table_function(lattice, mapping, name="table"):
 def summatory_function(lattice, g, certify_nonneg=True, name=None):
     """f(x) = sum of g(z) over the lower set of x.
 
-    With certify_nonneg, every g value is checked to be >= 0 and the
+    The sum runs on ints over one common denominator (one Fraction per
+    value); a g value other than an int or a Fraction is read as
+    Fraction(v).  With certify_nonneg, every g value is checked to be >= 0 and the
     result carries an unconditional positive definiteness certificate
     (its Mobius-inverted values are the g values themselves).
     """
-    def fn(x):
-        total = Fraction(0)
-        for z in lattice.lower_set(x):
-            v = Fraction(g(z))
-            if certify_nonneg and v < 0:
-                raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
-            total += v
-        return total
+    def source(z):
+        v = g(z)
+        if not isinstance(v, (int, Fraction)):
+            v = Fraction(v)
+        if certify_nonneg and v < 0:
+            raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
+        return v, 1
 
     return LatticeFunction(
-        lattice, fn,
+        lattice, lambda x: rational_sum(map(source, lattice.lower_set(x))),
         name=name or "summatory",
         certificate=certify_nonneg,
     )

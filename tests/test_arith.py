@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import meetpd.pdcheck
+from meetpd import intfun
 from meetpd.arith import (
     builtin,
     dirichlet_convolution,
@@ -110,6 +111,25 @@ def test_mu_star_mu_multiplicative():
         for p, k in __import__("meetpd.intfun", fromlist=["factorize"]).factorize(n).items():
             expected *= mu_star_mu(p ** k)
         assert mu_star_mu(n) == expected
+
+
+def test_factorize_beyond_the_sieve_cap_stays_within_the_cap(monkeypatch):
+    # start from an empty sieve; monkeypatch restores the shared one afterwards
+    monkeypatch.setattr(intfun, "_spf", [0, 1])
+    monkeypatch.setattr(intfun, "_primes", [])
+    cap = intfun._SIEVE_CAP
+    assert intfun.factorize(100000007) == {100000007: 1}
+    assert intfun.mobius_int(100000007) == -1
+    assert len(intfun._spf) <= cap + 1
+    # two primes past 2**18 and one past the cap: the sieve grows to the cap, no further
+    big = 3 ** 4 * (2 ** 19 - 1) * (2 ** 31 - 1)
+    assert intfun.factorize(big) == {3: 4, 524287: 1, 2147483647: 1}
+    assert intfun.factorize(2 ** 70) == {2: 70}
+    assert len(intfun._spf) <= cap + 1
+    # a cofactor above cap**2 may be a product of two primes beyond the sieve
+    with pytest.raises(ValueError, match="cofactor"):
+        intfun.factorize((2 ** 31 - 1) ** 2)
+    assert len(intfun._spf) <= cap + 1
 
 
 def test_ramanujan_values():

@@ -101,6 +101,20 @@ def test_decompose_lcm_has_negative_diag(capsys, tmp_path):
     assert doc["diag"] == [str(v) for _, v in expected]
 
 
+def test_check_float_exponent_witness_is_pinned(capsys):
+    code, out, _ = run(capsys, "check", "--fn", "lcm_pow:1/2", "--d", "2", "--m", "8")
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert witness["element"] == [2, 2]
+    assert witness["value"] == "-1865452045155277/4503599627370496"
+
+
+def test_tol_flag_is_gone():
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--fn", "gcd_pow:1", "--m", "3", "--tol", "1e-9"])
+    assert info.value.code == 2
+
+
 def test_decompose_bound_one(capsys):
     code, out, _ = run(capsys, "decompose", "--family", "divisor", "--d", "2",
                        "--fn", "lcm_pow:1", "--m", "1")

@@ -1,0 +1,124 @@
+"""The exact sums on ints (``exact.rational_sum``) against per-term Fraction sums.
+
+Each reference below adds one Fraction per term, the plain definition of
+the sum, and every comparison is exact equality of rationals.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meetpd.arith import dirichlet_convolve_d
+from meetpd.errors import EvaluationError
+from meetpd.exact import rational_sum
+from meetpd.incidence import ambient_mobius, inverted_values
+from meetpd.meetmatrix import summatory_function, table_function
+from meetpd.posets import divisor_lattice, min_lattice
+
+FAMILIES = {"divisor": divisor_lattice, "min": min_lattice}
+MAX_BOUND = {1: 12, 2: 6, 3: 3}
+
+
+def rationals():
+    """Mixed denominators 1..12, and float-derived values with denominators up to 2**52."""
+    return st.one_of(
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+        st.integers(-2 ** 53, 2 ** 53).map(lambda k: Fraction(k / 2 ** 52)),
+    )
+
+
+@st.composite
+def grids(draw, families=tuple(FAMILIES)):
+    """A covering set of a divisor or MIN family at d = 1..3 with a random value table."""
+    d = draw(st.integers(1, 3))
+    family = FAMILIES[draw(st.sampled_from(families))](d)
+    cover = family.covering_set(draw(st.integers(1, MAX_BOUND[d])))
+    values = draw(st.lists(rationals(), min_size=len(cover), max_size=len(cover)))
+    return family, cover, dict(zip(cover.members, values))
+
+
+def reference_inverted_values(f, cover):
+    out = []
+    for x in cover.members:
+        total = Fraction(0)
+        for z in cover.members:
+            if cover.leq(z, x):
+                total += f(z) * ambient_mobius(cover.lattice, z, x)
+        out.append((x, total))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+def test_inverted_values_equal_the_per_term_fraction_sum(grid):
+    family, cover, values = grid
+    f = table_function(family, values)
+    got = list(inverted_values(f, cover))
+    assert got == reference_inverted_values(f, cover)
+    assert all(type(v) is Fraction for _, v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_summatory_function_equals_the_per_term_fraction_sum(grid, data):
+    family, cover, _ = grid
+    # g values as the callers give them: Fractions, ints, raw floats and strings
+    raw = st.one_of(rationals(), rationals().map(str), st.integers(-9, 9),
+                    st.integers(-2 ** 53, 2 ** 53).map(lambda k: k / 2 ** 52))
+    g = {x: data.draw(raw) for x in cover.members}
+    f = summatory_function(family, g.__getitem__, certify_nonneg=False)
+    for x in cover.members:
+        expected = Fraction(0)
+        for z in family.lower_set(x):
+            expected += Fraction(g[z])
+        assert f(x) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(families=("divisor",)), st.data())
+def test_dirichlet_convolution_equals_the_per_term_fraction_sum(grid, data):
+    family, cover, values = grid
+    f = table_function(family, values)
+    g = table_function(family, dict(zip(cover.members, reversed(values.values()))))
+    point = data.draw(st.sampled_from(cover.members))
+    coords = point if isinstance(point, tuple) else (point,)
+    expected = Fraction(0)
+    for k in family.lower_set(point):
+        ks = k if isinstance(k, tuple) else (k,)
+        rest = tuple(i // j for i, j in zip(coords, ks))
+        expected += f(k) * g(rest if len(rest) > 1 else rest[0])
+    assert dirichlet_convolve_d(f, g, point) == expected
+
+
+@given(st.lists(st.tuples(rationals(), st.integers(-5, 5))))
+def test_rational_sum_is_the_exact_sum(terms):
+    expected = Fraction(0)
+    for v, w in terms:
+        expected += v * w
+    got = rational_sum(terms)
+    assert got == expected and type(got) is Fraction
+
+
+@pytest.mark.parametrize("lattice, x, bad, value, message", [
+    (divisor_lattice(), 12, (4, 6), Fraction(-1, 3), "at 4: -1/3"),
+    (divisor_lattice(2), (2, 2), ((2, 1), (1, 2)), -0.5, "at (1, 2): -1/2"),
+    (min_lattice(), 5, (3,), -2, "at 3: -2"),
+])
+def test_summatory_certificate_raises_at_the_first_negative_source(lattice, x, bad, value,
+                                                                   message):
+    seen = []
+
+    def g(z):
+        seen.append(z)
+        return value if z in bad else 1
+
+    f = summatory_function(lattice, g)
+    with pytest.raises(EvaluationError) as info:
+        f(x)
+    assert str(info.value) == f"summatory source is negative {message}"
+    # g is not evaluated past the first negative source
+    lower = list(lattice.lower_set(x))
+    first = next(i for i, z in enumerate(lower) if z in bad)
+    assert seen == lower[:first + 1]
