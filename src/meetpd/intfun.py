@@ -4,7 +4,6 @@ A smallest-prime-factor sieve is grown on demand up to a fixed cap of
 2**20 entries, so no input allocates more than that.
 """
 
-import math
 from functools import lru_cache
 
 _SIEVE_CAP = 1 << 20  # the sieve holds at most _SIEVE_CAP + 1 entries
@@ -33,25 +32,36 @@ def _grow_sieve(limit):
 def factorize(n):
     """Prime factorization as a dict prime -> exponent.
 
-    Up to the sieve cap the factors are read off the sieve; above it n is
-    trial-divided by the sieve's primes, and a cofactor left above cap**2
-    (it may be two primes beyond the sieve) raises ValueError.
+    Up to the sieve cap the factors are read off the sieve.  Above it n is
+    trial-divided by the sieve's primes, and the sieve is doubled only
+    while the cofactor left may still be composite; a cofactor left above
+    cap**2 once the sieve is full raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    _grow_sieve(n if n <= _SIEVE_CAP else math.isqrt(n))
     out = {}
-    for p in _primes if n >= len(_spf) else ():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n >= len(_spf):
-        if n > _SIEVE_CAP ** 2:
-            raise ValueError(f"cannot factor: cofactor {n} has no prime factor up to {_SIEVE_CAP}")
-        out[n] = 1
-        return out
+    if n <= _SIEVE_CAP:
+        _grow_sieve(n)
+    else:
+        tried = 0
+        while True:
+            for p in _primes[tried:]:
+                if p * p > n:
+                    break
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+            # no sieve prime up to sqrt(n) divides n, so below len(_spf)**2 it is 1 or a prime
+            if n < len(_spf) ** 2 or len(_spf) > _SIEVE_CAP:
+                break
+            tried = len(_primes)
+            _grow_sieve(2 * len(_spf))
+        if n >= len(_spf):
+            if n > _SIEVE_CAP ** 2:
+                raise ValueError(
+                    f"cannot factor: cofactor {n} has no prime factor up to {_SIEVE_CAP}")
+            out[n] = 1
+            return out
     while n > 1:
         p = _spf[n]
         out[p] = out.get(p, 0) + 1

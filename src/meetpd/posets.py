@@ -24,7 +24,7 @@ from .errors import (
     DuplicateElementError,
     NotASemilatticeError,
 )
-from .intfun import divisors, mobius_int
+from .intfun import divisors
 
 
 class Poset:
@@ -200,9 +200,6 @@ class DivisorLattice(IntegerLattice):
     def lower_set(self, x):
         return list(divisors(x))
 
-    def ambient_mobius(self, x, y):
-        return mobius_int(y // x) if y % x == 0 else 0
-
 
 class MinLattice(IntegerLattice):
     """Positive integers under <=; meet is min."""
@@ -219,14 +216,6 @@ class MinLattice(IntegerLattice):
 
     def lower_set(self, x):
         return list(range(1, x + 1))
-
-    def ambient_mobius(self, x, y):
-        # chain: 1 on the diagonal, -1 one step up, 0 beyond
-        if y == x:
-            return 1
-        if y == x + 1:
-            return -1
-        return 0
 
 
 class ProductLattice:

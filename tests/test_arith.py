@@ -132,6 +132,16 @@ def test_factorize_beyond_the_sieve_cap_stays_within_the_cap(monkeypatch):
     assert len(intfun._spf) <= cap + 1
 
 
+def test_factorize_beyond_the_cap_grows_the_sieve_only_as_the_cofactor_needs(monkeypatch):
+    # small primes factor 2**70 completely, so the sieve stays small
+    monkeypatch.setattr(intfun, "_spf", [0, 1])
+    monkeypatch.setattr(intfun, "_primes", [])
+    assert intfun.factorize(2 ** 70) == {2: 70}
+    assert len(intfun._spf) < 2 ** 12
+    assert intfun.factorize(3 ** 40 * 7 ** 2 * 1009) == {3: 40, 7: 2, 1009: 1}
+    assert len(intfun._spf) < 2 ** 12
+
+
 def test_ramanujan_values():
     assert ramanujan_C(1, 1) == 1
     assert ramanujan_C(2, 2) == 1  # 1*mu(2) + 2*mu(1)

@@ -42,6 +42,23 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert vars(getattr(meetpd.posets, name))["covering_set"] is fn
 
 
+def test_tracer_reads_the_mobius_cache(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracer import Tracer
+
+    # a new lattice object hands out a covering set no Mobius call has seen
+    grid = meetpd.ProductLattice([meetpd.DivisorLattice()] * 2).covering_set(4)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        first = meetpd.mobius(grid)
+        assert meetpd.mobius(grid) is first
+    finally:
+        tracer.uninstall()
+    spans = [span for span in tracer.spans if span[1] == "incidence.mobius"]
+    assert [span[6]["hit"] for span in spans] == [False, True]
+
+
 @pytest.mark.parametrize("name", ["criterion_sweep", "oracle_exact", "cli_cold"])
 def test_benchmark_gate_passes_and_rejects_tampering(monkeypatch, tmp_path, name):
     """The benchmark's own self-check: correct outputs pass its gate and

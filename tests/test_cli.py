@@ -192,6 +192,19 @@ def test_missing_table_point_is_eval_error(capsys, tmp_path):
     assert "evaluation error" in err
 
 
+@pytest.mark.parametrize("d, m, text, missing", [
+    ("1", "6", "1,1\n4,2\n5,3\n6,5\n", "2"),  # 2 and 3 are missing below 6
+    ("2", "2", "1,1,1\n2,2,4\n", "(1, 2)"),   # (1, 2) and (2, 1) are missing below (2, 2)
+])
+def test_check_names_the_first_missing_value_in_member_order(capsys, tmp_path, d, m, text,
+                                                             missing):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    code, out, err = run(capsys, "check", "--fn", f"@{table}", "--d", d, "--m", m)
+    assert (code, out) == (3, "")
+    assert err == f"evaluation error: @{table} has no value at {missing}\n"
+
+
 def test_round_trip_matrix_to_check(capsys, tmp_path):
     out = tmp_path / "m.json"
     code, _, _ = run(capsys, "matrix", "--family", "divisor", "--d", "2",

@@ -1,31 +1,14 @@
 import random
 from fractions import Fraction
+from math import prod
 
-import pytest
-
-from meetpd.errors import (
-    NoLeastElementError,
-    NotMeetClosedError,
-    PosetMismatchError,
-)
-from meetpd.incidence import (
-    IncidenceFunction,
-    ambient_mobius,
-    convolve,
-    delta,
-    from_point_function,
-    inverted_values,
-    mobius,
-    mobius_invert,
-    mobius_of_subset,
-    mobius_product,
-    zeta,
-)
+from meetpd.incidence import inverted_values, mobius
 from meetpd.intfun import mobius_int
 from meetpd.meetmatrix import table_function
 from meetpd.posets import (
     MeetSemilattice,
     Poset,
+    ProductLattice,
     divisor_lattice,
     lower_closure,
     meet_closure,
@@ -53,12 +36,26 @@ def random_poset(rng, n):
     return Poset(elements, edges)
 
 
+def mu_pairs(s):
+    """The nonzero Mobius values of a subset as a dict keyed by (z, x)."""
+    return {(z, x): w for x, (zs, ws) in zip(s.members, mobius(s)) for z, w in zip(zs, ws)}
+
+
+def ambient_mu(lattice, z, x):
+    """Closed-form Mobius value of the divisor or MIN lattice, or of a product of them."""
+    if isinstance(lattice, ProductLattice):
+        return prod(ambient_mu(f, a, b) for f, a, b in zip(lattice.factors, z, x))
+    if lattice.kind == "divisor":
+        return mobius_int(x // z) if x % z == 0 else 0
+    return {0: 1, 1: -1}.get(x - z, 0)  # MIN is a chain
+
+
 def mobius_subset_via_ambient(s):
     """Mobius function of a meet closed subset via ambient Mobius sums.
 
     Cross-check oracle: the value at (x_i, x_j) is the sum of ambient
     mu(x_i, z) over ambient z below x_j that are not below any earlier
-    member x_k, k < j.
+    member x_k, k < j.  Zero values are left out, as in ``mu_pairs``.
     """
     lattice = s.lattice
     ms = s.members
@@ -71,16 +68,14 @@ def mobius_subset_via_ambient(s):
         ]
         for xi in ms[: j + 1]:
             if lattice.leq(xi, xj):
-                vals[(xi, xj)] = sum(
-                    (ambient_mobius(lattice, xi, z) for z in zs if lattice.leq(xi, z)),
-                    Fraction(0),
-                )
-    return IncidenceFunction(s, vals)
+                v = sum(ambient_mu(lattice, xi, z) for z in zs if lattice.leq(xi, z))
+                if v:
+                    vals[(xi, xj)] = v
+    return vals
 
 
-def zeta_inverse_oracle(domain):
+def zeta_inverse_oracle(s):
     """Mobius values by explicit Gaussian inversion of the zeta matrix."""
-    s = domain if hasattr(domain, "members") else domain.covering_set(None)
     ms = s.members
     n = len(ms)
     z = [[Fraction(1 if s.leq(ms[i], ms[j]) else 0) for j in range(n)] for i in range(n)]
@@ -103,96 +98,68 @@ def zeta_inverse_oracle(domain):
 def test_mobius_matches_matrix_inversion_oracle():
     rng = random.Random(5)
     for n in [1, 2, 4, 6, 8]:
-        p = random_poset(rng, n)
-        assert mobius(p).pairs() == zeta_inverse_oracle(p)
+        s = random_poset(rng, n).covering_set()
+        assert mu_pairs(s) == zeta_inverse_oracle(s)
     for n in [4, 12, 30, 36]:
         s = divisor_closed(n)
-        assert mobius(s).pairs() == zeta_inverse_oracle(s)
+        assert mu_pairs(s) == zeta_inverse_oracle(s)
 
 
-def test_delta_is_identity_of_convolution():
-    rng = random.Random(9)
-    chain = Poset(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
-    s = chain.covering_set(None)
-    vals = {}
-    for i, x in enumerate(s.members):
-        for y in s.members[i:]:
-            if s.leq(x, y):
-                vals[(x, y)] = Fraction(rng.randint(-5, 5))
-    f = IncidenceFunction(s, vals)
-    assert convolve(delta(chain), f) == f
-    assert convolve(f, delta(chain)) == f
+def test_mobius_rows_are_int_and_end_at_their_member():
+    rng = random.Random(13)
+    for s in [random_poset(rng, 9).covering_set(), divisor_closed(360),
+              min_lattice(2).covering_set(4), meet_closure(subset(divisor_lattice(), [4, 6, 10]))]:
+        rows = mobius(s)
+        assert len(rows) == len(s)
+        for x, (zs, ws) in zip(s.members, rows):
+            assert zs[-1] == x and ws[-1] == 1
+            assert [s.index(z) for z in zs] == sorted(s.index(z) for z in zs)
+            assert all(type(w) is int and w != 0 for w in ws)
+        assert mobius(s) is rows
 
 
-def test_zeta_convolution_counts_intermediate_elements():
-    s = divisor_closed(4)  # chain 1 < 2 < 4
-    zz = convolve(zeta(s), zeta(s))
-    assert zz(1, 4) == 3
+def test_mobius_queries_the_order_once_per_pair():
+    s = subset(min_lattice(), range(1, 61))
+    calls = []
+    real = s.leq
+    s.leq = lambda x, y: calls.append((x, y)) or real(x, y)
+    mobius(s)
+    n = len(s)
+    assert len(calls) <= n * (n - 1) // 2
+
+
+def test_mobius_on_min_300_gives_the_chain_rows():
+    s = min_lattice().covering_set(300)
+    rows = mobius(s)
+    assert rows[0] == ((1,), (1,))
+    assert all(row == ((x - 1, x), (-1, 1)) for x, row in zip(s.members[1:], rows[1:]))
 
 
 def test_mobius_inverts_zeta_on_divisors_of_30():
+    # the sum of mu(z, w) over z <= w <= x is 1 at z = x and 0 below it
     s = divisor_closed(30)
-    assert convolve(mobius(s), zeta(s)) == delta(s)
-    assert convolve(zeta(s), mobius(s)) == delta(s)
-
-
-def test_zeta_values_on_divisors_of_6():
-    s = divisor_closed(6)
-    z = zeta(s)
-    assert z(1, 6) == 1
-    assert z(2, 3) == 0
-    assert z(1, 1) == 1
-
-
-def test_delta_zero_strictly_above():
-    s = divisor_closed(6)
-    d = delta(s)
-    assert d(1, 2) == 0
-    assert d(2, 2) == 1
+    mu = mu_pairs(s)
+    for z in s.members:
+        for x in s.members:
+            if s.leq(z, x):
+                total = sum(mu.get((z, w), 0) for w in s.members if s.leq(z, w) and s.leq(w, x))
+                assert total == (z == x)
 
 
 def test_mobius_chain_values():
-    s = divisor_closed(4)
-    mu = mobius(s)
-    assert mu(1, 1) == 1
-    assert mu(1, 2) == -1
-    assert mu(1, 4) == 0
+    mu = mu_pairs(divisor_closed(4))
+    assert mu[(1, 1)] == 1
+    assert mu[(1, 2)] == -1
+    assert (1, 4) not in mu
 
 
 def test_mobius_two_prime_square_free():
-    assert mobius(divisor_closed(6))(1, 6) == 1
+    assert mu_pairs(divisor_closed(6))[(1, 6)] == 1
 
 
 def test_mobius_singleton():
     p = Poset(["a"], [])
-    assert mobius(p)("a", "a") == 1
-
-
-def test_convolve_rejects_domain_mismatch():
-    a = zeta(divisor_closed(4))
-    b = zeta(divisor_closed(6))
-    with pytest.raises(PosetMismatchError):
-        convolve(a, b)
-
-
-def test_convolution_associative_and_delta_two_sided():
-    rng = random.Random(31)
-    for _ in range(10):
-        p = random_poset(rng, rng.randint(2, 8))
-        s = p.covering_set(None)
-
-        def rand_fn():
-            vals = {}
-            for i, x in enumerate(s.members):
-                for y in s.members[i:]:
-                    if s.leq(x, y):
-                        vals[(x, y)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            return IncidenceFunction(s, vals)
-
-        f, g, h = rand_fn(), rand_fn(), rand_fn()
-        assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
-        assert convolve(delta(p), f) == f
-        assert convolve(f, delta(p)) == f
+    assert mobius(p.covering_set()) == ((("a",), (1,)),)
 
 
 SMALL_POSETS = [
@@ -207,97 +174,74 @@ SMALL_POSETS = [
 ]
 
 
+def product_rule(s, t):
+    """Rota's product rule: mu((z1, z2), (x1, x2)) = mu(z1, x1) mu(z2, x2)."""
+    return {((z1, z2), (x1, x2)): v1 * v2
+            for (z1, x1), v1 in mu_pairs(s).items()
+            for (z2, x2), v2 in mu_pairs(t).items()}
+
+
 def test_mobius_product_agrees_with_product_poset_inversion():
     for elems_p, edges_p in SMALL_POSETS:
         for elems_q, edges_q in SMALL_POSETS:
-            p = MeetSemilattice(elems_p, edges_p)
-            q = MeetSemilattice(elems_q, edges_q)
-            prod_mu = mobius_product(mobius(p), mobius(q))
-            direct = mobius(product_subset([p.covering_set(None), q.covering_set(None)]))
-            assert prod_mu == direct
+            s = MeetSemilattice(elems_p, edges_p).covering_set()
+            t = MeetSemilattice(elems_q, edges_q).covering_set()
+            assert product_rule(s, t) == mu_pairs(product_subset([s, t]))
 
 
 def test_mobius_product_of_singletons():
-    p = MeetSemilattice(["a"], [])
-    q = MeetSemilattice(["b"], [])
-    mu = mobius_product(mobius(p), mobius(q))
-    assert mu(("a", "b"), ("a", "b")) == 1
+    p = MeetSemilattice(["a"], []).covering_set()
+    q = MeetSemilattice(["b"], []).covering_set()
+    assert mu_pairs(product_subset([p, q])) == {(("a", "b"), ("a", "b")): 1}
 
 
 def test_mobius_product_on_divisor_squares():
-    dl = divisor_lattice()
-    s = subset(dl, [1, 2])
-    mu = mobius_product(mobius(s), mobius(s))
-    assert mu((1, 1), (2, 2)) == 1
-    assert mu((1, 1), (1, 2)) == -1
-
-
-def test_mobius_product_domain_mismatch():
-    dl = divisor_lattice()
-    s = subset(dl, [1, 2])
-    t = subset(dl, [1, 3])
-    with pytest.raises(PosetMismatchError):
-        mobius_product(mobius(s), mobius(s), domain=product_subset([s, t]))
+    s = subset(divisor_lattice(), [1, 2])
+    mu = mu_pairs(product_subset([s, s]))
+    assert mu[((1, 1), (2, 2))] == 1
+    assert mu[((1, 1), (1, 2))] == -1
 
 
 def test_subset_mobius_equals_ambient_on_lower_closed_divisor_sets():
     for n in range(1, 61):
         s = divisor_closed(n)
-        mu = mobius_of_subset(s)
+        mu = mu_pairs(s)
         for x in s.members:
             for y in s.members:
                 if y % x == 0:
-                    assert mu(x, y) == mobius_int(y // x)
+                    assert mu.get((x, y), 0) == mobius_int(y // x)
 
 
 def test_subset_mobius_meet_closed_not_lower_closed():
     dl = divisor_lattice()
     s = subset(dl, [2, 4, 6])
-    mu = mobius_of_subset(s)
-    assert mu(2, 4) == -1
-    assert mu(2, 6) == -1
-    assert mu(2, 2) == 1
-
-
-def test_subset_mobius_rejects_non_meet_closed():
-    with pytest.raises(NotMeetClosedError):
-        mobius_of_subset(subset(divisor_lattice(), [2, 3]))
+    mu = mu_pairs(s)
+    assert mu[(2, 4)] == -1
+    assert mu[(2, 6)] == -1
+    assert mu[(2, 2)] == 1
 
 
 def test_subset_mobius_singleton():
     s = subset(divisor_lattice(), [5])
-    assert mobius_of_subset(s)(5, 5) == 1
+    assert mu_pairs(s) == {(5, 5): 1}
 
 
 def test_mobius_invert_constant_on_chain():
-    chain = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    fr = from_point_function(chain, lambda _x: 1)
-    g = mobius_invert(fr)
-    assert [g("a", x) for x in ("a", "b", "c")] == [1, 0, 0]
+    chain = Poset(["a", "b", "c"], [("a", "b"), ("b", "c")]).covering_set()
+    f = table_function(chain.lattice, dict.fromkeys(chain.members, 1))
+    assert [v for _, v in inverted_values(f, chain)] == [1, 0, 0]
 
 
 def test_mobius_invert_identity_on_divisors_of_4():
     s = divisor_closed(4)
-    fr = from_point_function(s, lambda x: x)
-    g = mobius_invert(fr)
-    assert [g(1, x) for x in (1, 2, 4)] == [1, 1, 2]
-
-
-def test_mobius_invert_requires_least():
-    dl = divisor_lattice()
-    s = subset(dl, [2, 3])
-    with pytest.raises(NoLeastElementError):
-        from_point_function(s, lambda x: x)
-    vals = {(2, 2): 1}
-    fr = IncidenceFunction(s, vals)
-    with pytest.raises(NoLeastElementError):
-        mobius_invert(fr)
+    f = table_function(s.lattice, {x: x for x in s.members})
+    assert [v for _, v in inverted_values(f, s)] == [1, 1, 2]
 
 
 def test_mobius_invert_round_trip_on_random_posets():
+    # summing the inverted values over each lower set restores f
     rng = random.Random(77)
-    done = 0
-    while done < 200:
+    for _ in range(200):
         n = rng.randint(1, 10)
         # force a least element by wiring node 0 under everything
         elements = list(range(n + 1))
@@ -306,22 +250,32 @@ def test_mobius_invert_round_trip_on_random_posets():
             (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
             if rng.random() < 0.3
         ]
-        p = Poset(elements, edges)
-        fr = from_point_function(p, lambda x: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-        g = mobius_invert(fr)
-        assert convolve(g, zeta(p)) == fr
-        done += 1
+        s = Poset(elements, edges).covering_set()
+        f = table_function(s.lattice, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                       for x in s.members})
+        g = dict(inverted_values(f, s))
+        for x in s.members:
+            assert sum((g[z] for z in s.members if s.leq(z, x)), Fraction(0)) == f(x)
 
 
 def test_ambient_mobius_closed_forms():
+    # over a lower closed covering set the subset's Mobius values are the ambient ones
     dl = divisor_lattice()
     ml = min_lattice()
-    assert ambient_mobius(dl, 2, 12) == mobius_int(6)
-    assert ambient_mobius(ml, 3, 3) == 1
-    assert ambient_mobius(ml, 3, 4) == -1
-    assert ambient_mobius(ml, 3, 5) == 0
-    prod = product_lattice([dl, ml])
-    assert ambient_mobius(prod, (1, 1), (6, 2)) == mobius_int(6) * -1
+    assert mu_pairs(dl.covering_set(12))[(2, 12)] == mobius_int(6)
+    mu = mu_pairs(ml.covering_set(5))
+    assert mu[(3, 3)] == 1
+    assert mu[(3, 4)] == -1
+    assert (3, 5) not in mu
+    prod_set = product_lattice([dl, ml]).covering_set(6)
+    assert mu_pairs(prod_set)[((1, 1), (6, 2))] == mobius_int(6) * -1
+    for grid in (dl.covering_set(30), ml.covering_set(9), divisor_lattice(2).covering_set(6),
+                 prod_set):
+        mu = mu_pairs(grid)
+        for x in grid.members:
+            for z in grid.members:
+                if grid.leq(z, x):
+                    assert mu.get((z, x), 0) == ambient_mu(grid.lattice, z, x)
 
 
 def test_ambient_mobius_explicit_poset():
@@ -329,8 +283,9 @@ def test_ambient_mobius_explicit_poset():
         ["0", "x", "y", "1"],
         [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")],
     )
-    assert ambient_mobius(diamond, "0", "1") == 1
-    assert ambient_mobius(diamond, "0", "x") == -1
+    mu = mu_pairs(diamond.covering_set())
+    assert mu[("0", "1")] == 1
+    assert mu[("0", "x")] == -1
 
 
 def test_remark_sum_oracle_matches_inversion_on_products():
@@ -341,12 +296,12 @@ def test_remark_sum_oracle_matches_inversion_on_products():
         divisor_lattice(2).covering_set(4),
     ]
     for grid in cases:
-        assert mobius_subset_via_ambient(grid) == mobius_of_subset(grid)
+        assert mobius_subset_via_ambient(grid) == mu_pairs(grid)
 
 
 def test_remark_sum_oracle_matches_on_min_grid():
     grid = min_lattice(2).covering_set(3)
-    assert mobius_subset_via_ambient(grid) == mobius_of_subset(grid)
+    assert mobius_subset_via_ambient(grid) == mu_pairs(grid)
 
 
 def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
@@ -363,8 +318,8 @@ def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
     f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5)) for x in grid.members})
     got = list(inverted_values(f, grid))
     assert inverted and all(s.factor_subsets is None for s in inverted)
-    mu = real(grid)
+    mu = mu_pairs(grid)
     assert got == [
-        (x, sum((f(z) * mu(z, x) for z in grid.members if grid.leq(z, x)), Fraction(0)))
+        (x, sum((f(z) * mu.get((z, x), 0) for z in grid.members if grid.leq(z, x)), Fraction(0)))
         for x in grid.members
     ]
