@@ -31,6 +31,8 @@ from .posets import Poset, divisor_lattice, load_hasse, min_lattice
 
 CONFIG_ERROR = 2
 EVAL_ERROR = 3
+# matrix and decompose write n x n documents; check is linear in n and has no limit
+MAX_MATRIX_MEMBERS = 1024
 
 
 class ConfigError(Exception):
@@ -198,12 +200,22 @@ def _emit(text, out):
             raise ConfigError(f"cannot write {out}: {exc}")
 
 
-def _covering(config):
-    return config.family.covering_set(config.bound)
+def _matrix_covering(config, command):
+    """The covering set, refused above MAX_MATRIX_MEMBERS before it is built."""
+    family = config.family
+    if isinstance(family, Poset):
+        size = len(family)
+    else:
+        # an exponent past the limit's bit length already exceeds the limit
+        size = config.bound ** min(family.arity, MAX_MATRIX_MEMBERS.bit_length())
+    if size > MAX_MATRIX_MEMBERS:
+        raise ConfigError(f"{command} is limited to covering sets of at most "
+                          f"{MAX_MATRIX_MEMBERS} members; this one has more")
+    return family.covering_set(config.bound)
 
 
 def cmd_matrix(config):
-    m = meet_matrix(_covering(config), config.fn)
+    m = meet_matrix(_matrix_covering(config, "matrix"), config.fn)
     fmt = config.fmt or "json"
     if fmt == "csv":
         _emit(matrix_to_csv(m), config.out)
@@ -222,7 +234,7 @@ def cmd_check(config):
 
 def cmd_decompose(config):
     f = config.fn
-    cover = _covering(config)
+    cover = _matrix_covering(config, "decompose")
     dec = kron_decompose_d(cover.factor_subsets or [cover], f)
     rebuilt = reconstruct(dec)
     direct = meet_matrix(cover, f)

@@ -2,14 +2,16 @@
 
 The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x.
-``mobius`` builds them per member as integer rows by Rota's recursion,
-and ``inverted_values`` sums f against those rows (over a product subset,
-against products of the factor rows) on ints over one common
-denominator, with one Fraction built per value.
+``mobius`` builds them per member as integer rows by Rota's recursion.
+``inverted_values`` sums f against those rows in one streaming pass over
+the members; over a product subset it inverts one axis at a time against
+the factor rows (Rota's product rule, applied as in Yates' method), so a
+member costs the sum of its factor row lengths, not their product.
 """
 
+from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from .exact import rational_sum
@@ -51,19 +53,42 @@ def inverted_values(f, subset):
 
     These values are the diagonal of the E diag(d) E^T factorization of the
     meet matrix and the numbers the diagonal criterion inspects; this is
-    the one routine that computes them.  Over a product subset the Mobius
-    weight of (z, x) is the product of the factor weights mu_t(z_t, x_t)
-    (Rota's product rule), so only the factor subsets are ever inverted.
-    Each sum runs on ints over one common denominator
-    (``exact.rational_sum``), so one Fraction is built per value.  Every z
-    is at or before x in member order, so a consumer that stops early
-    never evaluates f beyond the element it stopped at.
+    the one routine that computes them.  A plain subset is a product with
+    one factor.  Over a product the Mobius weight of (z, x) is the product
+    of the factor weights mu_t(z_t, x_t) (Rota's product rule), so the
+    inversion runs one axis at a time (Yates; Bjorklund, Husfeldt, Kaski
+    and Koivisto, "Fourier meets Mobius", STOC 2007): layer 0 holds the f
+    values, and layer t + 1 at x sums the weights of factor t against
+    layer t at x with its t-th coordinate replaced by each z_t of the
+    factor row.  Those points come at or before x in the lexicographic
+    member order, at fixed offsets back from x, so the scan streams: f is
+    evaluated once per member, in member order, and a consumer that stops
+    early never evaluates f beyond the element it stopped at.  Only the
+    factor subsets are inverted.  The sums run on ints while every f value
+    so far is an integer; from the first fractional one on, each goes
+    through ``exact.rational_sum`` (one Fraction per sum).
     """
-    if subset.factor_subsets is None:
-        for x, (zs, ws) in zip(subset.members, mobius(subset)):
-            yield x, rational_sum(zip(map(f, zs), ws))
-        return
-    rows = {s: mobius(s) for s in dict.fromkeys(subset.factor_subsets)}
-    for x, combo in zip(subset.members, iter_product(*(rows[s] for s in subset.factor_subsets))):
-        zs, ws = zip(*combo)
-        yield x, rational_sum(zip(map(f, iter_product(*zs)), map(prod, iter_product(*ws))))
+    factors = subset.factor_subsets or (subset,)
+    rows = {s: mobius(s) for s in dict.fromkeys(factors)}
+    # per axis, per factor member: the offsets back from x of the points
+    # read from the layer below, and their Mobius weights
+    axes = []
+    stride = len(subset)
+    for s in factors:
+        stride //= len(s)
+        pos = s.index
+        axes.append([(tuple((pos(z) - i) * stride - 1 for z in zs), ws)
+                     for i, (zs, ws) in enumerate(rows[s])])
+    evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
+    layers = [[] for _ in axes]
+    integral = True
+    for x, row in zip(subset.members, iter_product(*axes)):
+        v = evaluate(x)
+        integral = integral and v.denominator == 1
+        if integral:
+            v = v.numerator
+        for layer, (offsets, ws) in zip(layers, row):
+            layer.append(v)
+            below = map(layer.__getitem__, offsets)
+            v = sum(map(mul, ws, below)) if integral else rational_sum(zip(below, ws))
+        yield x, Fraction(v) if integral else v

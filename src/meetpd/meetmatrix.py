@@ -31,8 +31,10 @@ class LatticeFunction:
 
     Arithmetic functions of d variables are LatticeFunctions on
     ``divisor_lattice(d)``, whose elements are integers at d = 1 and
-    d-tuples of integers above.  An argument is checked to be an element
-    of the lattice when it is first seen (ValueError otherwise).
+    d-tuples of integers above.  A call checks its argument to be an
+    element of the lattice when it is first seen (ValueError otherwise);
+    ``evaluate`` skips that check, for callers whose arguments are
+    already known elements.
     Evaluation is serialized per process (a plain dict memo under the
     GIL); values are immutable once computed.  Functions built through a
     float fallback carry exact=False: their float values are read as exact
@@ -56,13 +58,21 @@ class LatticeFunction:
             return memo[x]
         if not self.lattice.contains(x):
             raise ValueError(f"arguments must be elements of {self.lattice!r}, got {x!r}")
+        return self.evaluate(x)
+
+    def evaluate(self, x):
+        """f(x), memoized, for an x already known to be an element of the lattice."""
+        memo = self._memo
+        if x in memo:
+            return memo[x]
         try:
             v = self._fn(x)
         except MeetPDError:
             raise
         except Exception as exc:
             raise EvaluationError(f"{self.name} failed at {x!r}: {exc}") from exc
-        v = Fraction(v)
+        if type(v) is not Fraction:
+            v = Fraction(v)
         memo[x] = v
         return v
 
@@ -104,7 +114,7 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
         v = g(z)
         if not isinstance(v, (int, Fraction)):
             v = Fraction(v)
-        if certify_nonneg and v < 0:
+        if certify_nonneg and v.numerator < 0:
             raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
         return v, 1
 

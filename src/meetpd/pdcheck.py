@@ -172,7 +172,7 @@ def pd_criterion(f, family, bound):
         raise NoLeastElementError("family has no least element")
     s = family.covering_set(bound)
     for x, value in inverted_values(f, s):
-        if value < 0:
+        if value.numerator < 0:
             return PDVerdict(NEGATIVE, bound, ElementWitness(x, value))
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)
 

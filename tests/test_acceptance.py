@@ -265,3 +265,11 @@ def test_criterion_8_closure_and_monotonicity():
             s = family.covering_set(10)
             assert check_monotonicity(f, s).passed
             assert f((2, 3)) == expected
+
+
+def test_criterion_9_streaming_inversion_scale():
+    # the full scan at d = 3 (64,000 members) and d = 2 (40,000 members),
+    # covering sets and Mobius rows built cold on the first run
+    with budget("criterion 9: zeta_d grids at d=3 bound 40 and d=2 bound 200", 2.0):
+        assert pd_check_grid(builtin("zeta_d", d=3), 40).is_positive
+        assert pd_check_grid(builtin("zeta_d", d=2), 200).is_positive

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from meetpd import cli
 from meetpd.arith import builtin
 from meetpd.cli import main
 from meetpd.incidence import inverted_values
@@ -302,6 +303,34 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_matrix_refuses_a_covering_set_past_the_limit_before_building_it(capsys):
+    lattice = divisor_lattice(2)
+    for command in ("matrix", "decompose"):
+        code, out, err = run(capsys, command, "--d", "2", "--fn", "gcd_pow:1", "--m", "5000")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {command} is limited to covering sets of at most 1024 members; "
+                       "this one has more\n")
+    assert 5000 not in lattice._covers and 5000 not in lattice.factors[0]._covers
+
+
+def test_matrix_size_limit_counts_members(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "MAX_MATRIX_MEMBERS", 16)
+    assert run(capsys, "matrix", "--d", "2", "--fn", "gcd_pow:1", "--m", "4")[0] == 0
+    assert run(capsys, "decompose", "--d", "2", "--fn", "gcd_pow:1", "--m", "5")[0] == 2
+    assert run(capsys, "matrix", "--d", "5", "--fn", "gcd_pow:1", "--m", "1")[0] == 0
+    assert run(capsys, "matrix", "--d", "40", "--fn", "gcd_pow:1", "--m", "2")[0] == 2
+    # an explicit lattice counts its own elements; the bound plays no part
+    for n, expected in ((16, 0), (17, 2)):
+        chain, table = tmp_path / f"chain{n}.txt", tmp_path / f"t{n}.csv"
+        chain.write_text("".join(f"elem {i}\nedge {i} {i + 1}\n" for i in range(n - 1))
+                         + f"elem {n - 1}\n")
+        table.write_text("".join(f"{i},1\n" for i in range(n)))
+        argv = ("matrix", "--hasse", str(chain), "--fn", f"@{table}", "--m", "1")
+        assert run(capsys, *argv)[0] == expected
+    # check is linear in the members and has no limit
+    assert run(capsys, "check", "--family", "min", "--fn", "gcd_pow:1", "--m", "2000")[0] == 0
 
 
 # Runs in a fresh interpreter: imports meetpd.cli, records which of the

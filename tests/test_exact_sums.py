@@ -4,6 +4,7 @@ Each reference below adds one Fraction per term, the plain definition of
 the sum, and every comparison is exact equality of rationals.
 """
 
+import time
 from fractions import Fraction
 from math import prod
 
@@ -69,6 +70,42 @@ def test_inverted_values_equal_the_per_term_fraction_sum(grid):
     got = list(inverted_values(f, cover))
     assert got == reference_inverted_values(f, cover)
     assert all(type(v) is Fraction for _, v in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_inverted_values_switch_to_rational_sums_at_the_first_fraction(grid, data):
+    # integer values up to a random member, fractional from it on: the sums
+    # run on ints first and through rational_sum after the switch
+    family, cover, values = grid
+    cut = data.draw(st.integers(0, len(cover) - 1))
+    table = {}
+    for i, (x, v) in enumerate(values.items()):
+        if i < cut:
+            v = Fraction(round(v))
+        elif i == cut and v.denominator == 1:
+            v += Fraction(1, 2)
+        table[x] = v
+    f = table_function(family, table)
+    got = list(inverted_values(f, cover))
+    assert got == reference_inverted_values(f, cover)
+    assert all(type(v) is Fraction for _, v in got)
+
+
+def test_inverted_values_with_a_prime_denominator_at_every_member():
+    # no common denominator across the scan: each value keeps its own
+    family = min_lattice(2)
+    cover = family.covering_set(60)
+    primes = [p for p in range(2, 40000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+    table = {x: Fraction(1, p) for x, p in zip(cover.members, primes)}
+    f = table_function(family, table)
+    start = time.perf_counter()
+    got = dict(inverted_values(f, cover))
+    assert time.perf_counter() - start < 1.0
+    # MIN is a product of chains: the inverted value is a finite difference
+    tab = lambda i, j: table.get((i, j), 0)  # noqa: E731
+    assert got == {(i, j): tab(i, j) - tab(i - 1, j) - tab(i, j - 1) + tab(i - 1, j - 1)
+                   for i, j in cover.members}
 
 
 @settings(max_examples=150, deadline=None)

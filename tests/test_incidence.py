@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from math import prod
 
+import pytest
+
 from meetpd.incidence import inverted_values, mobius
 from meetpd.intfun import mobius_int
-from meetpd.meetmatrix import table_function
+from meetpd.meetmatrix import LatticeFunction, table_function
 from meetpd.posets import (
     MeetSemilattice,
     Poset,
@@ -312,14 +314,42 @@ def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
     monkeypatch.setattr(incidence, "mobius", lambda s: inverted.append(s) or real(s))
     rng = random.Random(41)
     # a meet closed factor that is not lower closed, so its Mobius
-    # function is not the ambient one
+    # function is not the ambient one, and an explicit meet semilattice
     left = meet_closure(subset(divisor_lattice(), [4, 6, 10]))
-    grid = product_subset([left, min_lattice().covering_set(3)])
-    f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5)) for x in grid.members})
+    diamond = MeetSemilattice(["0", "x", "y", "1"],
+                              [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+    grid = product_subset([left, min_lattice().covering_set(3), diamond.covering_set()])
+    f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                      for x in grid.members})
     got = list(inverted_values(f, grid))
-    assert inverted and all(s.factor_subsets is None for s in inverted)
+    assert len(inverted) == 3 and all(s.factor_subsets is None for s in inverted)
     mu = mu_pairs(grid)
     assert got == [
         (x, sum((f(z) * mu.get((z, x), 0) for z in grid.members if grid.leq(z, x)), Fraction(0)))
         for x in grid.members
     ]
+
+
+COUNTED_SUBSETS = {
+    "divisor_d3": lambda: divisor_lattice(3).covering_set(4),
+    "min_d2": lambda: min_lattice(2).covering_set(5),
+    "mixed": lambda: product_subset([meet_closure(subset(divisor_lattice(), [4, 6, 10])),
+                                     min_lattice().covering_set(3)]),
+    "poset": lambda: random_poset(random.Random(3), 9).covering_set(),
+}
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("name", sorted(COUNTED_SUBSETS))
+def test_inverted_values_evaluates_f_once_per_member_in_member_order(name, fractional):
+    s = COUNTED_SUBSETS[name]()
+    seen = []
+    f = LatticeFunction(s.lattice, lambda x: seen.append(x) or Fraction(len(seen), 1 + fractional))
+    values = inverted_values(f, s)
+    half = len(s) // 2
+    for _ in range(half):
+        next(values)
+    # a consumer that stops early leaves f unevaluated past where it stopped
+    assert seen == list(s.members[:half])
+    list(values)
+    assert seen == list(s.members)

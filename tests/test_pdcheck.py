@@ -223,6 +223,22 @@ def test_grid_check_stops_at_first_negative(d):
     assert (verdict.witness.element, verdict.witness.value) == (planted, -3)
 
 
+def test_criterion_checks_arguments_of_a_function_on_another_lattice():
+    # the family's members are not elements of f's lattice, so each call is checked
+    f = constant_function(divisor_lattice(), 1)
+    family = Poset(["a", "b"], [("a", "b")])
+    with pytest.raises(ValueError) as info:
+        pd_criterion(f, family, 1)
+    assert str(info.value) == "arguments must be elements of DivisorLattice(), got 'a'"
+
+
+def test_lattice_function_keeps_a_fraction_value_as_it_is():
+    q = Fraction(3, 7)
+    f = LatticeFunction(divisor_lattice(), lambda _n: q)
+    assert f(5) is q and f.evaluate(6) is q
+    assert type(LatticeFunction(divisor_lattice(), lambda n: n)(4)) is Fraction
+
+
 def test_criterion_requires_least():
     antichain = Poset(["a", "b"], [])
     f = LatticeFunction(antichain, lambda _x: Fraction(1))
