@@ -8,7 +8,6 @@ from .arith import (
     dirichlet_convolve_d,
     gcd_d,
     mu_star_mu,
-    pd_check_factored,
     pd_check_grid,
     ramanujan_C,
     table_to_csv,
@@ -17,7 +16,6 @@ from .arith import (
 from .errors import (
     ArityMismatchError,
     AmbientNotEnumerableError,
-    ComponentNotCertifiedError,
     CycleError,
     DimensionMismatchError,
     DuplicateElementError,
@@ -27,8 +25,6 @@ from .errors import (
     NegativeScalarError,
     NoLeastElementError,
     NotASemilatticeError,
-    NotDiagonalFormError,
-    NotLowerClosedError,
     NotMeetClosedError,
     NumericalFailureError,
     PosetMismatchError,
@@ -41,17 +37,14 @@ from .meetmatrix import (
     LatticeFunction,
     MeetMatrix,
     OrderMap,
-    RankCollapseResult,
     constant_function,
     decomposition_to_json,
     identity_function,
     kron_decompose_d,
-    ldl_lower_closed,
     matrix_to_csv,
     matrix_to_json,
     meet_composed_function,
     meet_matrix,
-    rank_collapse,
     reconstruct,
     summatory_function,
     table_function,
@@ -59,22 +52,16 @@ from .meetmatrix import (
 from .pdcheck import (
     NEGATIVE,
     POSITIVE,
-    CoveringReport,
     ElementWitness,
-    MonotonicityReport,
     OracleReport,
     PDVerdict,
     VectorWitness,
     add,
-    check_covering_equivalence,
-    check_monotonicity,
-    factorable_pd,
     inverted_table,
     pd_criterion,
     pointwise_mul,
     psd_oracle,
     scale,
-    separable_product,
 )
 from .posets import (
     DivisorLattice,

@@ -3,24 +3,21 @@
 An arithmetic function of d variables is a ``LatticeFunction`` on the
 cached ``divisor_lattice(d)``: its elements are positive integers at
 d = 1 and d-tuples of them above.  This module holds the componentwise
-GCD operator, d-variate Dirichlet convolution, the grid and factored
-positivity criteria (both read Mobius-inverted values from
-``incidence.inverted_values`` over the divisor lattice), and the named
-example functions exposed on the command line.
+GCD operator, d-variate Dirichlet convolution, the grid criterion (the
+diagonal criterion of ``pdcheck`` on the divisor grid {1..m}^d), and the
+named example functions exposed on the command line.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ArityMismatchError, UnknownBuiltinError
 from .exact import rational_sum
-from .incidence import inverted_values
 from .intfun import divisors, mobius_int
 from .meetmatrix import LatticeFunction, constant_function, meet_composed_function
-from .pdcheck import NEGATIVE, POSITIVE, ElementWitness, PDVerdict, pd_criterion
+from .pdcheck import pd_criterion
 from .posets import divisor_lattice
 
 
@@ -86,98 +83,6 @@ def pd_check_grid(f, bound):
     if bound < 1:
         raise ValueError("bound must be at least 1")
     return pd_criterion(f, divisor_lattice(f.lattice.arity), bound)
-
-
-class FactoredCheck(namedtuple("FactoredCheck", "verdict sign_classes index_set tables")):
-    __slots__ = ()
-
-
-def pd_check_factored(components, bound):
-    """Separable criterion for f = g_1 (x) ... (x) g_d on {1..bound}^d.
-
-    Each component's Mobius-inverted table on [1..bound] is classified as
-    nonnegative, nonpositive, mixed, or identically zero.  The product is
-    positive definite on the grid iff no component is sign-mixed and the
-    strictly-nonpositive components pair up evenly; an identically zero
-    component makes the whole product vanish on the grid.  Zero components
-    are kept out of the index set except when one is needed to pad its
-    cardinality to even.
-    """
-    gs = list(components)
-    if not gs:
-        raise ValueError("need at least one component")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    cover = divisor_lattice().covering_set(bound)
-    tables = []
-    classes = []
-    for g in gs:
-        if g.lattice.arity != 1:
-            raise ArityMismatchError(f"components must be univariate, got arity {g.lattice.arity}")
-        tab = tuple(v for _, v in inverted_values(g, cover))
-        tables.append(tab)
-        has_pos = any(v > 0 for v in tab)
-        has_neg = any(v < 0 for v in tab)
-        if has_pos and has_neg:
-            classes.append("mixed")
-        elif has_neg:
-            classes.append("nonpositive")
-        elif has_pos:
-            classes.append("nonnegative")
-        else:
-            classes.append("zero")
-
-    nonpos = [i for i, c in enumerate(classes) if c == "nonpositive"]
-    zeros = [i for i, c in enumerate(classes) if c == "zero"]
-    mixed = [i for i, c in enumerate(classes) if c == "mixed"]
-    positive = bool(zeros) or (not mixed and len(nonpos) % 2 == 0)
-
-    index_set = list(nonpos)
-    if positive and len(index_set) % 2 == 1 and zeros:
-        index_set.append(zeros[0])
-    index_set.sort()
-
-    if positive:
-        verdict = PDVerdict(POSITIVE, bound, None)
-    else:
-        point, value = _factored_witness(classes, tables, mixed)
-        elem = point if len(gs) > 1 else point[0]
-        verdict = PDVerdict(NEGATIVE, bound, ElementWitness(elem, value))
-    return FactoredCheck(verdict, tuple(classes), tuple(index_set), tuple(tables))
-
-
-def _factored_witness(classes, tables, mixed):
-    # pick one coordinate per component so the product of inverted values
-    # is strictly negative; a mixed component supplies the adjustable sign
-    flip = mixed[0] if mixed else None
-    choice = [None] * len(classes)
-    sign = 1
-    for i, (cls, tab) in enumerate(zip(classes, tables)):
-        if i == flip:
-            continue
-        if cls == "nonpositive":
-            j = next(j for j, v in enumerate(tab) if v < 0)
-            sign = -sign
-        elif cls == "mixed":
-            j = next(j for j, v in enumerate(tab) if v != 0)
-            if tab[j] < 0:
-                sign = -sign
-        else:  # nonnegative; zero classes cannot occur on this path
-            j = next(j for j, v in enumerate(tab) if v > 0)
-        choice[i] = j
-    if flip is not None:
-        want_negative = sign > 0
-        tab = tables[flip]
-        j = next(
-            j for j, v in enumerate(tab)
-            if (v < 0 if want_negative else v > 0)
-        )
-        choice[flip] = j
-    value = Fraction(1)
-    for i, j in enumerate(choice):
-        value *= tables[i][j]
-    assert value < 0
-    return tuple(j + 1 for j in choice), value
 
 
 def _power_value(base, alpha):
@@ -252,8 +157,6 @@ def to_lattice_function(f, lattice=None):
     Otherwise f is moved onto the lattice, which should have the same
     elements (for example the MIN lattice of the same arity): the moved
     function calls f, so an element f does not know fails to evaluate.
-    The moved function has no collapse marker (composed_from): f is g of
-    the meet in f's own lattice, which is not the meet of the new one.
     """
     if lattice is None or lattice == f.lattice:
         return f

@@ -39,7 +39,7 @@ class ConfigError(Exception):
     pass
 
 
-class RunConfig(namedtuple("RunConfig", "family family_name d fn bound fmt out")):
+class RunConfig(namedtuple("RunConfig", "family d fn bound fmt out")):
     """One resolved command line; fn is a LatticeFunction on family, or None."""
 
     __slots__ = ()
@@ -61,13 +61,17 @@ def build_parser():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--family", choices=["divisor", "min"], default=None)
         p.add_argument("--d", type=int, default=None, help="arity of the family")
-        p.add_argument("--fn", default=None,
-                       help="builtin name[:param], or @file.csv / @file.json value table")
+        if name != "grid":
+            p.add_argument("--fn", default=None,
+                           help="builtin name[:param], or @file.csv / @file.json value table")
         p.add_argument("--m", type=int, required=(name != "grid"), default=None,
                        help="covering bound")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
+        if name in ("matrix", "decompose"):
+            p.add_argument("--format", dest="fmt", choices=["json", "csv"], default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--hasse", default=None, help="explicit lattice description file")
+        if name != "grid":
+            p.add_argument("--hasse", default=None, help="explicit lattice description file")
+        p.set_defaults(fn=None, fmt=None, hasse=None)
     return parser
 
 
@@ -146,7 +150,7 @@ def _resolve_function(spec, d, text_ids):
     if param:
         try:
             alpha = Fraction(param)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad parameter {param!r} in --fn")
     try:
         fn = builtin(name, alpha=alpha, d=d if d is not None else (2 if name == "ramanujan_C" else 1))
@@ -163,13 +167,11 @@ def _resolve_config(args, need_fn=True):
         raise ConfigError("--m must be at least 1")
 
     family = None
-    family_name = args.family or "divisor"
     if args.hasse is not None:
         try:
             family = load_hasse(args.hasse)
         except (OSError, ValueError, MeetPDError) as exc:
             raise ConfigError(f"cannot load {args.hasse}: {exc}")
-        family_name = "hasse"
 
     text_ids = isinstance(family, Poset)
     fn, d = _resolve_function(args.fn, args.d, text_ids) if need_fn else (None, args.d)
@@ -178,15 +180,12 @@ def _resolve_config(args, need_fn=True):
         raise ConfigError("--d must be at least 1")
 
     if family is None:
-        if family_name == "divisor":
-            family = divisor_lattice(d)
-        else:
-            family = min_lattice(d)
+        family = min_lattice(d) if args.family == "min" else divisor_lattice(d)
     if isinstance(fn, dict):
         fn = table_function(family, fn, name=args.fn)
     elif fn is not None:
         fn = to_lattice_function(fn, family)
-    return RunConfig(family, family_name, d, fn, bound, args.fmt, args.out)
+    return RunConfig(family, d, fn, bound, args.fmt, args.out)
 
 
 def _emit(text, out):
@@ -228,7 +227,7 @@ def cmd_check(config):
     verdict = pd_criterion(config.fn, config.family, config.bound)
     doc = {"schema": 1}
     doc.update(verdict.to_json())
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _emit(json.dumps(doc, indent=2) + "\n", config.out)
     return 0 if verdict.is_positive else 1
 
 
@@ -253,8 +252,6 @@ def cmd_decompose(config):
 
 
 def cmd_grid(config):
-    if config.family_name not in ("divisor", "min"):
-        raise ConfigError("grid needs --family divisor or min")
     if config.d != 2:
         raise ConfigError("grid data is two-dimensional; use --d 2")
     bound = config.bound or 10

@@ -29,10 +29,6 @@ class NotMeetClosedError(MeetPDError):
     """The subset is not closed under pairwise meets."""
 
 
-class NotLowerClosedError(MeetPDError):
-    """The subset does not contain the full lower set of each member."""
-
-
 class NoLeastElementError(MeetPDError):
     """The domain has no least element."""
 
@@ -55,14 +51,6 @@ class NumericalFailureError(MeetPDError):
 
 class NegativeScalarError(MeetPDError):
     """Scaling a positive definite function needs a nonnegative scalar."""
-
-
-class ComponentNotCertifiedError(MeetPDError):
-    """A component function lacks a positive definiteness certificate."""
-
-
-class NotDiagonalFormError(MeetPDError):
-    """The function is not given as g composed with the coordinatewise meet."""
 
 
 class ArityMismatchError(MeetPDError):

@@ -1,11 +1,15 @@
 """Meet matrices over ordered subsets and their congruence decompositions.
 
 The matrix of a subset S under f has entries f(x_i meet x_j).  Over a
-lower closed subset it factors as E diag(d) E^T with E the 0/1 order
-indicator and d the Mobius-inverted values of f; over a Cartesian product
-of meet closed subsets the indicator factors combine as a Kronecker
-product that is never materialized.  Both diagonals come from
-``incidence.inverted_values``, the routine behind the diagonal criterion.
+meet closed subset it factors as E diag(d) E^T with E the 0/1 order
+indicator and d the values of f inverted with S's own Mobius function
+(Haukkanen, 1996); a lower closed subset is the special case in which d
+holds the ambient Mobius-inverted values.  Over a Cartesian product of
+meet closed subsets the indicator factors combine as a Kronecker product
+that is never materialized.  One routine, ``kron_decompose_d``, covers
+both, a single subset being a product with one factor; its diagonal
+comes from ``incidence.inverted_values``, the routine behind the diagonal
+criterion.
 """
 
 from fractions import Fraction
@@ -17,8 +21,6 @@ from .errors import (
     EvaluationError,
     InexactFunctionError,
     MeetPDError,
-    NotDiagonalFormError,
-    NotLowerClosedError,
     NotMeetClosedError,
 )
 from .exact import Inertia, rational_sum
@@ -38,18 +40,15 @@ class LatticeFunction:
     Evaluation is serialized per process (a plain dict memo under the
     GIL); values are immutable once computed.  Functions built through a
     float fallback carry exact=False: their float values are read as exact
-    rationals, and exact decompositions refuse them.  composed_from holds
-    g when the function was built as g(meet of coordinates).
+    rationals, and exact decompositions refuse them.
     """
 
-    def __init__(self, lattice, fn, name=None, exact=True, certificate=False,
-                 composed_from=None):
+    def __init__(self, lattice, fn, name=None, exact=True, certificate=False):
         self.lattice = lattice
         self._fn = fn
         self.name = name or getattr(fn, "__name__", "f")
         self.exact = exact
         self.certificate = certificate
-        self.composed_from = composed_from
         self._memo = {}
 
     def __call__(self, x):
@@ -129,15 +128,14 @@ def meet_composed_function(g, d, name=None):
     """f(x_1, ..., x_d) = g(x_1 meet ... meet x_d) on the d-fold product.
 
     g must be a LatticeFunction on the base lattice; the composed function
-    lives on the cached ``lattice_power(base, d)`` and remembers g so the
-    rank collapse can recover the small block.
+    lives on the cached ``lattice_power(base, d)``.
     """
     base = g.lattice
     meet = base.meet
     fn = g if d == 1 else (lambda x: g(reduce(meet, x)))
     return LatticeFunction(lattice_power(base, d), fn,
                            name=name or (g.name if d == 1 else f"{g.name}(meet)"),
-                           exact=g.exact, composed_from=g)
+                           exact=g.exact)
 
 
 class MeetMatrix:
@@ -263,19 +261,6 @@ def _check_arity(f, d):
         raise DimensionMismatchError(f"function arity {arity} does not match {d} subset factors")
 
 
-def ldl_lower_closed(subset, f):
-    """Single-factor decomposition over a lower closed subset.
-
-    E is the order indicator and the diagonal holds the Mobius-inverted
-    values of f, summed over each member's lower set.
-    """
-    if not subset.lower_closed:
-        raise NotLowerClosedError("subset is not lower closed in its lattice")
-    _require_exact(f)
-    diag = [v for _, v in inverted_values(f, subset)]
-    return Decomposition((subset,), (_indicator(subset),), diag, subset, OrderMap((len(subset),)))
-
-
 def kron_decompose_d(subsets, f):
     """d-factor decomposition over meet closed subsets, in lexicographic order.
 
@@ -327,79 +312,6 @@ def reconstruct(dec):
         for j in range(i + 1, nn):
             rows[j][i] = rows[i][j]
     return MeetMatrix(dec.subset, rows)
-
-
-class RankCollapseResult:
-    """Outcome of collapsing a grid meet matrix of g(meet of coordinates).
-
-    Every row of the big matrix equals the row of the diagonal element
-    indexed by the coordinatewise meet, so the matrix has at most |S|
-    distinct rows: positive semidefiniteness is decided by the principal
-    block on the diagonal index set, which is the meet matrix of g over
-    the base subset.
-    """
-
-    def __init__(self, base, submatrix, diagonal_indices, row_representative, verified):
-        self.base = base
-        self.submatrix = submatrix
-        self.diagonal_indices = tuple(diagonal_indices)
-        self.row_representative = tuple(row_representative)
-        self.verified = verified
-
-    def __repr__(self):
-        return f"RankCollapseResult(base {len(self.base)}, grid {len(self.row_representative)})"
-
-
-def rank_collapse(grid, f, verify=True):
-    """Collapse the meet matrix of a power grid S^d under a composed f.
-
-    The grid must be a product of d copies of one meet closed subset and
-    f must have been built as g(meet of coordinates); otherwise
-    NotDiagonalFormError is raised.  The verdict on the full matrix equals
-    the verdict on the returned principal block.
-    """
-    subs = grid.factor_subsets
-    if subs is None:
-        subs = (grid,)
-    base = subs[0]
-    for s in subs[1:]:
-        if s.members != base.members or not (s.lattice == base.lattice):
-            raise ValueError("grid must be a power of a single subset")
-    if not base.meet_closed:
-        raise NotMeetClosedError("base subset is not meet closed")
-    g = f.composed_from
-    if g is None:
-        raise NotDiagonalFormError("function is not of the form g(meet of coordinates)")
-    d = len(subs)
-    meet = base.lattice.meet
-    reps = []
-    for x in grid.members:
-        if d == 1:
-            m = x
-        else:
-            m = x[0]
-            for c in x[1:]:
-                m = meet(m, c)
-        if m not in base:
-            raise NotMeetClosedError(f"coordinatewise meet {m!r} escapes the base subset")
-        reps.append(base.index(m))
-    nb = len(base)
-    om = OrderMap((nb,) * d)
-    diag_idx = [om.flat((r,) * d) for r in range(nb)]
-    row_rep = [diag_idx[r] for r in reps]
-    submatrix = meet_matrix(base, g)
-    verified = False
-    if verify and len(grid) ** 2 <= 20000:
-        big = meet_matrix(grid, f)
-        for i in range(len(grid)):
-            if big.rows[i] != big.rows[row_rep[i]]:
-                raise NotDiagonalFormError("rows do not collapse; f is not g(meet of coordinates)")
-        for r in range(nb):
-            for q in range(nb):
-                if big.rows[diag_idx[r]][diag_idx[q]] != submatrix.rows[r][q]:
-                    raise NotDiagonalFormError("principal block does not match the base matrix")
-        verified = True
-    return RankCollapseResult(base, submatrix, diag_idx, row_rep, verified)
 
 
 def _jsonable(x):

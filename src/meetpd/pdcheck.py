@@ -1,16 +1,20 @@
-"""Positive definiteness verdicts for lattice functions.
+"""Positive definiteness verdicts for lattice functions, by two routes.
 
-The diagonal criterion reads the Mobius-inverted values of the function
-over a lower closed covering set from ``incidence.inverted_values`` (the
-same values that form the diagonal of the meet matrix decomposition) and
-stops at the first negative one.  The oracle route decides matrices up
-to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) by the exact
+The two routes are independent, and the tests cross-check one against
+the other; nothing else here produces a verdict.  The diagonal criterion
+reads the Mobius-inverted values of the function over a lower closed
+covering set from ``incidence.inverted_values`` (the same values that
+form the diagonal of the meet matrix decomposition) and stops at the
+first negative one.  The oracle route decides matrices up to
+EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) by the exact
 fraction-free elimination of ``exact.symmetric_elimination``, with no
 tolerance and no float work; only larger matrices are converted to
 floats and bounded by their smallest eigenvalue.  NumPy is imported on
 that float path alone, so importing meetpd does not load it.  A positive
 verdict is always relative to the tested covering bound; negative
-verdicts carry a reproducible witness.
+verdicts carry a reproducible witness.  The closure combinators
+(``scale``, ``add``, ``pointwise_mul``) build functions that stay
+positive definite when their operands are.
 """
 
 from collections import namedtuple
@@ -18,8 +22,6 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import (
-    ComponentNotCertifiedError,
-    MeetPDError,
     NegativeScalarError,
     NoLeastElementError,
     NumericalFailureError,
@@ -27,8 +29,7 @@ from .errors import (
 )
 from .exact import quadratic_form, symmetric_elimination
 from .incidence import inverted_values
-from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable, meet_matrix
-from .posets import ProductLattice, product_subset
+from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable
 
 POSITIVE = "positive_definite_on_tested_covering"
 NEGATIVE = "not_positive_definite"
@@ -177,68 +178,6 @@ def pd_criterion(f, family, bound):
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)
 
 
-class CoveringComparison(namedtuple("CoveringComparison", "bound criterion_positive oracle_psd")):
-    __slots__ = ()
-
-    @property
-    def agree(self):
-        return self.criterion_positive == self.oracle_psd
-
-
-class CoveringReport(namedtuple("CoveringReport", "comparisons")):
-    __slots__ = ()
-
-    @property
-    def all_agree(self):
-        return all(c.agree for c in self.comparisons)
-
-
-def check_covering_equivalence(f, family, bound, tol=DEFAULT_TOL):
-    """Run the diagonal criterion and the eigenvalue oracle side by side.
-
-    Both are evaluated on every covering set up to the bound; any
-    disagreement is reported as-is, never resolved.
-    """
-    if family is None:
-        family = f.lattice
-    comparisons = []
-    for m in range(1, bound + 1):
-        verdict = pd_criterion(f, family, m)
-        report = psd_oracle(meet_matrix(family.covering_set(m), f), tol)
-        comparisons.append(CoveringComparison(m, verdict.is_positive, report.is_psd))
-    return CoveringReport(tuple(comparisons))
-
-
-class MonotonicityReport(namedtuple("MonotonicityReport", "negative_values order_violations")):
-    __slots__ = ()
-
-    @property
-    def passed(self):
-        return not self.negative_values and not self.order_violations
-
-
-def check_monotonicity(f, subset):
-    """Nonnegativity and order-monotonicity of f on a subset.
-
-    Failure of either implies the function is not positive definite (a
-    2x2 principal minor goes negative), so this is a cheap necessary
-    check; for certified functions it must pass.
-    """
-    negative = []
-    violations = []
-    ms = subset.members
-    values = [f(x) for x in ms]
-    for x, v in zip(ms, values):
-        if v < 0:
-            negative.append((x, v))
-    for i, x in enumerate(ms):
-        for j in range(i + 1, len(ms)):
-            y = ms[j]
-            if subset.leq(x, y) and values[i] > values[j]:
-                violations.append((x, y, values[i], values[j]))
-    return MonotonicityReport(tuple(negative), tuple(violations))
-
-
 def _same_lattice(f, g):
     if not (f.lattice is g.lattice or f.lattice == g.lattice):
         raise PosetMismatchError("functions live on different lattices")
@@ -273,47 +212,3 @@ def pointwise_mul(f, g):
         f.lattice, lambda x: f(x) * g(x),
         name=f"{f.name}*{g.name}", certificate=f.certificate and g.certificate,
     )
-
-
-def separable_product(g, h):
-    """F(u, v) = g(u) h(v) on the product of the component lattices."""
-    lat = ProductLattice((g.lattice, h.lattice))
-    return LatticeFunction(
-        lat, lambda xy: g(xy[0]) * h(xy[1]),
-        name=f"{g.name}(x){h.name}",
-        certificate=g.certificate and h.certificate,
-    )
-
-
-def factorable_pd(g, h, bound, family_g=None, family_h=None):
-    """Certificate for F(u, v) = g(u) h(v) from certified components.
-
-    Both components must pass the diagonal criterion on their coverings at
-    the bound (ComponentNotCertifiedError otherwise).  The identity
-    (S x T)_F = (S)_g kron (T)_h is then validated entry by entry on the
-    tested covering sets, and the product verdict is positive because a
-    Kronecker product of positive semidefinite matrices is positive
-    semidefinite.
-    """
-    gv = pd_criterion(g, family_g, bound)
-    if not gv.is_positive:
-        raise ComponentNotCertifiedError(f"left component fails: witness {gv.witness}")
-    hv = pd_criterion(h, family_h, bound)
-    if not hv.is_positive:
-        raise ComponentNotCertifiedError(f"right component fails: witness {hv.witness}")
-    fam_g = family_g if family_g is not None else g.lattice
-    fam_h = family_h if family_h is not None else h.lattice
-    s = fam_g.covering_set(bound)
-    t = fam_h.covering_set(bound)
-    func = separable_product(g, h)
-    mg = meet_matrix(s, g)
-    mh = meet_matrix(t, h)
-    mf = meet_matrix(product_subset([s, t]), func)
-    nt = len(t)
-    for i in range(len(s)):
-        for j in range(nt):
-            for k in range(len(s)):
-                for l in range(nt):
-                    if mf.rows[i * nt + j][k * nt + l] != mg.rows[i][k] * mh.rows[j][l]:
-                        raise MeetPDError("kronecker identity violated on the tested subsets")
-    return PDVerdict(POSITIVE, bound, None, certificate=gv.certificate and hv.certificate)

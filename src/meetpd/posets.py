@@ -343,22 +343,26 @@ class ElementSubset:
 
     Members are kept in a stable linear extension of the lattice order:
     if x_i is below x_j then i <= j, and incomparable members keep their
-    input order.  Subsets are immutable once built.
+    input order.  Subsets are immutable once built.  With _presorted the
+    caller vouches that the members are distinct elements of the lattice,
+    already in such an order, and none of this is checked.
     """
 
     def __init__(self, lattice, members, _presorted=False, factor_subsets=None):
         xs = list(members)
         if not xs:
             raise ValueError("subset must be nonempty")
-        seen = set()
-        for x in xs:
-            if x in seen:
-                raise DuplicateElementError(f"duplicate member {x!r}")
-            seen.add(x)
-            if not lattice.contains(x):
-                raise ValueError(f"{x!r} is not an element of the lattice")
+        if not _presorted:
+            seen = set()
+            for x in xs:
+                if x in seen:
+                    raise DuplicateElementError(f"duplicate member {x!r}")
+                seen.add(x)
+                if not lattice.contains(x):
+                    raise ValueError(f"{x!r} is not an element of the lattice")
+            xs = linear_extension(lattice, xs)
         self.lattice = lattice
-        self.members = tuple(xs if _presorted else linear_extension(lattice, xs))
+        self.members = tuple(xs)
         self.factor_subsets = factor_subsets
         self._pos = {x: i for i, x in enumerate(self.members)}
 

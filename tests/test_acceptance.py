@@ -16,7 +16,6 @@ from meetpd.arith import (
     builtin,
     dirichlet_convolve_d,
     mu_star_mu,
-    pd_check_factored,
     pd_check_grid,
 )
 from meetpd.cli import main as cli_main
@@ -28,14 +27,12 @@ from meetpd.meetmatrix import (
     kron_decompose_d,
     meet_composed_function,
     meet_matrix,
-    rank_collapse,
     reconstruct,
     summatory_function,
     table_function,
 )
 from meetpd.pdcheck import (
     add,
-    check_monotonicity,
     inverted_table,
     pd_criterion,
     pointwise_mul,
@@ -102,10 +99,14 @@ def test_criterion_2_gcd_positive_definiteness():
             grid = product_subset([s, s])
             big = meet_matrix(grid, f)
             assert symmetric_elimination(big.rows).is_psd
-            result = rank_collapse(grid, f)
+            # rank collapse: the row of (a, b) is the row of (gcd, gcd), and
+            # the block on the diagonal elements is the gcd matrix of {1..m}
+            for i, (a, b) in enumerate(grid.members):
+                assert big.rows[i] == big.rows[grid.index((math.gcd(a, b),) * 2)]
+            diag = [grid.index((x, x)) for x in s]
             expected = [[Fraction(math.gcd(i, j)) for j in range(1, m + 1)]
                         for i in range(1, m + 1)]
-            assert [list(r) for r in result.submatrix.rows] == expected
+            assert [[big.rows[i][j] for j in diag] for i in diag] == expected
 
 
 def test_criterion_3_ramanujan_not_positive_definite(capsys):
@@ -234,9 +235,12 @@ def test_criterion_7_separable_criterion():
             g2 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[1]: t[n], name="g2")
             product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]),
                                       name="g1xg2")
-            factored = pd_check_factored([g1, g2], 12)
+            # the separable rule: positive iff every product of the
+            # components' inverted values is nonnegative
+            inv1, inv2 = ([dirichlet_convolve_d(g, mu1, n) for n in range(1, 13)]
+                          for g in (g1, g2))
             grid = pd_check_grid(product, 12)
-            assert factored.verdict.is_positive == grid.is_positive
+            assert grid.is_positive == all(a * b >= 0 for a in inv1 for b in inv2)
             for i in range(1, 13):
                 for j in range(1, 13):
                     lhs = dirichlet_convolve_d(product, mu2, (i, j))
@@ -263,7 +267,10 @@ def test_criterion_8_closure_and_monotonicity():
         for family, expected in ((divisor_lattice(2), 4), (min_lattice(2), 6)):
             f = summatory_function(family, lambda _z: 1)
             s = family.covering_set(10)
-            assert check_monotonicity(f, s).passed
+            # nonnegative and order-monotone, as every positive definite f is
+            for i, x in enumerate(s.members):
+                assert f(x) >= 0
+                assert all(f(x) <= f(y) for y in s.members[i:] if s.leq(x, y))
             assert f((2, 3)) == expected
 
 

@@ -12,15 +12,14 @@ from meetpd.arith import (
     dirichlet_convolve_d,
     gcd_d,
     mu_star_mu,
-    pd_check_factored,
     pd_check_grid,
     ramanujan_C,
     table_to_csv,
     to_lattice_function,
 )
-from meetpd.errors import ArityMismatchError, NotDiagonalFormError, UnknownBuiltinError
+from meetpd.errors import ArityMismatchError, UnknownBuiltinError
 from meetpd.intfun import divisors, mobius_int
-from meetpd.meetmatrix import LatticeFunction, meet_matrix, rank_collapse
+from meetpd.meetmatrix import LatticeFunction, meet_matrix
 from meetpd.pdcheck import pd_criterion, psd_oracle
 from meetpd.posets import divisor_lattice, min_lattice, product_subset
 
@@ -201,118 +200,103 @@ def test_reciprocal_lcm_is_not_positive_definite_and_paths_agree():
     assert not psd_oracle(meet_matrix(fam.covering_set(2), lat)).is_psd
 
 
+def _rows_collapse(grid, f, g):
+    """Whether the meet matrix of f on S x S collapses onto the one of g on S.
+
+    The rank collapse for f = g(meet of coordinates): the row of (a, b) is
+    the row of the diagonal element (a meet b, a meet b), and the principal
+    block on the diagonal elements is the meet matrix of g over S.
+    """
+    s = grid.factor_subsets[0]
+    meet = s.lattice.meet
+    rows = meet_matrix(grid, f).rows
+    diag = [grid.index((x, x)) for x in s]
+    return (all(rows[i] == rows[grid.index((meet(a, b),) * 2)]
+                for i, (a, b) in enumerate(grid.members))
+            and [[rows[i][j] for j in diag] for i in diag]
+            == [list(r) for r in meet_matrix(s, g).rows])
+
+
 def test_rank_collapse_verdict_matches_full_oracle_for_reciprocal_base():
     # g(n) = 1/n composed with the coordinatewise gcd: the collapsed block
     # and the full grid matrix must agree on (non) positive semidefiniteness
-    g = builtin("gcd_pow", alpha=-1, d=2)
-    lat = to_lattice_function(g)
+    g = builtin("gcd_pow", alpha=-1, d=1)
+    lat = to_lattice_function(builtin("gcd_pow", alpha=-1, d=2))
     s = divisor_lattice().covering_set(4)
     grid = product_subset([s, s])
-    result = rank_collapse(grid, lat)
-    small = psd_oracle(result.submatrix)
+    assert _rows_collapse(grid, lat, g)
+    small = psd_oracle(meet_matrix(s, g))
     big = psd_oracle(meet_matrix(grid, lat))
     assert small.is_psd == big.is_psd
     assert not big.is_psd
 
 
 def test_rank_collapse_verdict_matches_full_oracle_for_gcd():
-    g = builtin("gcd_pow", alpha=1, d=2)
-    lat = to_lattice_function(g)
+    g = builtin("gcd_pow", alpha=1, d=1)
+    lat = to_lattice_function(builtin("gcd_pow", alpha=1, d=2))
     s = divisor_lattice().covering_set(4)
     grid = product_subset([s, s])
-    result = rank_collapse(grid, lat)
-    assert psd_oracle(result.submatrix).is_psd
+    assert _rows_collapse(grid, lat, g)
+    assert psd_oracle(meet_matrix(s, g)).is_psd
     assert psd_oracle(meet_matrix(grid, lat)).is_psd
 
 
 @pytest.mark.parametrize("bound", [3, 12])
 def test_rank_collapse_refuses_a_function_moved_to_the_min_lattice(bound):
-    # moved onto MIN, gcd_pow is still n^1 of the gcd, not of the min, so it
-    # has no collapsed block; at bound 12 the grid is too large to verify
+    # moved onto MIN, gcd_pow is still n^1 of the gcd, not of the min, so its
+    # rows do not collapse onto the diagonal and no small block decides it
     f = to_lattice_function(builtin("gcd_pow", 1, d=2), min_lattice(2))
-    assert f.composed_from is None
     assert not pd_criterion(f, None, bound).is_positive
-    with pytest.raises(NotDiagonalFormError):
-        rank_collapse(min_lattice(2).covering_set(bound), f)
+    assert not _rows_collapse(min_lattice(2).covering_set(bound), f, builtin("gcd_pow", 1))
 
 
-def test_factored_check_zeta_component():
-    report = pd_check_factored([builtin("zeta_d", d=1)], 8)
-    assert report.verdict.is_positive
-    assert report.index_set == ()
-    assert report.sign_classes == ("nonnegative",)
+def _table_function(values, name):
+    return LatticeFunction(divisor_lattice(), lambda n: values.get(n, Fraction(0)), name=name)
 
 
-def test_factored_check_two_nonpositive_components():
-    # g = -(h * zeta) for nonnegative h has nonpositive inverted values;
-    # the pair makes an even index set, so the product is positive definite
+def _separable_cases():
+    """(g1, g2, bound, expected verdict or None) for the separable rule."""
+    zeta = builtin("zeta_d", d=1)
     rng = random.Random(3)
     hvals = {n: rng.randint(0, 4) + (1 if n == 1 else 0) for n in range(1, 13)}
-
-    def g_fn(n):
-        return Fraction(-sum(hvals[d] for d in divisors(n)))
-
-    g = LatticeFunction(divisor_lattice(), g_fn, name="neg_summatory")
-    report = pd_check_factored([g, g], 12)
-    assert report.sign_classes == ("nonpositive", "nonpositive")
-    assert report.index_set == (0, 1)
-    assert report.verdict.is_positive
-    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * g(pt[1]), name="gxg")
-    assert pd_check_grid(product, 12).is_positive
-
-
-def test_factored_check_mixed_component_negative():
-    values = {1: Fraction(1), 2: Fraction(3)}
-    g = LatticeFunction(divisor_lattice(), lambda n: values.get(n, Fraction(0)), name="mixed")
-    z = builtin("zeta_d", d=1)
-    report = pd_check_factored([g, z], 6)
-    assert "mixed" in report.sign_classes
-    assert not report.verdict.is_positive
-    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * z(pt[1]), name="gxz")
-    grid_verdict = pd_check_grid(product, 6)
-    assert not grid_verdict.is_positive
-    # the factored witness replays through the grid inversion
-    mu2 = builtin("mu_d", d=2)
-    w = report.verdict.witness
-    assert dirichlet_convolve_d(product, mu2, w.element) == w.value < 0
-
-
-def test_factored_check_odd_nonpositive_count_negative():
-    def g_fn(n):
-        return Fraction(-len(divisors(n)))
-
-    g = LatticeFunction(divisor_lattice(), g_fn, name="neg_tau")
-    report = pd_check_factored([g, builtin("zeta_d", d=1)], 8)
-    assert report.sign_classes[0] == "nonpositive"
-    assert not report.verdict.is_positive
-    product = LatticeFunction(divisor_lattice(2), lambda pt: g(pt[0]) * Fraction(1), name="gx1")
-    assert not pd_check_grid(product, 8).is_positive
-
-
-def test_factored_check_zero_component_positive():
-    zero = LatticeFunction(divisor_lattice(), lambda n: Fraction(0), name="zero")
-    mixed_vals = {1: Fraction(1), 2: Fraction(5)}
-    mixed = LatticeFunction(divisor_lattice(), lambda n: mixed_vals.get(n, Fraction(0)),
-                            name="mixed")
-    report = pd_check_factored([zero, mixed], 5)
-    assert report.sign_classes[0] == "zero"
-    assert report.verdict.is_positive
-    product = LatticeFunction(divisor_lattice(2), lambda pt: zero(pt[0]) * mixed(pt[1]), name="0xm")
-    assert pd_check_grid(product, 5).is_positive
-
-
-def test_factored_matches_grid_on_random_separable_functions():
+    # minus a summatory of a nonnegative h: every inverted value is <= 0
+    neg_summatory = _table_function(
+        {n: Fraction(-sum(hvals[d] for d in divisors(n))) for n in range(1, 13)}, "neg_summatory")
+    neg_tau = _table_function({n: Fraction(-len(divisors(n))) for n in range(1, 9)}, "neg_tau")
+    cases = {
+        "zeta_x_zeta": (zeta, zeta, 8, True),
+        "nonpositive_x_nonpositive": (neg_summatory, neg_summatory, 12, True),
+        "mixed_x_zeta": (_table_function({1: Fraction(1), 2: Fraction(3)}, "mixed"), zeta, 6,
+                         False),
+        "nonpositive_x_zeta": (neg_tau, zeta, 8, False),
+        "zero_x_mixed": (_table_function({}, "zero"),
+                         _table_function({1: Fraction(1), 2: Fraction(5)}, "mixed"), 5, True),
+    }
     rng = random.Random(51)
-    for _ in range(30):
-        tabs = []
-        for _ in range(2):
-            tabs.append({n: Fraction(rng.randint(-3, 5)) for n in range(1, 9)})
-        g1 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[0]: t[n], name="g1")
-        g2 = LatticeFunction(divisor_lattice(), lambda n, t=tabs[1]: t[n], name="g2")
-        product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
-        factored = pd_check_factored([g1, g2], 8)
-        grid = pd_check_grid(product, 8)
-        assert factored.verdict.is_positive == grid.is_positive
+    for k in range(30):
+        t1, t2 = ({n: Fraction(rng.randint(-3, 5)) for n in range(1, 9)} for _ in range(2))
+        cases[f"random{k:02d}"] = (_table_function(t1, "g1"), _table_function(t2, "g2"), 8, None)
+    return cases
+
+
+SEPARABLE_CASES = _separable_cases()
+
+
+@pytest.mark.parametrize("case", SEPARABLE_CASES)
+def test_separable_rule(case):
+    # Rota's product rule: the inverted values of g1 (x) g2 are the products
+    # a*b of the factors' inverted values, so the grid verdict is positive
+    # iff every such product is nonnegative
+    g1, g2, bound, expected = SEPARABLE_CASES[case]
+    mu1 = builtin("mu_d", d=1)
+    product = LatticeFunction(divisor_lattice(2), lambda pt: g1(pt[0]) * g2(pt[1]), name="sep")
+    inv1, inv2 = ([dirichlet_convolve_d(g, mu1, n) for n in range(1, bound + 1)] for g in (g1, g2))
+    verdict = pd_check_grid(product, bound)
+    assert verdict.is_positive == all(a * b >= 0 for a in inv1 for b in inv2)
+    assert expected in (None, verdict.is_positive)
+    if not verdict.is_positive:
+        w = verdict.witness
+        assert dirichlet_convolve_d(product, builtin("mu_d", d=2), w.element) == w.value < 0
 
 
 def test_separability_of_inversion():
@@ -360,8 +344,7 @@ def test_grid_check_matches_lattice_criterion():
 def test_builtin_gcd_pow_composed_evaluation():
     f = builtin("gcd_pow", alpha=1, d=2)
     assert f((4, 6)) == 2
-    assert f.composed_from is not None
-    assert f.composed_from(12) == 12
+    assert f((12, 12)) == 12
 
 
 def test_builtin_divisor_count():
@@ -372,7 +355,7 @@ def test_builtin_divisor_count():
 
 def test_builtin_meet_composed():
     base = builtin("gcd_pow", alpha=2, d=1)
-    f = builtin("meet_composed", g=base.composed_from, d=3)
+    f = builtin("meet_composed", g=base, d=3)
     assert f((4, 6, 10)) == 4  # gcd 2 squared
 
 

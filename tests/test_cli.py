@@ -116,6 +116,26 @@ def test_tol_flag_is_gone():
     assert info.value.code == 2
 
 
+def test_check_out_writes_the_bytes_stdout_had(capsys, tmp_path):
+    out = tmp_path / "v.json"
+    argv = ("check", "--fn", "ramanujan_C", "--m", "6")
+    code, stdout, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--out", str(out)) == (code, "", "")
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fn", "zeta_d", "--m", "3", "--format", "csv"],
+    ["grid", "--fn", "zeta_d"],
+    ["grid", "--hasse", "lattice.txt"],
+    ["grid", "--format", "json"],
+], ids=["check_format", "grid_fn", "grid_hasse", "grid_format"])
+def test_flags_a_command_never_reads_are_not_registered(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
 def test_decompose_bound_one(capsys):
     code, out, _ = run(capsys, "decompose", "--family", "divisor", "--d", "2",
                        "--fn", "lcm_pow:1", "--m", "1")
@@ -271,9 +291,9 @@ def test_hasse_family_declaration(capsys, tmp_path):
     assert code == 0
 
 
-# case: (file passed as --fn @file, its text; None writes no file); the two
-# cases without a file run matrix into a missing directory and decompose on
-# a float exponent
+# case: (file passed as --fn @file, its text; None writes no file); the
+# three cases without a file run matrix into a missing directory, decompose
+# on a float exponent and check on an exponent with a zero denominator
 HOSTILE_INPUTS = {
     "missing_table": ("t.csv", None),
     "cell_not_rational": ("t.csv", "1,1\n2,two\n"),
@@ -284,6 +304,7 @@ HOSTILE_INPUTS = {
     "mixed_row_lengths": ("t.csv", "1,1\n1,2,3\n"),
     "unwritable_out": (None, None),
     "decompose_float_exponent": (None, None),
+    "zero_denominator_exponent": (None, None),
 }
 
 
@@ -293,6 +314,8 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     command = "matrix"
     if case == "decompose_float_exponent":
         command, argv = "decompose", ["--fn", "gcd_pow:1/2"]
+    elif case == "zero_denominator_exponent":
+        command, argv = "check", ["--fn", "gcd_pow:1/0"]
     elif name is None:
         argv = ["--fn", "gcd_pow:1", "--out", str(tmp_path / "no_dir" / "m.json")]
     else:

@@ -7,8 +7,6 @@ import pytest
 from meetpd.errors import (
     DimensionMismatchError,
     EvaluationError,
-    NotDiagonalFormError,
-    NotLowerClosedError,
     NotMeetClosedError,
 )
 from meetpd.incidence import mobius
@@ -18,13 +16,11 @@ from meetpd.meetmatrix import (
     constant_function,
     identity_function,
     kron_decompose_d,
-    ldl_lower_closed,
     matrix_to_csv,
     matrix_to_json,
     decomposition_to_json,
     meet_composed_function,
     meet_matrix,
-    rank_collapse,
     reconstruct,
     summatory_function,
     table_function,
@@ -108,7 +104,7 @@ def test_meet_matrix_propagates_evaluation_error():
 def test_ldl_divisors_of_four_gives_totients():
     dl = divisor_lattice()
     s = lower_closure(subset(dl, [4]))
-    dec = ldl_lower_closed(s, identity_function(dl))
+    dec = kron_decompose_d([s], identity_function(dl))
     assert dec.diag == (1, 1, 2)
     assert dec.factors[0] == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
 
@@ -117,7 +113,7 @@ def test_ldl_singleton_bottom():
     dl = divisor_lattice()
     s = subset(dl, [1])
     f = LatticeFunction(dl, lambda x: Fraction(9))
-    dec = ldl_lower_closed(s, f)
+    dec = kron_decompose_d([s], f)
     assert dec.diag == (9,)
     assert dec.factors[0] == ((1,),)
 
@@ -125,15 +121,9 @@ def test_ldl_singleton_bottom():
 def test_ldl_constant_function():
     dl = divisor_lattice()
     s = lower_closure(subset(dl, [12]))
-    dec = ldl_lower_closed(s, constant_function(dl, 5))
+    dec = kron_decompose_d([s], constant_function(dl, 5))
     assert dec.diag[0] == 5
     assert all(v == 0 for v in dec.diag[1:])
-
-
-def test_ldl_rejects_non_lower_closed():
-    dl = divisor_lattice()
-    with pytest.raises(NotLowerClosedError):
-        ldl_lower_closed(subset(dl, [2, 4]), identity_function(dl))
 
 
 def test_ldl_reconstruction_random():
@@ -144,16 +134,23 @@ def test_ldl_reconstruction_random():
         s = lower_closure(subset(dl, seed))
         values = {x: Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for x in s.members}
         f = table_function(dl, values)
-        dec = ldl_lower_closed(s, f)
+        dec = kron_decompose_d([s], f)
         assert reconstruct(dec) == meet_matrix(s, f)
 
 
 def test_kron_reconstructs_lcm_grid():
+    # {2, 4} is meet closed but not lower closed: its own Mobius function
+    # gives the diagonal (Haukkanen, 1996)
     dl = divisor_lattice()
-    s = subset(dl, [1, 2])
-    dec = kron_decompose_d([s, s], lcm_function(2))
-    grid = product_subset([s, s])
-    assert reconstruct(dec) == meet_matrix(grid, lcm_function(2))
+    for members in ([1, 2], [2, 4]):
+        s = subset(dl, members)
+        dec = kron_decompose_d([s, s], lcm_function(2))
+        grid = product_subset([s, s])
+        assert reconstruct(dec) == meet_matrix(grid, lcm_function(2))
+    s = subset(dl, [2, 4])
+    one = kron_decompose_d([s], identity_function(dl))
+    assert one.diag == (2, 2)
+    assert reconstruct(one) == meet_matrix(s, identity_function(dl))
 
 
 def test_kron_singletons():
@@ -217,9 +214,10 @@ def test_kron_d_reduces_to_ldl_on_lower_closed():
     s = lower_closure(subset(dl, [12]))
     f = identity_function(dl)
     one = kron_decompose_d([s], f)
-    ldl = ldl_lower_closed(s, f)
-    assert one.diag == ldl.diag
-    assert one.factors == ldl.factors
+    # E diag(phi) E^T: the order indicator and the totients of 1, 2, 3, 4, 6, 12
+    assert s.members == (1, 2, 3, 4, 6, 12)
+    assert one.diag == (1, 1, 2, 2, 2, 4)
+    assert one.factors == (_indicator_of(s),)
 
 
 def test_kron_d_three_factor_reconstruction():
@@ -301,51 +299,57 @@ def test_zeta_factors_unit_lower_triangular():
 def test_reconstruct_singleton():
     dl = divisor_lattice()
     s = subset(dl, [1])
-    dec = ldl_lower_closed(s, constant_function(dl, 3))
+    dec = kron_decompose_d([s], constant_function(dl, 3))
     assert reconstruct(dec).rows == ((Fraction(3),),)
 
 
 def test_rank_collapse_identity_on_three_grid():
+    # the row of (a, b) is the row of (gcd, gcd), and the block on the
+    # diagonal elements is the gcd matrix of {1, 2, 3}
     dl = divisor_lattice()
     s = dl.covering_set(3)
-    g = identity_function(dl)
-    f = meet_composed_function(g, 2)
+    f = meet_composed_function(identity_function(dl), 2)
     grid = product_subset([s, s])
-    result = rank_collapse(grid, f)
-    assert result.verified
-    assert [[int(v) for v in row] for row in result.submatrix.rows] == [
+    big = meet_matrix(grid, f)
+    diag = [grid.index((x, x)) for x in s]
+    assert diag == [0, 4, 8]
+    assert [[int(big.rows[i][j]) for j in diag] for i in diag] == [
         [1, 1, 1],
         [1, 2, 1],
         [1, 1, 3],
     ]
-    assert result.diagonal_indices == (0, 4, 8)
-    big = meet_matrix(grid, f)
-    for i, rep in enumerate(result.row_representative):
-        assert big.rows[i] == big.rows[rep]
+    for i, (a, b) in enumerate(grid.members):
+        assert big.rows[i] == big.rows[grid.index((math.gcd(a, b),) * 2)]
 
 
 def test_rank_collapse_constant():
     dl = divisor_lattice()
     s = dl.covering_set(4)
     f = meet_composed_function(constant_function(dl, 2), 2)
-    result = rank_collapse(product_subset([s, s]), f)
-    assert result.verified
-    assert all(v == 2 for row in result.submatrix.rows for v in row)
+    big = meet_matrix(product_subset([s, s]), f)
+    assert all(v == 2 for row in big.rows for v in row)
 
 
 def test_rank_collapse_requires_composed_form():
+    # lcm is not g of the coordinatewise gcd: the row of (1, 2) is not the
+    # row of (1, 1)
     dl = divisor_lattice()
     s = dl.covering_set(2)
-    with pytest.raises(NotDiagonalFormError):
-        rank_collapse(product_subset([s, s]), lcm_function(2))
+    grid = product_subset([s, s])
+    big = meet_matrix(grid, lcm_function(2))
+    assert big.rows[grid.index((1, 2))] != big.rows[grid.index((1, 1))]
 
 
 def test_rank_collapse_requires_meet_closed_base():
+    # gcd(2, 3) = 1 escapes {2, 3}, and the row of (2, 3) is the row of
+    # no diagonal element
     dl = divisor_lattice()
     s = subset(dl, [2, 3])
     f = meet_composed_function(identity_function(dl), 2)
-    with pytest.raises(NotMeetClosedError):
-        rank_collapse(product_subset([s, s]), f)
+    grid = product_subset([s, s])
+    big = meet_matrix(grid, f)
+    assert (1, 1) not in grid
+    assert all(big.rows[grid.index((2, 3))] != big.rows[grid.index((x, x))] for x in s)
 
 
 def test_csv_export_round_trip():
@@ -385,4 +389,4 @@ def test_float_backed_functions_refused_by_decompositions():
     dl = divisor_lattice()
     s = dl.covering_set(3)
     with pytest.raises(ValueError):
-        ldl_lower_closed(s, f)
+        kron_decompose_d([s], f)

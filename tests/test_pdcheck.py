@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from meetpd.arith import pd_check_grid
 from meetpd.errors import (
-    ComponentNotCertifiedError,
     NegativeScalarError,
     NoLeastElementError,
     PosetMismatchError,
@@ -19,7 +18,7 @@ from meetpd.meetmatrix import (
     constant_function,
     LatticeFunction,
     identity_function,
-    ldl_lower_closed,
+    kron_decompose_d,
     meet_matrix,
     summatory_function,
     table_function,
@@ -29,15 +28,11 @@ from meetpd.pdcheck import (
     NEGATIVE,
     POSITIVE,
     add,
-    check_covering_equivalence,
-    check_monotonicity,
-    factorable_pd,
     inverted_table,
     pd_criterion,
     pointwise_mul,
     psd_oracle,
     scale,
-    separable_product,
 )
 from meetpd.posets import (
     Poset,
@@ -256,15 +251,21 @@ def test_verdict_json_shape():
     assert doc["certificate_flag"] is False
 
 
+def criterion_and_oracle_agree(f, family, bound):
+    """The two routes side by side on every covering set up to the bound."""
+    return all(pd_criterion(f, family, m).is_positive
+               == psd_oracle(meet_matrix(family.covering_set(m), f)).is_psd
+               for m in range(1, bound + 1))
+
+
 def test_covering_equivalence_nonneg_inverted():
     rng = random.Random(2024)
     dl = divisor_lattice()
     for _ in range(50):
         gvals = {z: Fraction(rng.randint(0, 6)) for z in range(1, 21)}
         f = summatory_function(dl, gvals.__getitem__)
-        report = check_covering_equivalence(f, dl, 20)
-        assert report.all_agree
-        assert all(c.criterion_positive for c in report.comparisons)
+        assert criterion_and_oracle_agree(f, dl, 20)
+        assert all(pd_criterion(f, dl, m).is_positive for m in range(1, 21))
 
 
 def test_covering_equivalence_sign_mixed():
@@ -272,15 +273,14 @@ def test_covering_equivalence_sign_mixed():
     dl = divisor_lattice()
     for _ in range(50):
         f = random_table_function(rng, dl, 12)
-        report = check_covering_equivalence(f, dl, 12)
-        assert report.all_agree
+        assert criterion_and_oracle_agree(f, dl, 12)
 
 
 def test_covering_equivalence_zero_function():
     dl = divisor_lattice()
-    report = check_covering_equivalence(constant_function(dl, 0), dl, 6)
-    assert report.all_agree
-    assert all(c.criterion_positive for c in report.comparisons)
+    f = constant_function(dl, 0)
+    assert criterion_and_oracle_agree(f, dl, 6)
+    assert all(pd_criterion(f, dl, m).is_positive for m in range(1, 7))
 
 
 def test_covering_equivalence_min_family():
@@ -288,40 +288,48 @@ def test_covering_equivalence_min_family():
     ml = min_lattice()
     for _ in range(10):
         f = random_table_function(rng, ml, 10)
-        assert check_covering_equivalence(f, ml, 10).all_agree
+        assert criterion_and_oracle_agree(f, ml, 10)
+
+
+def assert_nonnegative_and_monotone(f, s):
+    """Every positive definite f is >= 0 and order-monotone on s."""
+    for i, x in enumerate(s.members):
+        assert f(x) >= 0
+        assert all(f(x) <= f(y) for y in s.members[i:] if s.leq(x, y))
 
 
 def test_monotonicity_divisor_grid():
     fam = divisor_lattice(2)
     f = summatory_function(fam, lambda _z: 1)
-    s = fam.covering_set(10)
-    report = check_monotonicity(f, s)
-    assert report.passed
+    assert_nonnegative_and_monotone(f, fam.covering_set(10))
     assert f((2, 3)) == 4
 
 
 def test_monotonicity_min_grid():
     fam = min_lattice(2)
     f = summatory_function(fam, lambda _z: 1)
-    s = fam.covering_set(10)
-    report = check_monotonicity(f, s)
-    assert report.passed
+    assert_nonnegative_and_monotone(f, fam.covering_set(10))
     assert f((2, 3)) == 6
 
 
 def test_monotonicity_failure_reports_pair():
+    # f(1) > f(2) with 1 below 2: the 2x2 minor 5*1 - 5*5 is negative, so
+    # both routes reject f
     dl = divisor_lattice()
     f = table_function(dl, {1: Fraction(5), 2: Fraction(1)})
-    report = check_monotonicity(f, subset(dl, [1, 2]))
-    assert not report.passed
-    assert report.order_violations == ((1, 2, Fraction(5), Fraction(1)),)
+    s = subset(dl, [1, 2])
+    assert [list(r) for r in meet_matrix(s, f).rows] == [[5, 5], [5, 1]]
+    assert not pd_criterion(f, dl, 2).is_positive
+    assert not psd_oracle(meet_matrix(s, f)).is_psd
 
 
 def test_monotonicity_negative_value_reported():
+    # a negative value is a negative diagonal entry of the meet matrix
     dl = divisor_lattice()
     f = table_function(dl, {1: Fraction(-1), 2: Fraction(3)})
-    report = check_monotonicity(f, subset(dl, [1, 2]))
-    assert report.negative_values == ((1, Fraction(-1)),)
+    witness = pd_criterion(f, dl, 2).witness
+    assert (witness.element, witness.value) == (1, Fraction(-1))
+    assert not psd_oracle(meet_matrix(subset(dl, [1, 2]), f)).is_psd
 
 
 def test_scale_by_zero_gives_certified_zero():
@@ -366,13 +374,31 @@ def test_combinators_propagate_certificates():
     assert not add(f, h).certificate
 
 
+def assert_kron_identity(g, h, bound):
+    """(S x T)_F = (S)_g kron (T)_h for F(u, v) = g(u) h(v), entry by entry,
+    on the covering sets at the bound; returns the product's meet matrix."""
+    s = g.lattice.covering_set(bound)
+    t = h.lattice.covering_set(bound)
+    func = LatticeFunction(divisor_lattice(2), lambda xy: g(xy[0]) * h(xy[1]), name="gxh")
+    big = meet_matrix(product_subset([s, t]), func)
+    mg = meet_matrix(s, g)
+    mh = meet_matrix(t, h)
+    nt = len(t)
+    for i in range(len(s)):
+        for j in range(nt):
+            for k in range(len(s)):
+                for l in range(nt):
+                    assert big.rows[i * nt + j][k * nt + l] == mg.rows[i][k] * mh.rows[j][l]
+    return big
+
+
 def test_factorable_gcd_kron_identity():
+    # a Kronecker product of positive semidefinite matrices is positive
+    # semidefinite
     dl = divisor_lattice()
     g = identity_function(dl)
-    verdict = factorable_pd(g, g, 3)
-    assert verdict.is_positive
-    s = dl.covering_set(3)
-    big = meet_matrix(product_subset([s, s]), separable_product(g, g))
+    assert pd_criterion(g, dl, 3).is_positive
+    big = assert_kron_identity(g, g, 3)
     assert psd_oracle(big).is_psd
     assert big.n == 9
 
@@ -381,26 +407,17 @@ def test_factorable_with_constant_right_component():
     dl = divisor_lattice()
     g = identity_function(dl)
     h = constant_function(dl, 1)
-    assert factorable_pd(g, h, 3).is_positive
+    assert pd_criterion(g, dl, 3).is_positive and pd_criterion(h, dl, 3).is_positive
+    assert psd_oracle(assert_kron_identity(g, h, 3)).is_psd
 
 
 def test_factorable_rejects_uncertified_component():
     dl = divisor_lattice()
     g = identity_function(dl)
     h = table_function(dl, {1: Fraction(1), 2: Fraction(-1)})
-    with pytest.raises(ComponentNotCertifiedError):
-        factorable_pd(g, h, 2)
+    assert not pd_criterion(h, dl, 2).is_positive
     # the kronecker identity itself still holds for the product function
-    s = dl.covering_set(2)
-    big = meet_matrix(product_subset([s, s]), separable_product(g, h))
-    mg = meet_matrix(s, g)
-    mh = meet_matrix(s, h)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert big.rows[i * 2 + j][k * 2 + l] == mg.rows[i][k] * mh.rows[j][l]
-    assert not psd_oracle(big).is_psd
+    assert not psd_oracle(assert_kron_identity(g, h, 2)).is_psd
 
 
 def test_ldl_signature_matches_exact_inertia():
@@ -413,7 +430,7 @@ def test_ldl_signature_matches_exact_inertia():
             continue
         values = {x: Fraction(rng.randint(-6, 6)) for x in s.members}
         f = table_function(dl, values)
-        dec = ldl_lower_closed(s, f)
+        dec = kron_decompose_d([s], f)
         inertia = symmetric_elimination(meet_matrix(s, f).rows).inertia
         assert dec.signature() == inertia
 
@@ -426,4 +443,4 @@ def test_criterion_positive_implies_monotone():
             f = random_table_function(rng, fam, bound, lo=0)
             verdict = pd_criterion(f, fam, bound)
             if verdict.is_positive:
-                assert check_monotonicity(f, fam.covering_set(bound)).passed
+                assert_nonnegative_and_monotone(f, fam.covering_set(bound))

@@ -235,6 +235,23 @@ def test_product_subset_lex_order():
     assert grid.factor_subsets == (s, s)
 
 
+def test_product_subset_skips_the_member_checks(monkeypatch):
+    # members built from checked factor members are not checked again;
+    # a subset given by the user still is
+    calls = []
+    contains = ProductLattice.contains
+    monkeypatch.setattr(ProductLattice, "contains",
+                        lambda self, x: calls.append(x) or contains(self, x))
+    dl = divisor_lattice()
+    grid = product_subset([dl.covering_set(6), subset(dl, [1, 2, 4])])
+    assert len(grid) == 18 and calls == []
+    with pytest.raises(DuplicateElementError):
+        subset(grid.lattice, [(1, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        subset(grid.lattice, [(1, 0)])
+    assert calls == [(1, 2), (1, 0)]
+
+
 def test_explicit_meet_agrees_with_gcd_oracle():
     # rebuild lower closed divisor sets as explicit posets from cover edges
     # and compare the computed meet table against gcd
