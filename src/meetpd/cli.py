@@ -31,8 +31,13 @@ from .posets import Poset, divisor_lattice, load_hasse, min_lattice
 
 CONFIG_ERROR = 2
 EVAL_ERROR = 3
-# matrix and decompose write n x n documents; check is linear in n and has no limit
+# matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
+# check reads each member once, at about 6 us and 210 B per member of a
+# d = 2 divisor grid (measured to m = 700), so this limit means roughly
+# 6.5 s and 230 MB; at d = 1 the generic Mobius rows still cost time
+# quadratic in m
+MAX_CHECK_MEMBERS = 1 << 20
 
 
 class ConfigError(Exception):
@@ -199,18 +204,23 @@ def _emit(text, out):
             raise ConfigError(f"cannot write {out}: {exc}")
 
 
-def _matrix_covering(config, command):
-    """The covering set, refused above MAX_MATRIX_MEMBERS before it is built."""
+def _refuse_large_covering(config, command, limit):
+    """Refuse a covering set of more than limit members before it is built."""
     family = config.family
     if isinstance(family, Poset):
         size = len(family)
     else:
         # an exponent past the limit's bit length already exceeds the limit
-        size = config.bound ** min(family.arity, MAX_MATRIX_MEMBERS.bit_length())
-    if size > MAX_MATRIX_MEMBERS:
+        size = config.bound ** min(family.arity, limit.bit_length())
+    if size > limit:
         raise ConfigError(f"{command} is limited to covering sets of at most "
-                          f"{MAX_MATRIX_MEMBERS} members; this one has more")
-    return family.covering_set(config.bound)
+                          f"{limit} members; this one has more")
+
+
+def _matrix_covering(config, command):
+    """The covering set, refused above MAX_MATRIX_MEMBERS before it is built."""
+    _refuse_large_covering(config, command, MAX_MATRIX_MEMBERS)
+    return config.family.covering_set(config.bound)
 
 
 def cmd_matrix(config):
@@ -224,6 +234,7 @@ def cmd_matrix(config):
 
 
 def cmd_check(config):
+    _refuse_large_covering(config, "check", MAX_CHECK_MEMBERS)
     verdict = pd_criterion(config.fn, config.family, config.bound)
     doc = {"schema": 1}
     doc.update(verdict.to_json())
@@ -235,12 +246,7 @@ def cmd_decompose(config):
     f = config.fn
     cover = _matrix_covering(config, "decompose")
     dec = kron_decompose_d(cover.factor_subsets or [cover], f)
-    rebuilt = reconstruct(dec)
-    direct = meet_matrix(cover, f)
-    residual = 0
-    if rebuilt.rows != direct.rows:
-        residual = max(abs(a - b) for ra, rb in zip(rebuilt.rows, direct.rows)
-                       for a, b in zip(ra, rb))
+    residual = reconstruct(dec).max_abs_difference(meet_matrix(cover, f))
     doc = decomposition_to_json(dec, residual=residual)
     fmt = config.fmt or "json"
     if fmt == "csv":

@@ -5,9 +5,11 @@ Symmetric congruence elimination with diagonal pivoting decides inertia
 elimination is fraction-free (Bareiss 1968, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination"): the matrix is first
 multiplied by the lcm of its denominators, a positive scalar congruence
-that keeps the inertia, and every active entry is then an integer
-bordered minor of the leading pivot block, so each update divides
-exactly by the previous pivot.  The pivot is the largest |diagonal|
+that keeps the inertia (rows that are all ints are taken as they are, so
+a caller holding the matrix as ints over a common denominator, as a
+MeetMatrix does, skips that conversion), and every active entry is then
+an integer bordered minor of the leading pivot block, so each update
+divides exactly by the previous pivot.  The pivot is the largest |diagonal|
 (first in search order on ties).  When the active block has an all-zero
 diagonal but a nonzero entry a_ij, the unimodular congruence "add row
 and column j to row and column i" makes a_ii = 2 a_ij the next pivot, so
@@ -21,6 +23,7 @@ pivot block B (and mapped back through any row-add congruences).
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 
 class Inertia(namedtuple("Inertia", "positive negative zero")):
@@ -62,18 +65,23 @@ def rational_sum(terms):
 
 
 def _integer_matrix(rows):
-    """The matrix times the lcm c of its denominators, as ints, and c."""
-    q = [[_rational(v) for v in row] for row in rows]
-    n = len(q)
-    for row in q:
+    """The matrix times the lcm c of its denominators, as ints, and c.
+
+    Rows of ints are taken as they are, with c = 1.
+    """
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        a, c = [list(row) for row in rows], 1
+    else:
+        q = [[_rational(v) for v in row] for row in rows]
+        c = math.lcm(*{v.denominator for row in q for v in row})
+        a = [[v.numerator * (c // v.denominator) for v in row] for row in q]
+    n = len(a)
+    for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    c = math.lcm(*{v.denominator for row in q for v in row})
-    a = [[v.numerator * (c // v.denominator) for v in row] for row in q]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    if a != [list(col) for col in zip(*a)]:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j] != a[j][i])
+        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     return a, c
 
 

@@ -1,20 +1,33 @@
 """Meet matrices over ordered subsets and their congruence decompositions.
 
-The matrix of a subset S under f has entries f(x_i meet x_j).  Over a
-meet closed subset it factors as E diag(d) E^T with E the 0/1 order
-indicator and d the values of f inverted with S's own Mobius function
-(Haukkanen, 1996); a lower closed subset is the special case in which d
-holds the ambient Mobius-inverted values.  Over a Cartesian product of
-meet closed subsets the indicator factors combine as a Kronecker product
-that is never materialized.  One routine, ``kron_decompose_d``, covers
-both, a single subset being a product with one factor; its diagonal
-comes from ``incidence.inverted_values``, the routine behind the diagonal
-criterion.
+The matrix of a subset S under f has entries f(x_i meet x_j), so it is
+fixed by f's values at the meets and by the table saying which meet each
+pair has.  A ``MeetMatrix`` holds exactly that, in index space: the meet
+table of each factor subset (cached on the subset, see
+``ElementSubset.meet_table``), the position of a product pair's meet as
+the mixed-radix number of its factor positions, and one exact value per
+distinct meet, as ints over one common denominator.  The oracle reads
+int rows, the writers render each value once, and ``decompose`` compares
+its reconstruction on ints; the rows of Fractions are built only when
+read.
+
+Over a meet closed subset the matrix factors as E diag(d) E^T with E the
+0/1 order indicator and d the values of f inverted with S's own Mobius
+function (Haukkanen, 1996); a lower closed subset is the special case in
+which d holds the ambient Mobius-inverted values.  Over a Cartesian
+product of meet closed subsets the indicator factors combine as a
+Kronecker product that is never materialized.  One routine,
+``kron_decompose_d``, covers both, a single subset being a product with
+one factor; its diagonal comes from ``incidence.inverted_values``, the
+routine behind the diagonal criterion.
 """
 
+import math
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from itertools import product as iter_product
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatchError,
@@ -139,15 +152,44 @@ def meet_composed_function(g, d, name=None):
 
 
 class MeetMatrix:
-    """Symmetric matrix of f evaluated at pairwise meets of an ordered subset."""
+    """Symmetric matrix of f evaluated at pairwise meets of an ordered subset.
 
-    def __init__(self, subset, rows):
+    The matrix is held in index space: each pair of members has a position
+    p, the entry there is nums[p] / den (den > 0, nums ints), and
+    gather(seq) lists the rows with every position p replaced by seq[p].
+    A meet matrix has one position per distinct meet, so its values are
+    scaled and rendered once per meet rather than once per entry; a
+    reconstructed matrix has one position per entry.  ``rows``, the
+    entries as Fractions, is built on first read.
+    """
+
+    def __init__(self, subset, nums, den, gather):
         self.subset = subset
-        self.rows = tuple(tuple(r) for r in rows)
+        self.nums = nums
+        self.den = den
+        self._gather = gather
 
     @property
     def n(self):
-        return len(self.rows)
+        return len(self.subset)
+
+    @cached_property
+    def values(self):
+        """The exact value at each position."""
+        den = self.den
+        return [Fraction(v, den) for v in self.nums]
+
+    @cached_property
+    def rows(self):
+        return tuple(map(tuple, self._gather(self.values)))
+
+    def integer_rows(self):
+        """The entries times den as lists of ints, and den."""
+        return self._gather(self.nums), self.den
+
+    def text_rows(self):
+        """The entries as p/q (or integer) strings, each position rendered once."""
+        return self._gather([str(v) for v in self.values])
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -155,27 +197,73 @@ class MeetMatrix:
     def labels(self):
         return list(self.subset.members)
 
+    def max_abs_difference(self, other):
+        """max |a - b| over the entries of two matrices of one order, exactly.
+
+        Both are compared as int rows over one common denominator.
+        """
+        den = math.lcm(self.den, other.den)
+        a, b = (m._gather([v * (den // m.den) for v in m.nums]) for m in (self, other))
+        if a == b:
+            return Fraction(0)
+        return Fraction(max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), den)
+
     def __eq__(self, other):
         if not isinstance(other, MeetMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.subset.members == other.subset.members
+        return self.subset.members == other.subset.members and not self.max_abs_difference(other)
 
     def __repr__(self):
         return f"MeetMatrix({self.n}x{self.n})"
 
 
+def _kron_sum(acc, row):
+    return [a + b for a in acc for b in row]
+
+
+def _table_gather(tables, strides):
+    """gather for a product of meet tables: the position of a pair is the
+    sum of its factor positions times the strides."""
+    *outer, inner = [t.rows if s == 1 else [[p * s for p in row] for row in t.rows]
+                     for t, s in zip(tables, strides)]
+
+    def gather(seq):
+        out = []
+        for heads in iter_product(*outer):
+            prefix = reduce(_kron_sum, heads, [0])
+            out.extend([seq[a + b] for a in prefix for b in row] for row in inner)
+        return out
+
+    return gather
+
+
 def meet_matrix(subset, f):
-    """Entries f(x_i meet x_j); the subset need not be closed under meets."""
-    ms = subset.members
-    meet = subset.meet
-    n = len(ms)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = f(meet(ms[i], ms[j]))
-            rows[i][j] = v
-            rows[j][i] = v
-    return MeetMatrix(subset, rows)
+    """Entries f(x_i meet x_j); the subset need not be closed under meets.
+
+    A plain subset is a product with one factor.  A product point is a
+    tuple of factor table positions, numbered in mixed radix with the
+    strides of an OrderMap over the factors' point counts.  f is evaluated
+    once per point, in the order a row-major pass over the upper triangle
+    first reaches it: over a product that first pair is (a_1..a_d,
+    b_1..b_d), (a_t, b_t) the factor's own first pair, so the order is a
+    sort by those, and member order on a meet closed subset.
+    """
+    factors = subset.factor_subsets or (subset,)
+    tables = [s.meet_table for s in factors]
+    om = OrderMap(len(t.points) for t in tables)
+    if len(tables) == 1:
+        points = tables[0].points
+    else:
+        points = list(iter_product(*(t.points for t in tables)))
+    keys = [tuple(a for a, _ in c) + tuple(b for _, b in c)
+            for c in iter_product(*(t.firsts for t in tables))]
+    evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
+    values = [None] * om.size
+    for p in sorted(range(om.size), key=keys.__getitem__):
+        values[p] = evaluate(points[p])
+    den = math.lcm(*{v.denominator for v in values})
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return MeetMatrix(subset, nums, den, _table_gather(tables, om.strides))
 
 
 class OrderMap:
@@ -285,33 +373,33 @@ def kron_decompose_d(subsets, f):
 def reconstruct(dec):
     """Multiply the structured factors back into a meet matrix, exactly.
 
-    The Kronecker product is never materialized: each diagonal entry is
-    scattered onto the flat pairs whose multi-indices dominate it in every
-    factor.
+    The Kronecker product is never materialized: each diagonal entry,
+    scaled to an int over the diagonal's common denominator, is scattered
+    onto the flat pairs whose multi-indices dominate it in every factor.
+    The result has one position per entry.
     """
     om = dec.order_map
     shape = om.shape
-    d = len(shape)
     nn = om.size
-    rows = [[Fraction(0)] * nn for _ in range(nn)]
+    den = math.lcm(*{v.denominator for v in dec.diag})
+    rows = [[0] * nn for _ in range(nn)]
     for kflat, lam in enumerate(dec.diag):
         if lam == 0:
             continue
+        lam = lam.numerator * (den // lam.denominator)
         kmulti = om.multi(kflat)
-        above = [
-            [i for i in range(shape[t]) if dec.factors[t][i][kmulti[t]]]
-            for t in range(d)
-        ]
+        above = [[i for i in range(size) if fac[i][k]]
+                 for size, fac, k in zip(shape, dec.factors, kmulti)]
         flats = [om.flat(imulti) for imulti in iter_product(*above)]
-        for fi in flats:
+        # lexicographic multi-indices have ascending flat positions
+        for s, fi in enumerate(flats):
             ri = rows[fi]
-            for fj in flats:
-                if fj >= fi:
-                    ri[fj] += lam
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            rows[j][i] = rows[i][j]
-    return MeetMatrix(dec.subset, rows)
+            for fj in flats[s:]:
+                ri[fj] += lam
+    for i, row in enumerate(rows):
+        row[:i] = map(itemgetter(i), rows[:i])
+    return MeetMatrix(dec.subset, list(chain.from_iterable(rows)), den,
+                      lambda seq: [seq[i:i + nn] for i in range(0, nn * nn, nn)])
 
 
 def _jsonable(x):
@@ -322,7 +410,7 @@ def _jsonable(x):
 
 def matrix_to_csv(m):
     """Row-major CSV with exact rationals rendered as p/q (or bare integers)."""
-    return "\n".join(",".join(str(v) for v in row) for row in m.rows) + "\n"
+    return "".join(",".join(row) + "\n" for row in m.text_rows())
 
 
 def matrix_to_json(m):
@@ -330,7 +418,7 @@ def matrix_to_json(m):
         "schema": 1,
         "kind": "meet_matrix",
         "labels": [_jsonable(x) for x in m.subset.members],
-        "entries": [[str(v) for v in row] for row in m.rows],
+        "entries": m.text_rows(),
     }
     if m.subset.factor_subsets is not None:
         doc["order_map"] = {"shape": [len(s) for s in m.subset.factor_subsets]}

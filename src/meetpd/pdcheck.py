@@ -8,7 +8,9 @@ form the diagonal of the meet matrix decomposition) and stops at the
 first negative one.  The oracle route decides matrices up to
 EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) by the exact
 fraction-free elimination of ``exact.symmetric_elimination``, with no
-tolerance and no float work; only larger matrices are converted to
+tolerance and no float work; a MeetMatrix reaches it as int rows scaled
+by the lcm of its values' denominators, taken once per distinct meet, so
+no entry goes through a Fraction.  Only larger matrices are converted to
 floats and bounded by their smallest eigenvalue.  NumPy is imported on
 that float path alone, so importing meetpd does not load it.  A positive
 verdict is always relative to the tested covering bound; negative
@@ -96,17 +98,26 @@ class OracleReport(namedtuple("OracleReport", "is_psd method min_eigenvalue iner
 
 
 def _rows_and_labels(matrix):
+    """The matrix as (rows, den, labels): its entries times den are the rows.
+
+    A MeetMatrix gives int rows, scaled by the lcm of its values'
+    denominators; any other matrix gives its entries as Fractions, den 1.
+    """
     if isinstance(matrix, MeetMatrix):
-        return matrix.rows, tuple(matrix.subset.members)
+        rows, den = matrix.integer_rows()
+        return rows, den, tuple(matrix.subset.members)
     rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
-    return rows, tuple(range(len(rows)))
+    return rows, 1, tuple(range(len(rows)))
 
 
-def _float_eigen(rows):
-    """The matrix as a float array and its smallest eigenvalue (None if that fails)."""
+def _float_eigen(rows, den):
+    """The matrix rows / den as a float array and its smallest eigenvalue
+    (None if that fails)."""
     import numpy as np
 
-    fl = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    # int / int rounds correctly, as float() of the Fraction does
+    to_float = float if den == 1 else (lambda v: v / den)
+    fl = np.array([list(map(to_float, row)) for row in rows], dtype=float)
     try:
         return fl, float(np.linalg.eigvalsh(fl)[0])
     except np.linalg.LinAlgError:
@@ -119,23 +130,24 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
     Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
     decided exactly by fraction-free pivoted congruence elimination on
     integers, with no float work; the float minimum eigenvalue is still
-    reported, computed when min_eigenvalue is first read.  Larger
-    matrices fall back to a float eigenvalue bound with relative
-    tolerance tol.
+    reported, computed when min_eigenvalue is first read.  A MeetMatrix
+    goes to the elimination as den times itself, in ints, and the witness
+    value is divided back by den.  Larger matrices fall back to a float
+    eigenvalue bound with relative tolerance tol.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    rows, labels = _rows_and_labels(matrix)
+    rows, den, labels = _rows_and_labels(matrix)
     if len(rows) <= EXACT_ORACLE_LIMIT:
         fact = symmetric_elimination(rows)
         witness = None
         if fact.negative_direction is not None:
-            witness = VectorWitness(labels, fact.negative_direction, fact.negative_value)
-        return OracleReport(fact.is_psd, "exact", cache(lambda: _float_eigen(rows)[1]),
+            witness = VectorWitness(labels, fact.negative_direction, fact.negative_value / den)
+        return OracleReport(fact.is_psd, "exact", cache(lambda: _float_eigen(rows, den)[1]),
                             fact.inertia, witness)
     import numpy as np
 
-    fl, lam_min = _float_eigen(rows)
+    fl, lam_min = _float_eigen(rows, den)
     if lam_min is None:
         raise NumericalFailureError(
             "float eigenvalue computation failed and the matrix exceeds the exact path limit"
@@ -151,7 +163,7 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
         value = quadratic_form(rows, approx)
     if value >= 0:
         raise NumericalFailureError("could not replay a negative direction exactly")
-    return OracleReport(False, "float", lam_min, None, VectorWitness(labels, approx, value))
+    return OracleReport(False, "float", lam_min, None, VectorWitness(labels, approx, value / den))
 
 
 def inverted_table(f, subset):

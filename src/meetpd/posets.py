@@ -7,7 +7,9 @@ positive integers share one IntegerLattice base and are never
 materialized: they answer order, meet, and lower-set queries directly and
 hand out finite lower closed covering grids ({1..m} and its powers) on
 request.  Their d-fold powers come from the cached ``lattice_power``, so
-every caller asking for one gets the same instance.
+every caller asking for one gets the same instance.  An ordered subset
+caches its own MeetTable, the position of every pairwise meet of its
+members, which also answers whether it is meet closed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import (
     AmbientNotEnumerableError,
@@ -338,6 +343,28 @@ def linear_extension(lattice, members):
     return out
 
 
+class MeetTable(namedtuple("MeetTable", "rows points firsts")):
+    """Positions of the pairwise meets of an ordered subset.
+
+    rows[i][j] is the position in points of x_i meet x_j.  points holds the
+    members first, in member order, then each meet outside the subset in
+    the order a row-major scan of the upper triangle first reaches it.
+    firsts[p] is the pair (i, j), i <= j, at which that scan first reaches
+    position p; a member x_k is first reached at (k, k), since x_k <= x_i
+    puts k <= i in a linear extension.
+    """
+
+    __slots__ = ()
+
+
+class _Positions(dict):
+    """Element -> position; an element not seen before gets the next one."""
+
+    def __missing__(self, x):
+        p = self[x] = len(self)
+        return p
+
+
 class ElementSubset:
     """Ordered finite subset of a lattice.
 
@@ -379,13 +406,24 @@ class ElementSubset:
         return meet(x, y)
 
     @cached_property
-    def meet_closed(self):
+    def meet_table(self):
+        """The MeetTable of the members, filled in one pass over the upper triangle."""
         ms = self.members
+        # self.meet raises NotASemilatticeError when the lattice has no meet
+        meet = getattr(self.lattice, "meet", None) or self.meet
+        where = _Positions(self._pos)
+        firsts = [(k, k) for k in range(len(ms))]
+        rows = []
         for i, x in enumerate(ms):
-            for y in ms[i + 1:]:
-                if self.meet(x, y) not in self._pos:
-                    return False
-        return True
+            seen = len(where)
+            upper = list(map(where.__getitem__, map(meet, repeat(x), ms[i:])))
+            firsts.extend((i, i + upper.index(p)) for p in range(seen, len(where)))
+            rows.append(list(map(itemgetter(i), rows)) + upper)
+        return MeetTable(rows, tuple(where), tuple(firsts))
+
+    @property
+    def meet_closed(self):
+        return len(self.meet_table.points) == len(self.members)
 
     @cached_property
     def lower_closed(self):

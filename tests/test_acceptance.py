@@ -58,7 +58,7 @@ def budget(name, seconds):
     finally:
         elapsed = time.perf_counter() - start
         status = "FAIL" if failed else ("PASS" if elapsed < seconds else "FAIL (over budget)")
-        print(f"{status}: {name} ({elapsed:.2f}s / {seconds:.0f}s budget)")
+        print(f"{status}: {name} ({elapsed:.2f}s / {seconds:g}s budget)")
         if not failed:
             assert elapsed < seconds, f"{name} exceeded its {seconds}s budget"
 
@@ -280,3 +280,14 @@ def test_criterion_9_streaming_inversion_scale():
     with budget("criterion 9: zeta_d grids at d=3 bound 40 and d=2 bound 200", 2.0):
         assert pd_check_grid(builtin("zeta_d", d=3), 40).is_positive
         assert pd_check_grid(builtin("zeta_d", d=2), 200).is_positive
+
+
+def test_criterion_10_decompose_at_the_member_limit(capsys):
+    # 1,024 members: the meet matrix from the factor meet tables, the
+    # factors multiplied back in ints, and all 1,048,576 entries compared
+    with budget("criterion 10: decompose gcd_pow:1 at d=2 bound 32", 1.5):
+        code = cli_main(["decompose", "--d", "2", "--fn", "gcd_pow:1", "--m", "32"])
+        doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["order_map"]["shape"] == [32, 32]
+    assert doc["reconstruction_residual"] == "0"

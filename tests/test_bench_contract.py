@@ -6,6 +6,7 @@
 correctness gate must accept meetpd's outputs and reject tampered ones.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,30 @@ def test_benchmark_gate_passes_and_rejects_tampering(monkeypatch, tmp_path, name
     rejected, problems = run.gate_self_check(workload)
     assert problems == []
     assert rejected > 0
+
+
+def test_oracle_requests_trace_one_meet_matrix_and_one_elimination(monkeypatch, tmp_path):
+    """The per-layer figures of oracle_exact come from these two spans; a
+    call that bypasses the wrapped names would silently drop them."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import run
+    import workloads
+    from tracer import Tracer
+
+    workload = workloads.make("oracle_exact", tmp_path, run.SRC)
+    workload.setup()
+    kinds = {}
+    for req in workload.cycle(random.Random(0)):
+        kinds.setdefault(req.kind, req)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for request, req in enumerate(kinds.values()):
+            tracer.request = request
+            workload.execute(req, tracer)
+    finally:
+        tracer.uninstall()
+    for name in ("meetmatrix.meet_matrix", "exact.symmetric_elimination"):
+        per_request = [sum(1 for span in tracer.spans if span[:2] == [request, name])
+                       for request in range(len(kinds))]
+        assert per_request == [1] * len(kinds), name

@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from meetpd import cli
 from meetpd.arith import builtin
 from meetpd.cli import main
 from meetpd.incidence import inverted_values
+from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
 from meetpd.posets import divisor_lattice
 
@@ -352,8 +355,59 @@ def test_matrix_size_limit_counts_members(capsys, monkeypatch, tmp_path):
         table.write_text("".join(f"{i},1\n" for i in range(n)))
         argv = ("matrix", "--hasse", str(chain), "--fn", f"@{table}", "--m", "1")
         assert run(capsys, *argv)[0] == expected
-    # check is linear in the members and has no limit
+    # check has its own, larger limit
     assert run(capsys, "check", "--family", "min", "--fn", "gcd_pow:1", "--m", "2000")[0] == 0
+
+
+def test_check_refuses_a_covering_set_past_its_limit_before_building_it(capsys, monkeypatch,
+                                                                         tmp_path):
+    lattice = divisor_lattice(2)
+    code, out, err = run(capsys, "check", "--d", "2", "--fn", "gcd_pow:1", "--m", "5000")
+    assert (code, out) == (2, "")
+    assert err == ("error: check is limited to covering sets of at most 1048576 members; "
+                   "this one has more\n")
+    assert 5000 not in lattice._covers and 5000 not in lattice.factors[0]._covers
+    monkeypatch.setattr(cli, "MAX_CHECK_MEMBERS", 16)
+    assert run(capsys, "check", "--d", "2", "--fn", "gcd_pow:1", "--m", "4")[0] == 0
+    assert run(capsys, "check", "--d", "2", "--fn", "gcd_pow:1", "--m", "5")[0] == 2
+    assert run(capsys, "check", "--d", "40", "--fn", "gcd_pow:1", "--m", "2")[0] == 2
+    assert run(capsys, "check", "--d", "40", "--fn", "gcd_pow:1", "--m", "1")[0] == 0
+    for n, expected in ((16, 0), (17, 2)):
+        chain, table = tmp_path / f"chain{n}.txt", tmp_path / f"t{n}.csv"
+        chain.write_text("".join(f"elem {i}\nedge {i} {i + 1}\n" for i in range(n - 1))
+                         + f"elem {n - 1}\n")
+        table.write_text("".join(f"{i},1\n" for i in range(n)))
+        assert run(capsys, "check", "--hasse", str(chain), "--fn", f"@{table}",
+                   "--m", "1")[0] == expected
+
+
+def test_decompose_reports_a_nonzero_residual_exactly(capsys, monkeypatch):
+    real = cli.kron_decompose_d
+
+    def one_entry_off(subsets, f):
+        dec = real(subsets, f)
+        diag = list(dec.diag)
+        diag[4] += Fraction(5, 3)
+        return Decomposition(dec.subsets, dec.factors, diag, dec.subset, dec.order_map)
+
+    monkeypatch.setattr(cli, "kron_decompose_d", one_entry_off)
+    code, out, _ = run(capsys, "decompose", "--d", "2", "--fn", "lcm_pow:1", "--m", "3")
+    assert code == 0
+    doc = json.loads(out)
+    # Fraction reference: E diag E^T entry by entry, E the Kronecker product
+    # of the emitted factors, against f at the meets
+    f = builtin("lcm_pow", alpha=Fraction(1), d=2)
+    e1, e2 = doc["factors"]
+    diag = [Fraction(v) for v in doc["diag"]]
+    members = list(itertools.product(range(1, 4), repeat=2))
+    index = list(itertools.product(range(3), repeat=2))
+    residual = max(
+        abs(sum(lam * e1[i1][k1] * e2[i2][k2] * e1[j1][k1] * e2[j2][k2]
+                for lam, (k1, k2) in zip(diag, index))
+            - f((math.gcd(x[0], y[0]), math.gcd(x[1], y[1]))))
+        for (i1, i2), x in zip(index, members) for (j1, j2), y in zip(index, members))
+    assert residual > 0
+    assert doc["reconstruction_residual"] == str(residual)
 
 
 # Runs in a fresh interpreter: imports meetpd.cli, records which of the

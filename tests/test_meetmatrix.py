@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetpd.errors import (
     DimensionMismatchError,
@@ -25,6 +27,7 @@ from meetpd.meetmatrix import (
     summatory_function,
     table_function,
 )
+from meetpd.pdcheck import psd_oracle
 from meetpd.posets import (
     MeetSemilattice,
     divisor_lattice,
@@ -390,3 +393,120 @@ def test_float_backed_functions_refused_by_decompositions():
     s = dl.covering_set(3)
     with pytest.raises(ValueError):
         kron_decompose_d([s], f)
+
+
+# --------------------------------------------------------------------------
+# meet tables against the pair loop
+
+def pair_loop_rows(s, f):
+    """Reference: one meet and one call of f per pair of the upper triangle,
+    row by row."""
+    ms = s.members
+    n = len(ms)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = f(s.meet(ms[i], ms[j]))
+    return tuple(map(tuple, rows))
+
+
+def recording(lattice, fn):
+    """A LatticeFunction that lists the points it evaluates, in order."""
+    seen = []
+
+    def value(x):
+        seen.append(x)
+        return fn(x)
+
+    return LatticeFunction(lattice, value), seen
+
+
+def signed_value(x):
+    coords = x if isinstance(x, tuple) else (x,)
+    key = sum(k * hash(c) for k, c in enumerate(coords, 1))
+    return Fraction(key * 7 % 11 - 5, 1 + key % 3)
+
+
+def assert_table_path_matches_pair_loop(s, fn=signed_value):
+    f, seen = recording(s.lattice, fn)
+    g, seen_by_pairs = recording(s.lattice, fn)
+    m = meet_matrix(s, f)
+    assert m.rows == pair_loop_rows(s, g)
+    assert seen == seen_by_pairs
+    # the oracle on the int rows of the meet table gives what it gives on the Fractions
+    by_table = psd_oracle(m)
+    by_rows = psd_oracle([list(r) for r in m.rows])
+    assert (by_table.is_psd, by_table.method, by_table.inertia) == (
+        by_rows.is_psd, by_rows.method, by_rows.inertia)
+    assert (by_table.witness is None) == (by_rows.witness is None)
+    if by_table.witness is not None:
+        assert by_table.witness.vector == by_rows.witness.vector
+        assert by_table.witness.value == by_rows.witness.value
+        assert by_table.witness.labels == s.members
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["divisor", "min"]), st.integers(1, 3), st.data())
+def test_meet_table_matches_the_pair_loop(family, d, data):
+    base = divisor_lattice() if family == "divisor" else min_lattice()
+    factors = [subset(base, sorted(data.draw(st.sets(st.integers(1, 24), min_size=1,
+                                                      max_size=4))))
+               for _ in range(d)]
+    assert_table_path_matches_pair_loop(product_subset(factors))
+
+
+def _boolean_four():
+    return MeetSemilattice(
+        ["0", "a", "b", "c", "ab", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("b", "ab"),
+         ("ab", "1"), ("c", "1")],
+    )
+
+
+TABLE_CASES = {
+    # meet closed, not lower closed: 1 is missing
+    "meet_closed_divisor": (lambda: [subset(divisor_lattice(), [2, 4, 6, 12])], True),
+    "meet_closed_min_x_divisor": (
+        lambda: [subset(min_lattice(), [3, 5, 9]), subset(divisor_lattice(), [2, 4, 6, 12])],
+        True),
+    # the meets 2, 1, 3 and 5 lie outside the subset
+    "not_meet_closed_d1": (lambda: [subset(divisor_lattice(), [4, 6, 9, 10, 15])], False),
+    "not_meet_closed_in_product": (
+        lambda: [subset(divisor_lattice(), [2, 3]), subset(divisor_lattice(), [4, 6, 9])],
+        False),
+    "explicit_semilattice": (lambda: [_boolean_four().covering_set()], True),
+    "explicit_not_meet_closed_x_divisor": (
+        lambda: [subset(_boolean_four(), ["a", "b", "c"]), subset(divisor_lattice(), [6, 10])],
+        False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_meet_table_cases_match_the_pair_loop(case):
+    make, meet_closed = TABLE_CASES[case]
+    factors = make()
+    s = product_subset(factors)
+    m = assert_table_path_matches_pair_loop(s)
+    assert all(t.meet_closed for t in factors) == meet_closed
+    # one value per meet: the points of the product of the factor tables
+    assert len(m.nums) == math.prod(len(t.meet_table.points) for t in factors)
+
+
+def test_meet_table_stops_at_the_first_missing_value_the_pair_loop_reaches():
+    # 1 = gcd(2, 3) and 2 = gcd(4, 6) lie outside the factors; the table
+    # lacks (1, 2) and (2, 1), and a row-major scan reaches (2, 1) first, as
+    # (2, 4) meet (2, 9) in row 0, and (1, 2) only in row 1
+    s = product_subset([subset(divisor_lattice(), [2, 3]),
+                        subset(divisor_lattice(), [4, 6, 9])])
+    lattice = s.lattice
+    points = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3, 4, 6, 9)]
+    values = {x: Fraction(sum(x)) for x in points if x not in ((1, 2), (2, 1))}
+    errors = []
+    for build in (meet_matrix, pair_loop_rows):
+        f, seen = recording(lattice, table_function(lattice, values))
+        with pytest.raises(EvaluationError) as info:
+            build(s, f)
+        errors.append((str(info.value), seen))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "table has no value at (2, 1)"
