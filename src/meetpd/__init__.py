@@ -14,6 +14,7 @@ from .arith import (
     to_lattice_function,
 )
 from .errors import (
+    ArityLimitError,
     ArityMismatchError,
     AmbientNotEnumerableError,
     CycleError,
@@ -36,7 +37,6 @@ from .meetmatrix import (
     Decomposition,
     LatticeFunction,
     MeetMatrix,
-    OrderMap,
     constant_function,
     decomposition_to_json,
     identity_function,
@@ -70,13 +70,13 @@ from .posets import (
     MinLattice,
     Poset,
     ProductLattice,
+    ProductSubset,
     divisor_lattice,
     linear_extension,
     load_hasse,
     lower_closure,
     meet_closure,
     min_lattice,
-    product_lattice,
     product_subset,
     subset,
 )

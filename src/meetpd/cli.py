@@ -33,10 +33,10 @@ CONFIG_ERROR = 2
 EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
-# check reads each member once, at about 6 us and 210 B per member of a
-# d = 2 divisor grid (measured to m = 700), so this limit means roughly
-# 6.5 s and 230 MB; at d = 1 the generic Mobius rows still cost time
-# quadratic in m
+# check reads each member once and never builds a product covering set:
+# at this limit, check --d 2 --fn gcd_pow:1 --m 1024 took 6.8 s and 148 MB
+# peak (one run on 2 vCPUs); at d = 1 the generic Mobius rows still cost
+# time quadratic in m
 MAX_CHECK_MEMBERS = 1 << 20
 
 
@@ -245,7 +245,7 @@ def cmd_check(config):
 def cmd_decompose(config):
     f = config.fn
     cover = _matrix_covering(config, "decompose")
-    dec = kron_decompose_d(cover.factor_subsets or [cover], f)
+    dec = kron_decompose_d(cover.factors, f)
     residual = reconstruct(dec).max_abs_difference(meet_matrix(cover, f))
     doc = decomposition_to_json(dec, residual=residual)
     fmt = config.fmt or "json"

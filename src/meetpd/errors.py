@@ -57,5 +57,9 @@ class ArityMismatchError(MeetPDError):
     """Tuple arguments have different lengths."""
 
 
+class ArityLimitError(MeetPDError, ValueError):
+    """A lattice power was asked for an arity above posets.MAX_ARITY."""
+
+
 class UnknownBuiltinError(MeetPDError):
     """No builtin arithmetic function with that name."""

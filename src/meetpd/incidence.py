@@ -6,7 +6,9 @@ incidence algebra: the Mobius values mu(z, x) below each member x.
 ``inverted_values`` sums f against those rows in one streaming pass over
 the members; over a product subset it inverts one axis at a time against
 the factor rows (Rota's product rule, applied as in Yates' method), so a
-member costs the sum of its factor row lengths, not their product.
+member costs the sum of its factor row lengths, not their product.  It
+reads the subset's ``factors`` and ``strides`` and iterates the subset,
+so a product's member list is never built.
 """
 
 from fractions import Fraction
@@ -68,21 +70,19 @@ def inverted_values(f, subset):
     so far is an integer; from the first fractional one on, each goes
     through ``exact.rational_sum`` (one Fraction per sum).
     """
-    factors = subset.factor_subsets or (subset,)
+    factors = subset.factors
     rows = {s: mobius(s) for s in dict.fromkeys(factors)}
     # per axis, per factor member: the offsets back from x of the points
     # read from the layer below, and their Mobius weights
     axes = []
-    stride = len(subset)
-    for s in factors:
-        stride //= len(s)
+    for s, stride in zip(factors, subset.strides):
         pos = s.index
         axes.append([(tuple((pos(z) - i) * stride - 1 for z in zs), ws)
                      for i, (zs, ws) in enumerate(rows[s])])
     evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
     layers = [[] for _ in axes]
     integral = True
-    for x, row in zip(subset.members, iter_product(*axes)):
+    for x, row in zip(subset, iter_product(*axes)):
         v = evaluate(x)
         integral = integral and v.denominator == 1
         if integral:

@@ -3,13 +3,13 @@
 The matrix of a subset S under f has entries f(x_i meet x_j), so it is
 fixed by f's values at the meets and by the table saying which meet each
 pair has.  A ``MeetMatrix`` holds exactly that, in index space: the meet
-table of each factor subset (cached on the subset, see
+table of each of the subset's ``factors`` (cached on the factor, see
 ``ElementSubset.meet_table``), the position of a product pair's meet as
-the mixed-radix number of its factor positions, and one exact value per
-distinct meet, as ints over one common denominator.  The oracle reads
-int rows, the writers render each value once, and ``decompose`` compares
-its reconstruction on ints; the rows of Fractions are built only when
-read.
+the dot product of its factor positions with the ``strides`` of the
+factors' point counts, and one exact value per distinct meet, as ints
+over one common denominator.  The oracle reads int rows, the writers
+render each value once, and ``decompose`` compares its reconstruction on
+ints; the rows of Fractions are built only when read.
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -19,7 +19,8 @@ product of meet closed subsets the indicator factors combine as a
 Kronecker product that is never materialized.  One routine,
 ``kron_decompose_d``, covers both, a single subset being a product with
 one factor; its diagonal comes from ``incidence.inverted_values``, the
-routine behind the diagonal criterion.
+routine behind the diagonal criterion, and its flat order is the
+subset's own ``shape`` and ``strides``.
 """
 
 import math
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .exact import Inertia, rational_sum
 from .incidence import inverted_values
-from .posets import lattice_power, product_subset
+from .posets import lattice_power, product_subset, strides
 
 
 class LatticeFunction:
@@ -191,12 +192,6 @@ class MeetMatrix:
         """The entries as p/q (or integer) strings, each position rendered once."""
         return self._gather([str(v) for v in self.values])
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def labels(self):
-        return list(self.subset.members)
-
     def max_abs_difference(self, other):
         """max |a - b| over the entries of two matrices of one order, exactly.
 
@@ -241,16 +236,15 @@ def meet_matrix(subset, f):
     """Entries f(x_i meet x_j); the subset need not be closed under meets.
 
     A plain subset is a product with one factor.  A product point is a
-    tuple of factor table positions, numbered in mixed radix with the
-    strides of an OrderMap over the factors' point counts.  f is evaluated
-    once per point, in the order a row-major pass over the upper triangle
-    first reaches it: over a product that first pair is (a_1..a_d,
-    b_1..b_d), (a_t, b_t) the factor's own first pair, so the order is a
-    sort by those, and member order on a meet closed subset.
+    tuple of factor table positions, numbered by the ``strides`` of the
+    factors' point counts.  f is evaluated once per point, in the order a
+    row-major pass over the upper triangle first reaches it: over a
+    product that first pair is (a_1..a_d, b_1..b_d), (a_t, b_t) the
+    factor's own first pair, so the order is a sort by those, and member
+    order on a meet closed subset.
     """
-    factors = subset.factor_subsets or (subset,)
-    tables = [s.meet_table for s in factors]
-    om = OrderMap(len(t.points) for t in tables)
+    tables = [s.meet_table for s in subset.factors]
+    shape = [len(t.points) for t in tables]
     if len(tables) == 1:
         points = tables[0].points
     else:
@@ -258,63 +252,27 @@ def meet_matrix(subset, f):
     keys = [tuple(a for a, _ in c) + tuple(b for _, b in c)
             for c in iter_product(*(t.firsts for t in tables))]
     evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
-    values = [None] * om.size
-    for p in sorted(range(om.size), key=keys.__getitem__):
+    values = [None] * len(keys)
+    for p in sorted(range(len(keys)), key=keys.__getitem__):
         values[p] = evaluate(points[p])
     den = math.lcm(*{v.denominator for v in values})
     nums = [v.numerator * (den // v.denominator) for v in values]
-    return MeetMatrix(subset, nums, den, _table_gather(tables, om.strides))
-
-
-class OrderMap:
-    """Bijection between lexicographic multi-indices and flat positions."""
-
-    def __init__(self, shape):
-        self.shape = tuple(int(s) for s in shape)
-        strides = []
-        acc = 1
-        for s in reversed(self.shape):
-            strides.append(acc)
-            acc *= s
-        self.strides = tuple(reversed(strides))
-        self.size = acc
-
-    def flat(self, multi):
-        return sum(m * s for m, s in zip(multi, self.strides))
-
-    def multi(self, flat):
-        out = []
-        for s in self.strides:
-            out.append(flat // s)
-            flat %= s
-        return tuple(out)
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return iter_product(*(range(s) for s in self.shape))
+    return MeetMatrix(subset, nums, den, _table_gather(tables, strides(shape)))
 
 
 class Decomposition:
     """Structured congruence factorization of a meet matrix.
 
-    One 0/1 lower triangular order-indicator factor per Kronecker slot,
-    and the flat diagonal in lexicographic multi-index order.  The product
-    (E1 kron ... kron Ed) diag (E1 kron ... kron Ed)^T reproduces the meet
-    matrix exactly.
+    One 0/1 lower triangular order-indicator factor per factor of the
+    subset, and the flat diagonal in the subset's lexicographic order.
+    The product (E1 kron ... kron Ed) diag (E1 kron ... kron Ed)^T
+    reproduces the meet matrix exactly.
     """
 
-    def __init__(self, subsets, factors, diag, subset, order_map):
-        self.subsets = tuple(subsets)
+    def __init__(self, subset, factors, diag):
+        self.subset = subset
         self.factors = tuple(tuple(tuple(row) for row in fac) for fac in factors)
         self.diag = tuple(Fraction(v) for v in diag)
-        self.subset = subset
-        self.order_map = order_map
-
-    @property
-    def n(self):
-        return len(self.diag)
 
     def signature(self):
         """Counts of positive, negative, and zero diagonal entries."""
@@ -323,7 +281,7 @@ class Decomposition:
         return Inertia(pos, neg, len(self.diag) - pos - neg)
 
     def __repr__(self):
-        shape = "x".join(str(s) for s in self.order_map.shape)
+        shape = "x".join(str(s) for s in self.subset.shape)
         return f"Decomposition(shape {shape})"
 
 
@@ -336,19 +294,6 @@ def _indicator(s):
     )
 
 
-def _require_exact(f):
-    if not getattr(f, "exact", True):
-        raise InexactFunctionError(
-            f"{f!r} carries float-derived values; exact decompositions refuse it")
-
-
-def _check_arity(f, d):
-    lat = getattr(f, "lattice", None)
-    arity = getattr(lat, "arity", 1)
-    if arity != d:
-        raise DimensionMismatchError(f"function arity {arity} does not match {d} subset factors")
-
-
 def kron_decompose_d(subsets, f):
     """d-factor decomposition over meet closed subsets, in lexicographic order.
 
@@ -356,18 +301,18 @@ def kron_decompose_d(subsets, f):
     componentwise lower sets, with the product of the factor Mobius
     functions as weight; at d = 1 this is the single-subset form.
     """
-    subs = list(subsets)
-    if not subs:
-        raise ValueError("need at least one subset")
-    for sub in subs:
-        if not sub.meet_closed:
-            raise NotMeetClosedError("factor subset is not meet closed")
-    _require_exact(f)
-    _check_arity(f, len(subs))
-    subset = product_subset(subs)
+    subset = product_subset(subsets)
+    if not subset.meet_closed:
+        raise NotMeetClosedError("factor subset is not meet closed")
+    if not getattr(f, "exact", True):
+        raise InexactFunctionError(
+            f"{f!r} carries float-derived values; exact decompositions refuse it")
+    arity = getattr(getattr(f, "lattice", None), "arity", 1)
+    if arity != len(subset.factors):
+        raise DimensionMismatchError(
+            f"function arity {arity} does not match {len(subset.factors)} subset factors")
     diag = [v for _, v in inverted_values(f, subset)]
-    return Decomposition(subs, tuple(_indicator(sub) for sub in subs), diag, subset,
-                         OrderMap(len(sub) for sub in subs))
+    return Decomposition(subset, tuple(map(_indicator, subset.factors)), diag)
 
 
 def reconstruct(dec):
@@ -375,22 +320,21 @@ def reconstruct(dec):
 
     The Kronecker product is never materialized: each diagonal entry,
     scaled to an int over the diagonal's common denominator, is scattered
-    onto the flat pairs whose multi-indices dominate it in every factor.
-    The result has one position per entry.
+    onto the flat pairs whose multi-indices dominate it in every factor,
+    each placed by the subset's strides.  The result has one position per
+    entry.
     """
-    om = dec.order_map
-    shape = om.shape
-    nn = om.size
+    subset = dec.subset
+    nn = len(dec.diag)
     den = math.lcm(*{v.denominator for v in dec.diag})
     rows = [[0] * nn for _ in range(nn)]
-    for kflat, lam in enumerate(dec.diag):
+    for kmulti, lam in zip(iter_product(*map(range, subset.shape)), dec.diag):
         if lam == 0:
             continue
         lam = lam.numerator * (den // lam.denominator)
-        kmulti = om.multi(kflat)
-        above = [[i for i in range(size) if fac[i][k]]
-                 for size, fac, k in zip(shape, dec.factors, kmulti)]
-        flats = [om.flat(imulti) for imulti in iter_product(*above)]
+        above = [[i * stride for i, row in enumerate(fac) if row[k]]
+                 for fac, k, stride in zip(dec.factors, kmulti, subset.strides)]
+        flats = reduce(_kron_sum, above, [0])
         # lexicographic multi-indices have ascending flat positions
         for s, fi in enumerate(flats):
             ri = rows[fi]
@@ -398,7 +342,7 @@ def reconstruct(dec):
                 ri[fj] += lam
     for i, row in enumerate(rows):
         row[:i] = map(itemgetter(i), rows[:i])
-    return MeetMatrix(dec.subset, list(chain.from_iterable(rows)), den,
+    return MeetMatrix(subset, list(chain.from_iterable(rows)), den,
                       lambda seq: [seq[i:i + nn] for i in range(0, nn * nn, nn)])
 
 
@@ -420,20 +364,19 @@ def matrix_to_json(m):
         "labels": [_jsonable(x) for x in m.subset.members],
         "entries": m.text_rows(),
     }
-    if m.subset.factor_subsets is not None:
-        doc["order_map"] = {"shape": [len(s) for s in m.subset.factor_subsets]}
+    if len(m.subset.shape) > 1:
+        doc["order_map"] = {"shape": list(m.subset.shape)}
     return doc
 
 
 def decomposition_to_json(dec, residual=None):
-    om = dec.order_map
     doc = {
         "schema": 2,
         "kind": "decomposition",
-        "factor_labels": [[_jsonable(x) for x in s.members] for s in dec.subsets],
+        "factor_labels": [[_jsonable(x) for x in s.members] for s in dec.subset.factors],
         "factors": [[list(row) for row in fac] for fac in dec.factors],
         "diag": [str(v) for v in dec.diag],
-        "order_map": {"shape": list(om.shape)},
+        "order_map": {"shape": list(dec.subset.shape)},
     }
     if residual is not None:
         doc["reconstruction_residual"] = str(residual)

@@ -9,7 +9,10 @@ hand out finite lower closed covering grids ({1..m} and its powers) on
 request.  Their d-fold powers come from the cached ``lattice_power``, so
 every caller asking for one gets the same instance.  An ordered subset
 caches its own MeetTable, the position of every pairwise meet of its
-members, which also answers whether it is meet closed.
+members, which also answers whether it is meet closed.  A ProductSubset
+alone knows a product's lexicographic layout (factors, shape, strides)
+and builds its member list only when read; a plain subset is a product
+of one factor.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from operator import itemgetter
 
 from .errors import (
     AmbientNotEnumerableError,
+    ArityLimitError,
     CycleError,
     DuplicateElementError,
     NotASemilatticeError,
@@ -237,13 +241,10 @@ class ProductLattice:
         if not factors:
             raise ValueError("a product needs at least one factor")
         self.factors = factors
+        self.arity = len(factors)
         leasts = [getattr(f, "least", None) for f in factors]
         self.least = tuple(leasts) if all(v is not None for v in leasts) else None
         self._covers = {}
-
-    @property
-    def arity(self):
-        return len(self.factors)
 
     def leq(self, x, y):
         return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
@@ -269,7 +270,7 @@ class ProductLattice:
 
     def covering_set(self, bound):
         if bound not in self._covers:
-            self._covers[bound] = product_subset([f.covering_set(bound) for f in self.factors])
+            self._covers[bound] = ProductSubset(f.covering_set(bound) for f in self.factors)
         return self._covers[bound]
 
     def __eq__(self, other):
@@ -282,6 +283,11 @@ class ProductLattice:
         return f"ProductLattice({list(self.factors)!r})"
 
 
+# a d-fold power holds d factors and d-tuple elements, so an arity is
+# refused before anything of its size is built
+MAX_ARITY = 64
+
+
 @lru_cache(maxsize=None)
 def lattice_power(base, d):
     """The d-fold product of base with itself, or base itself at d = 1.
@@ -290,6 +296,8 @@ def lattice_power(base, d):
     equal requests get one instance and share its covering sets and the
     Mobius values cached on them.
     """
+    if d > MAX_ARITY:
+        raise ArityLimitError(f"arity {d} is above the limit of {MAX_ARITY}")
     if d == 1:
         return base
     return ProductLattice((lattice_power(base, 1),) * d)
@@ -303,14 +311,6 @@ def divisor_lattice(d=1):
 def min_lattice(d=1):
     """The MIN lattice, or its d-fold product with tuple elements."""
     return lattice_power(MinLattice(), d)
-
-
-def product_lattice(factors):
-    """Product semilattice; a single factor is returned unchanged."""
-    factors = list(factors)
-    if len(factors) == 1:
-        return factors[0]
-    return ProductLattice(factors)
 
 
 def linear_extension(lattice, members):
@@ -375,7 +375,7 @@ class ElementSubset:
     already in such an order, and none of this is checked.
     """
 
-    def __init__(self, lattice, members, _presorted=False, factor_subsets=None):
+    def __init__(self, lattice, members, _presorted=False):
         xs = list(members)
         if not xs:
             raise ValueError("subset must be nonempty")
@@ -390,8 +390,19 @@ class ElementSubset:
             xs = linear_extension(lattice, xs)
         self.lattice = lattice
         self.members = tuple(xs)
-        self.factor_subsets = factor_subsets
         self._pos = {x: i for i, x in enumerate(self.members)}
+
+    # the layout of a product of one factor, as ProductSubset has it;
+    # properties, so that a subset holds no reference to itself
+    strides = (1,)
+
+    @property
+    def factors(self):
+        return (self,)
+
+    @property
+    def shape(self):
+        return (len(self.members),)
 
     def index(self, x):
         return self._pos[x]
@@ -496,20 +507,60 @@ def lower_closure(s):
     return ElementSubset(s.lattice, items)
 
 
-def product_subset(subsets):
-    """Cartesian product subset in lexicographic order of the factors.
+def strides(shape):
+    """Lexicographic strides: multi-index i sits at the sum of i_t * strides[t]."""
+    return tuple(math.prod(shape[t + 1:]) for t in range(len(shape)))
+
+
+class ProductSubset:
+    """Cartesian product of ordered subsets, in lexicographic order.
 
     The lexicographic order of linear extensions is itself a linear
-    extension of the product order, so the members can be taken as given.
+    extension of the product order.  Positions and membership are asked
+    of the factors, so the member list is built only when first read.
     """
-    subsets = list(subsets)
-    if not subsets:
-        raise ValueError("need at least one factor subset")
-    if len(subsets) == 1:
-        return subsets[0]
-    lattice = ProductLattice([s.lattice for s in subsets])
-    members = [tuple(c) for c in iter_product(*(s.members for s in subsets))]
-    return ElementSubset(lattice, members, _presorted=True, factor_subsets=tuple(subsets))
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.lattice = ProductLattice(s.lattice for s in self.factors)
+        self.shape = tuple(map(len, self.factors))
+        self.strides = strides(self.shape)
+        self.leq = self.lattice.leq
+        self.meet = self.lattice.meet
+
+    @cached_property
+    def members(self):
+        return tuple(self)
+
+    def index(self, x):
+        if x not in self:
+            raise KeyError(x)
+        return sum(s.index(c) * k for s, c, k in zip(self.factors, x, self.strides))
+
+    # meets and lower sets in a product are taken componentwise
+    @property
+    def meet_closed(self):
+        return all(s.meet_closed for s in self.factors)
+
+    @property
+    def lower_closed(self):
+        return all(s.lower_closed for s in self.factors)
+
+    def __len__(self):
+        return math.prod(self.shape)
+
+    def __iter__(self):
+        return iter_product(*self.factors)
+
+    def __contains__(self, x):
+        return (isinstance(x, tuple) and len(x) == len(self.factors)
+                and all(c in s for s, c in zip(self.factors, x)))
+
+
+def product_subset(subsets):
+    """Cartesian product subset of the factors; a single factor is returned unchanged."""
+    subsets = tuple(subsets)
+    return subsets[0] if len(subsets) == 1 else ProductSubset(subsets)
 
 
 def load_hasse(source):

@@ -207,7 +207,7 @@ def _rows_collapse(grid, f, g):
     the row of the diagonal element (a meet b, a meet b), and the principal
     block on the diagonal elements is the meet matrix of g over S.
     """
-    s = grid.factor_subsets[0]
+    s = grid.factors[0]
     meet = s.lattice.meet
     rows = meet_matrix(grid, f).rows
     diag = [grid.index((x, x)) for x in s]

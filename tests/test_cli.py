@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from meetpd import cli
-from meetpd.arith import builtin
+from meetpd.arith import builtin, pd_check_grid
 from meetpd.cli import main
 from meetpd.incidence import inverted_values
 from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
-from meetpd.posets import divisor_lattice
+from meetpd.posets import MAX_ARITY, ProductSubset, divisor_lattice
 
 
 def run(capsys, *argv):
@@ -381,6 +381,53 @@ def test_check_refuses_a_covering_set_past_its_limit_before_building_it(capsys, 
                    "--m", "1")[0] == expected
 
 
+def test_check_never_builds_the_member_list_of_a_product(capsys, monkeypatch):
+    # documents and exit codes as recorded before product covering sets
+    # were computed from their factors
+    def refuse(self):
+        raise AssertionError("the member list of a product was built")
+
+    monkeypatch.setattr(ProductSubset, "members", property(refuse))
+    positive = {"schema": 1, "verdict": POSITIVE, "witness": None, "tested_bound": 40,
+                "certificate_flag": False}
+    code, out, _ = run(capsys, "check", "--d", "2", "--fn", "gcd_pow:1", "--m", "40")
+    assert (code, json.loads(out)) == (0, positive)
+    code, out, _ = run(capsys, "check", "--fn", "ramanujan_C", "--m", "30")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"kind": "element", "element": [1, 2], "value": "-2"}
+    assert pd_check_grid(builtin("gcd_pow", alpha=1, d=3), 6).is_positive
+    negative = pd_check_grid(builtin("lcm_pow", alpha=1, d=3), 4)
+    assert (negative.witness.element, negative.witness.value) == ((1, 2, 2), -1)
+
+
+@pytest.mark.parametrize("path", ["builtin", "table", "family_line", "grid"])
+def test_an_arity_above_the_limit_exits_two_before_anything_of_its_size(capsys, tmp_path,
+                                                                         path):
+    d = str(10 ** 9)
+    if path == "builtin":
+        argv = ["check", "--d", d, "--fn", "zeta_d", "--m", "1"]
+    elif path == "table":
+        # a table brings its own arity, one past the limit
+        table = tmp_path / "t.csv"
+        table.write_text(",".join(["1"] * (MAX_ARITY + 2)) + "\n")
+        argv = ["check", "--fn", f"@{table}", "--m", "1"]
+    elif path == "family_line":
+        hasse = tmp_path / "fam.txt"
+        hasse.write_text(f"family divisor d={d}\n")
+        argv = ["check", "--hasse", str(hasse), "--fn", "zeta_d", "--m", "1"]
+    else:
+        argv = ["grid", "--d", d, "--m", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "limit of 64" in lines[0]
+    # a table of the given arity is refused before its lattice is asked for
+    if path == "table":
+        code, _, err = run(capsys, "check", "--d", d, "--fn", f"@{table}", "--m", "1")
+        assert code == 2 and err.startswith("error: table arity 65 does not match")
+    assert run(capsys, "check", "--d", str(MAX_ARITY), "--fn", "zeta_d", "--m", "1")[0] == 0
+
+
 def test_decompose_reports_a_nonzero_residual_exactly(capsys, monkeypatch):
     real = cli.kron_decompose_d
 
@@ -388,7 +435,7 @@ def test_decompose_reports_a_nonzero_residual_exactly(capsys, monkeypatch):
         dec = real(subsets, f)
         diag = list(dec.diag)
         diag[4] += Fraction(5, 3)
-        return Decomposition(dec.subsets, dec.factors, diag, dec.subset, dec.order_map)
+        return Decomposition(dec.subset, dec.factors, diag)
 
     monkeypatch.setattr(cli, "kron_decompose_d", one_entry_off)
     code, out, _ = run(capsys, "decompose", "--d", "2", "--fn", "lcm_pow:1", "--m", "3")

@@ -15,7 +15,6 @@ from meetpd.posets import (
     lower_closure,
     meet_closure,
     min_lattice,
-    product_lattice,
     product_subset,
     subset,
 )
@@ -269,7 +268,7 @@ def test_ambient_mobius_closed_forms():
     assert mu[(3, 3)] == 1
     assert mu[(3, 4)] == -1
     assert (3, 5) not in mu
-    prod_set = product_lattice([dl, ml]).covering_set(6)
+    prod_set = ProductLattice([dl, ml]).covering_set(6)
     assert mu_pairs(prod_set)[((1, 1), (6, 2))] == mobius_int(6) * -1
     for grid in (dl.covering_set(30), ml.covering_set(9), divisor_lattice(2).covering_set(6),
                  prod_set):
@@ -322,7 +321,7 @@ def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
     f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                       for x in grid.members})
     got = list(inverted_values(f, grid))
-    assert len(inverted) == 3 and all(s.factor_subsets is None for s in inverted)
+    assert len(inverted) == 3 and all(s.factors == (s,) for s in inverted)
     mu = mu_pairs(grid)
     assert got == [
         (x, sum((f(z) * mu.get((z, x), 0) for z in grid.members if grid.leq(z, x)), Fraction(0)))

@@ -14,7 +14,6 @@ from meetpd.errors import (
 from meetpd.incidence import mobius
 from meetpd.meetmatrix import (
     LatticeFunction,
-    OrderMap,
     constant_function,
     identity_function,
     kron_decompose_d,
@@ -234,7 +233,7 @@ def test_kron_d_three_factor_reconstruction():
     dec = kron_decompose_d([s, s, s], f)
     grid = product_subset([s, s, s])
     assert reconstruct(dec) == meet_matrix(grid, f)
-    assert dec.order_map.shape == (2, 2, 2)
+    assert dec.subset.shape == (2, 2, 2)
 
 
 def test_kron_d_matches_kron_on_random_meet_closed_pairs():
@@ -278,13 +277,6 @@ def test_flat_index_convention_matches_floor_mod_formula():
     for i in range(1, n * m + 1):
         expected = (s.members[(i - 1) // m], t.members[(i - 1) % m])
         assert grid.members[i - 1] == expected
-
-
-def test_order_map_round_trip():
-    om = OrderMap((3, 4, 2))
-    for flat in range(len(om)):
-        assert om.flat(om.multi(flat)) == flat
-    assert list(om) == [om.multi(i) for i in range(len(om))]
 
 
 def test_zeta_factors_unit_lower_triangular():
@@ -377,7 +369,7 @@ def test_json_export_shapes():
     assert doc["entries"][1][1] == "2"
     assert doc["order_map"]["shape"] == [2, 2]
 
-    dec = kron_decompose_d(grid.factor_subsets, lcm_function(2))
+    dec = kron_decompose_d(grid.factors, lcm_function(2))
     ddoc = decomposition_to_json(dec, residual=Fraction(0))
     assert ddoc["schema"] == 2
     assert ddoc["order_map"]["shape"] == [2, 2]

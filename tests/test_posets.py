@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meetpd.errors import (
+    ArityLimitError,
     CycleError,
     DuplicateElementError,
     NotASemilatticeError,
 )
+from meetpd.incidence import mobius
 from meetpd.posets import (
+    MAX_ARITY,
     DivisorLattice,
+    ElementSubset,
     MeetSemilattice,
     Poset,
     ProductLattice,
@@ -21,7 +26,6 @@ from meetpd.posets import (
     lower_closure,
     meet_closure,
     min_lattice,
-    product_lattice,
     product_subset,
     subset,
 )
@@ -87,9 +91,15 @@ def test_product_meet_componentwise():
     assert prod.meet((4, 9), (6, 3)) == (2, 3)
 
 
-def test_product_of_one_factor_is_identity():
-    dl = divisor_lattice()
-    assert product_lattice([dl]) is dl
+def test_lattice_power_refuses_an_arity_above_the_limit_before_building(monkeypatch):
+    def build(self, factors):
+        raise AssertionError("a product lattice was built")
+
+    assert len(lattice_power(DivisorLattice(), MAX_ARITY).factors) == MAX_ARITY
+    monkeypatch.setattr(ProductLattice, "__init__", build)
+    for d in (MAX_ARITY + 1, 10 ** 9):
+        with pytest.raises(ArityLimitError):
+            lattice_power(DivisorLattice(), d)
 
 
 def test_integer_lattices_are_equal_by_exact_type():
@@ -232,7 +242,54 @@ def test_product_subset_lex_order():
     s = subset(dl, [1, 2])
     grid = product_subset([s, s])
     assert grid.members == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert grid.factor_subsets == (s, s)
+    assert grid.factors == (s, s)
+
+
+DIAMOND = MeetSemilattice(["0", "x", "y", "1"], [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+
+# factor subsets with a coordinate outside each; {4, 6} and {x, y} are not
+# meet closed, {2, 3} is meet closed but not lower closed
+FACTORS = [
+    (lambda m: divisor_lattice().covering_set(m), 99),
+    (lambda m: min_lattice().covering_set(m), 99),
+    (lambda m: subset(divisor_lattice(), [4, 6]), 2),
+    (lambda m: subset(divisor_lattice(), [2, 3][:m]), 1),
+    (lambda m: DIAMOND.covering_set(), "z"),
+    (lambda m: subset(DIAMOND, ["x", "y"]), "0"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(FACTORS) - 1), st.integers(1, 5)),
+                min_size=1, max_size=3))
+def test_product_subset_matches_the_materialized_product(picks):
+    # reference: the member list and position dict a product subset kept
+    # before it computed both from its factors
+    factors = [FACTORS[k][0](m) for k, m in picks]
+    foreign = [FACTORS[k][1] for k, _ in picks]
+    grid = product_subset(factors)
+    members = [tuple(c) for c in itertools.product(*(s.members for s in factors))]
+    if len(factors) == 1:
+        members = [x for (x,) in members]
+    pos = {x: i for i, x in enumerate(members)}
+    ref = ElementSubset(grid.lattice, members, _presorted=True)
+    assert list(grid) == members and grid.members == tuple(members)
+    assert len(grid) == len(members) == len(pos)
+    assert grid.shape == tuple(map(len, factors)) and grid.factors == tuple(factors)
+    assert all(x in grid and grid.index(x) == pos[x] for x in members)
+    x = members[-1]
+    coords = x if len(factors) > 1 else (x,)
+    outside = [coords[:t] + (c,) + coords[t + 1:] for t, c in enumerate(foreign)]
+    outside += [coords + coords[:1], coords[:-1]]
+    if len(factors) > 1:
+        outside += [coords[0]]
+    for y in outside:
+        assert y not in grid
+        with pytest.raises(KeyError):
+            grid.index(y)
+    assert mobius(grid) == mobius(ref)
+    assert grid.meet_closed == ref.meet_closed
+    assert grid.lower_closed == ref.lower_closed
 
 
 def test_product_subset_skips_the_member_checks(monkeypatch):
