@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateElementError,
     EvaluationError,
+    ExponentLimitError,
     InexactFunctionError,
     MeetPDError,
     NegativeScalarError,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .errors import ArityMismatchError, UnknownBuiltinError
+from .errors import ArityMismatchError, ExponentLimitError, UnknownBuiltinError
 from .exact import rational_sum
 from .intfun import divisors, mobius_int
 from .meetmatrix import LatticeFunction, constant_function, meet_composed_function
@@ -85,12 +85,13 @@ def pd_check_grid(f, bound):
     return pd_criterion(f, divisor_lattice(f.lattice.arity), bound)
 
 
+MAX_EXPONENT = 700  # n^700 has at most 4,215 digits for n <= 2^20; str() allows 4,300
+
+
 def _power_value(base, alpha):
     if alpha.denominator == 1:
         k = int(alpha)
-        if k >= 0:
-            return Fraction(base ** k)
-        return Fraction(1, base ** (-k))
+        return Fraction(base ** k) if k >= 0 else Fraction(1, base ** -k)
     return float(base) ** float(alpha)
 
 
@@ -107,18 +108,16 @@ def builtin(name, alpha=None, d=None, g=None):
         raise ValueError("arity must be at least 1")
     lattice = divisor_lattice(arity)
 
-    if name == "gcd_pow":
+    if name in ("gcd_pow", "lcm_pow"):
         if alpha is None:
-            raise ValueError("gcd_pow needs an exponent")
+            raise ValueError(f"{name} needs an exponent")
         a = Fraction(alpha)
-        base = LatticeFunction(divisor_lattice(), lambda n: _power_value(n, a),
-                               name=f"n^{a}", exact=a.denominator == 1)
-        return meet_composed_function(base, arity, name=f"gcd_pow:{a}")
-
-    if name == "lcm_pow":
-        if alpha is None:
-            raise ValueError("lcm_pow needs an exponent")
-        a = Fraction(alpha)
+        if abs(a) > MAX_EXPONENT:
+            raise ExponentLimitError(f"exponent {a} exceeds the limit of {MAX_EXPONENT} in size")
+        if name == "gcd_pow":
+            base = LatticeFunction(divisor_lattice(), lambda n: _power_value(n, a),
+                                   name=f"n^{a}", exact=a.denominator == 1)
+            return meet_composed_function(base, arity, name=f"gcd_pow:{a}")
         return LatticeFunction(lattice, lambda x: _power_value(math.lcm(*_coords(x)), a),
                                name=f"lcm_pow:{a}", exact=a.denominator == 1)
 

@@ -61,5 +61,9 @@ class ArityLimitError(MeetPDError, ValueError):
     """A lattice power was asked for an arity above posets.MAX_ARITY."""
 
 
+class ExponentLimitError(MeetPDError, ValueError):
+    """A power function was asked for an exponent beyond +-arith.MAX_EXPONENT."""
+
+
 class UnknownBuiltinError(MeetPDError):
     """No builtin arithmetic function with that name."""

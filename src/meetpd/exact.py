@@ -1,29 +1,25 @@
 """Exact rational sums, and exact linear algebra for symmetric matrices.
 
-Symmetric congruence elimination with diagonal pivoting decides inertia
-(and hence positive semidefiniteness) without any tolerance.  The
-elimination is fraction-free (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination"): the matrix is first
-multiplied by the lcm of its denominators, a positive scalar congruence
-that keeps the inertia (rows that are all ints are taken as they are, so
-a caller holding the matrix as ints over a common denominator, as a
-MeetMatrix does, skips that conversion), and every active entry is then
-an integer bordered minor of the leading pivot block, so each update
-divides exactly by the previous pivot.  The pivot is the largest |diagonal|
-(first in search order on ties).  When the active block has an all-zero
-diagonal but a nonzero entry a_ij, the unimodular congruence "add row
-and column j to row and column i" makes a_ii = 2 a_ij the next pivot, so
-the elimination always runs to completion.  For matrices that are not
-positive semidefinite, a rational vector v with v^T A v < 0 is reported:
-v = P^T L^-T e_k for the first negative pivot k of P A P^T = L D L^T,
-computed fraction-free as the adjugate column adj(B) e_k of the leading
-pivot block B (and mapped back through any row-add congruences).
+Symmetric congruence elimination decides inertia with no tolerance, on
+the matrix times the lcm of its denominators (int rows are taken as they
+are).  The pivot is the first nonzero diagonal in search order, member
+order for a meet matrix, whose Schur complements are then meet matrices
+with 0/1 multipliers (Haukkanen 1996).  Each active row is ints over its
+own denominator: it is skipped if its pivot-column entry is 0, takes an
+int multiple of the pivot row if there is one, and else is cross-multiplied
+and divided by common factors, to a divisor of the pivot block's
+determinant (the Bareiss 1968 bound).  An all-zero active diagonal with
+a_ij != 0 takes the congruence "add row and column j to i".  The witness
+of the first negative pivot k of P A P^T = L D L^T is v = P^T L^-T e_k,
+by back substitution, mapped back through the row-add congruences.
 """
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
+from operator import sub
 
 
 class Inertia(namedtuple("Inertia", "positive negative zero")):
@@ -76,94 +72,98 @@ def _integer_matrix(rows):
         c = math.lcm(*{v.denominator for row in q for v in row})
         a = [[v.numerator * (c // v.denominator) for v in row] for row in q]
     n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
     if a != [list(col) for col in zip(*a)]:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j] != a[j][i])
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     return a, c
 
 
-def _entry(tri, t, u):
-    return tri[t][u - t] if t <= u else tri[u][t - u]
+def _full_row(tri, den, q):
+    """Row q of the active block, as ints over one positive denominator, and that denominator."""
+    d = math.lcm(*den[:q + 1])
+    col = [tri[v][q - v] * (d // den[v]) for v in range(q)]
+    return col + (tri[q] if d == den[q] else [e * (d // den[q]) for e in tri[q]]), d
 
 
 def symmetric_elimination(rows):
     """Exact inertia of a symmetric rational matrix by pivoted elimination."""
     a, scale = _integer_matrix(rows)
     n = len(a)
-    act = list(range(n))  # active indices, ascending
-    tri = [a[i][i:] for i in range(n)]  # tri[t][u - t]: entry (act[t], act[u]), t <= u
-    order = list(range(n))  # active indices in pivot search order
-    pivots = []  # eliminated indices, in pivot order
-    saved = []  # bordered pivot rows {index: entry}, up to the first negative pivot
+    act, order = list(range(n)), list(range(n))  # active indices: ascending, in search order
+    tri, den = [a[i][i:] for i in range(n)], [1] * n  # tri[t][u - t] / den[t]: a[act[t]][act[u]]
+    cols = []  # (active indices, pivot row, its position), up to the first negative pivot
     adds = []  # row-add congruences (i, j): row and column j added to i
-    prev = 1  # previous pivot = leading principal minor of the eliminated block
-    pos = neg = 0
-    first_negative = None
+    neg, value = 0, None  # the number of negative pivots, and the first one
+    det = 1  # determinant of the pivot block; det times an active entry is an int
     while act:
-        where = {x: t for t, x in enumerate(act)}
-        q = -1
-        best = 0
         for s, x in enumerate(order):
-            d = abs(tri[where[x]][0])
-            if d > best:
-                q, qs, best = where[x], s, d
-        if q < 0:
-            pair = next(((x, y) for s, x in enumerate(order) for y in order[s + 1:]
-                         if _entry(tri, where[x], where[y])), None)
-            if pair is None:
+            q = bisect_left(act, x)
+            if tri[q][0]:
                 break
-            # all active diagonal entries are zero: add row/column y to x
-            x, y = pair
-            t, u = where[x], where[y]
-            row = [_entry(tri, t, v) + _entry(tri, u, v) for v in range(len(act))]
-            row[t] = 2 * _entry(tri, t, u)
+        else:  # the active diagonal is zero: add row/column u to t, the first a_tu != 0
+            t, u = next(((t, t + j) for t, row in enumerate(tri) for j, e in enumerate(row) if e),
+                        (0, 0))
+            if t == u:
+                break  # the active block is zero
+            ry, dy = _full_row(tri, den, u)
+            d = math.lcm(den[t], dy)
+            tri[t] = [d // den[t] * e + d // dy * w for e, w in zip(tri[t], ry[t:])]
+            tri[t][0], den[t] = 2 * d // dy * ry[t], d
             for v in range(t):
-                tri[v][t - v] = row[v]
-            tri[t] = row[t:]
-            for kept in saved:
-                kept[x] += kept[y]
-            adds.append(pair)
+                tri[v][t - v] += tri[v][u - v]
+            for kept_act, kept, _ in cols:
+                kept[bisect_left(kept_act, act[t])] += kept[bisect_left(kept_act, act[u])]
+            adds.append((act[t], act[u]))
             continue
-        piv = tri[q][0]
-        r = [tri[t][q - t] for t in range(q)] + tri[q]
-        if first_negative is None:
-            saved.append(dict(zip(act, r)))
-        if (piv > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-            if first_negative is None:
-                first_negative = len(pivots)
-        pivots.append(act[q])
-        order[qs] = order[0]
+        pr, pd = _full_row(tri, den, q)
+        p = pr[q]
+        if value is None:
+            cols.append((act, pr, q))
+            if p < 0:
+                value = Fraction(p, pd * scale)
+        det = det * p // pd
+        neg += p < 0
+        order[s] = order[0]
         del order[0]
-        del act[q], r[q], tri[q]
+        for t, c in enumerate(pr):
+            if not c or t == q:
+                continue  # a zero multiplier leaves the row as it is
+            row, dt = tri[t], den[t]
+            k, r = divmod(c * dt, p * pd)
+            if not r:  # row - k * pivot row, over dt
+                tri[t] = (list(map(sub, row, pr[t:])) if k == 1
+                          else [e - k * v for e, v in zip(row, pr[t:])])
+                continue
+            g = math.gcd(dt, pd)  # over p lcm(dt, pd), then divided back
+            f, k, dt = p * (pd // g), c * (dt // g), p * (pd // g) * dt
+            if p < 0:
+                f, k, dt = -f, -k, -dt
+            g = math.gcd(dt, det)
+            h = dt // g
+            row = [(f * e - k * v) // h for e, v in zip(row, pr[t:])]
+            h = math.gcd(g, *row)
+            tri[t], den[t] = [e // h for e in row] if h > 1 else row, g // h
         for t in range(q):
             del tri[t][q - t]
-        tri = [[(piv * e - c * rj) // prev for e, rj in zip(row, r[t:])]
-               for t, (row, c) in enumerate(zip(tri, r))]
-        prev = piv
-    inertia = Inertia(pos, neg, n - pos - neg)
-    if first_negative is None:
+        del tri[q], den[q]
+        act = act[:q] + act[q + 1:]
+    inertia = Inertia(n - len(act) - neg, neg, len(act))  # act: the zero block left
+    if value is None:
         return SymmetricFactorization(inertia, None, None)
-    # y = adj(B) e_k by fraction-free back substitution on the saved rows:
-    # U[i][i] y_i = -sum_{j > i} U[i][j] y_j, with y_k = det of B's leading k block
-    k = first_negative
-    lead = pivots[:k + 1]
-    minors = [1] + [r[x] for r, x in zip(saved, lead)]
-    y = {lead[k]: minors[k]}
-    for i in range(k - 1, -1, -1):
-        r = saved[i]
-        y[lead[i]] = -sum(r[x] * y[x] for x in lead[i + 1:]) // minors[i + 1]
-    v = [Fraction(0)] * n
-    for x, yx in y.items():
-        v[x] = Fraction(yx, minors[k])
+    # z = L^-T e_k on ints over zden, by back substitution: L[j][i] = pr_i[j] / pr_i[q_i]
+    kept_act, _, q = cols.pop()
+    z, zden = {kept_act[q]: 1}, 1
+    for kept_act, pr, q in reversed(cols):
+        s = sum(pr[bisect_left(kept_act, x)] * zx for x, zx in z.items())
+        h = pr[q] // math.gcd(s, pr[q])
+        if h > 1:
+            z, zden = {x: zx * h for x, zx in z.items()}, zden * h
+        z[kept_act[q]] = -s * h // pr[q]
+    v = [z.get(x, 0) if zden == 1 else Fraction(z.get(x, 0), zden) for x in range(n)]
     for i, j in reversed(adds):
         v[j] += v[i]
-    value = Fraction(minors[k + 1], minors[k] * scale)
     return SymmetricFactorization(inertia, tuple(v), value)
 
 

@@ -6,17 +6,15 @@ reads the Mobius-inverted values of the function over a lower closed
 covering set from ``incidence.inverted_values`` (the same values that
 form the diagonal of the meet matrix decomposition) and stops at the
 first negative one.  The oracle route decides matrices up to
-EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) by the exact
-fraction-free elimination of ``exact.symmetric_elimination``, with no
-tolerance and no float work; a MeetMatrix reaches it as int rows scaled
-by the lcm of its values' denominators, taken once per distinct meet, so
-no entry goes through a Fraction.  Only larger matrices are converted to
-floats and bounded by their smallest eigenvalue.  NumPy is imported on
-that float path alone, so importing meetpd does not load it.  A positive
-verdict is always relative to the tested covering bound; negative
-verdicts carry a reproducible witness.  The closure combinators
-(``scale``, ``add``, ``pointwise_mul``) build functions that stay
-positive definite when their operands are.
+EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) exactly, with no
+tolerance and no float work, by the congruence elimination on int rows
+of ``exact.symmetric_elimination`` (a MeetMatrix gives its values times
+their common denominator).  Only larger matrices are converted to floats
+and bounded by their smallest eigenvalue; NumPy is imported on that path
+alone.  A positive verdict is always relative to the tested covering
+bound; negative verdicts carry a reproducible witness.  The closure
+combinators (``scale``, ``add``, ``pointwise_mul``) build functions that
+stay positive definite when their operands are.
 """
 
 from collections import namedtuple
@@ -128,21 +126,19 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
     """Positive semidefiniteness of a symmetric rational matrix.
 
     Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
-    decided exactly by fraction-free pivoted congruence elimination on
-    integers, with no float work; the float minimum eigenvalue is still
-    reported, computed when min_eigenvalue is first read.  A MeetMatrix
-    goes to the elimination as den times itself, in ints, and the witness
-    value is divided back by den.  Larger matrices fall back to a float
-    eigenvalue bound with relative tolerance tol.
+    decided exactly by pivoted congruence elimination on ints; the float
+    minimum eigenvalue is computed only when min_eigenvalue is first
+    read.  A MeetMatrix goes in as den times itself, in ints, and the
+    witness value is divided back by den.  Larger matrices fall back to a
+    float eigenvalue bound with relative tolerance tol.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     rows, den, labels = _rows_and_labels(matrix)
     if len(rows) <= EXACT_ORACLE_LIMIT:
         fact = symmetric_elimination(rows)
-        witness = None
-        if fact.negative_direction is not None:
-            witness = VectorWitness(labels, fact.negative_direction, fact.negative_value / den)
+        witness = (None if fact.is_psd else
+                   VectorWitness(labels, fact.negative_direction, fact.negative_value / den))
         return OracleReport(fact.is_psd, "exact", cache(lambda: _float_eigen(rows, den)[1]),
                             fact.inertia, witness)
     import numpy as np

@@ -32,6 +32,7 @@ from meetpd.meetmatrix import (
     table_function,
 )
 from meetpd.pdcheck import (
+    EXACT_ORACLE_LIMIT,
     add,
     inverted_table,
     pd_criterion,
@@ -291,3 +292,25 @@ def test_criterion_10_decompose_at_the_member_limit(capsys):
     assert code == 0
     assert doc["order_map"]["shape"] == [32, 32]
     assert doc["reconstruction_residual"] == "0"
+
+
+def test_criterion_11_exact_oracle_at_its_size_limit():
+    # n = EXACT_ORACLE_LIMIT = 256, the largest matrices the exact path takes;
+    # a fraction-free (Bareiss) elimination grows its entries to the size of
+    # the determinant on these (10.6 s for the two on a 2-vCPU host, Python 3.11)
+    with budget("criterion 11: exact oracle on the gcd matrix and MIN 16x16 at n=256", 2.0):
+        dl = divisor_lattice()
+        gcd = psd_oracle(meet_matrix(dl.covering_set(EXACT_ORACLE_LIMIT), identity_function(dl)))
+        assert gcd.method == "exact"
+        assert gcd.inertia.as_tuple() == (EXACT_ORACLE_LIMIT, 0, 0)
+        rng = random.Random(16)
+        lat = min_lattice(2)
+        cover = lat.covering_set(16)
+        g = {z: Fraction(rng.randint(-3, 6)) for z in cover.members}
+        m = meet_matrix(cover, summatory_function(lat, g.__getitem__, certify_nonneg=False))
+        report = psd_oracle(m)
+        assert report.method == "exact" and len(cover) == EXACT_ORACLE_LIMIT
+        assert report.inertia.as_tuple() == (sum(v > 0 for v in g.values()),
+                                             sum(v < 0 for v in g.values()),
+                                             sum(v == 0 for v in g.values()))
+        assert quadratic_form(m.rows, report.witness.vector) == report.witness.value < 0

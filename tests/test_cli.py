@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from meetpd import cli
-from meetpd.arith import builtin, pd_check_grid
+from meetpd.arith import MAX_EXPONENT, builtin, pd_check_grid
 from meetpd.cli import main
+from meetpd.errors import ExponentLimitError
 from meetpd.incidence import inverted_values
 from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
@@ -426,6 +427,29 @@ def test_an_arity_above_the_limit_exits_two_before_anything_of_its_size(capsys, 
         code, _, err = run(capsys, "check", "--d", d, "--fn", f"@{table}", "--m", "1")
         assert code == 2 and err.startswith("error: table arity 65 does not match")
     assert run(capsys, "check", "--d", str(MAX_ARITY), "--fn", "zeta_d", "--m", "1")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fn", "gcd_pow:-20000", "--m", "2"],
+    ["matrix", "--fn", "gcd_pow:20000", "--m", "2"],
+    ["decompose", "--fn", "gcd_pow:20000", "--m", "2"],
+    ["check", "--fn", "lcm_pow:-20000", "--m", "2"],
+    ["check", "--fn", "gcd_pow:99999999999", "--m", "3"],
+])
+def test_an_exponent_above_the_limit_exits_two_before_any_value(capsys, argv):
+    # values this large would pass the digit limit of str() (or never finish)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "limit of 700" in lines[0]
+
+
+def test_exponents_at_the_limit_are_served(capsys):
+    code, out, _ = run(capsys, "matrix", "--fn", f"gcd_pow:-{MAX_EXPONENT}", "--m", "2")
+    assert code == 0 and f"1/{2 ** MAX_EXPONENT}" in out
+    assert run(capsys, "check", "--fn", f"lcm_pow:{MAX_EXPONENT}", "--m", "3")[0] == 0
+    with pytest.raises(ExponentLimitError):
+        builtin("lcm_pow", alpha=Fraction(1401, 2))
 
 
 def test_decompose_reports_a_nonzero_residual_exactly(capsys, monkeypatch):

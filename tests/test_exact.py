@@ -60,12 +60,7 @@ def reference_elimination(rows):
     used_block = False
     k = 0
     while k < n:
-        p = -1
-        best = None
-        for i in range(k, n):
-            d = a[i][i]
-            if d != 0 and (best is None or abs(d) > best):
-                p, best = i, abs(d)
+        p = next((i for i in range(k, n) if a[i][i] != 0), -1)
         if p >= 0:
             _reference_swap(a, lmat, perm, k, k, p)
             d = a[k][k]
@@ -250,6 +245,28 @@ def test_matches_reference_on_summatory_meet_matrices(make, d, bound):
             certify_nonneg=False)
         m = meet_matrix(lat.covering_set(bound), f)
         assert_matches_reference(m.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(divisor_lattice, 1, 12), (divisor_lattice, 2, 4), (divisor_lattice, 3, 2),
+                        (min_lattice, 1, 10), (min_lattice, 2, 4), (min_lattice, 3, 2)]),
+       st.data())
+def test_permuted_summatory_meet_matrices(case, data):
+    # P A P^T with A = E diag(g) E^T: member order is no linear extension
+    # here, so multipliers that the pivot does not divide and row
+    # denominators above 1 occur; the inertia is still the sign counts of g
+    make, d, bound = case
+    lat = make(d)
+    s = lat.covering_set(bound)
+    g = {z: data.draw(small_rationals) for z in s.members}
+    rows = meet_matrix(s, summatory_function(lat, g.__getitem__, certify_nonneg=False)).rows
+    perm = data.draw(st.permutations(range(len(rows))))
+    permuted = [[rows[i][j] for j in perm] for i in perm]
+    fact = symmetric_elimination(permuted)
+    signs = (sum(v > 0 for v in g.values()), sum(v < 0 for v in g.values()),
+             sum(v == 0 for v in g.values()))
+    assert fact.inertia.as_tuple() == signs
+    assert_matches_reference(permuted)
 
 
 HYPERBOLIC = [[0, 1], [1, 0]]
