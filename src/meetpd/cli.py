@@ -260,11 +260,12 @@ def cmd_decompose(config):
 def cmd_grid(config):
     if config.d != 2:
         raise ConfigError("grid data is two-dimensional; use --d 2")
-    bound = config.bound or 10
+    config = config._replace(bound=config.bound or 10)
+    _refuse_large_covering(config, "grid", MAX_CHECK_MEMBERS)
     f = summatory_function(config.family, lambda _z: 1, name="lower_set_size")
     lines = []
-    for x1 in range(1, bound + 1):
-        for x2 in range(1, bound + 1):
+    for x1 in range(1, config.bound + 1):
+        for x2 in range(1, config.bound + 1):
             lines.append(f"{x1},{x2},{f((x1, x2))}")
     _emit("\n".join(lines) + "\n", config.out)
     return 0

@@ -9,7 +9,9 @@ the dot product of its factor positions with the ``strides`` of the
 factors' point counts, and one exact value per distinct meet, as ints
 over one common denominator.  The oracle reads int rows, the writers
 render each value once, and ``decompose`` compares its reconstruction on
-ints; the rows of Fractions are built only when read.
+ints; the rows of Fractions are built only when read.  The values of a
+``summatory_function`` f = zeta g at the points of a member-order scan
+each cost the Mobius row ``lattice.mobius_below(x)``, not the lower set.
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -117,11 +119,13 @@ def table_function(lattice, mapping, name="table"):
 def summatory_function(lattice, g, certify_nonneg=True, name=None):
     """f(x) = sum of g(z) over the lower set of x.
 
-    The sum runs on ints over one common denominator (one Fraction per
-    value); a g value other than an int or a Fraction is read as
-    Fraction(v).  With certify_nonneg, every g value is checked to be >= 0 and the
-    result carries an unconditional positive definiteness certificate
-    (its Mobius-inverted values are the g values themselves).
+    Once f is memoized at every z of ``lattice.mobius_below(x)``, as in a
+    scan in a linear extension, f(x) = g(x) - sum of mu(z, x) f(z) (Rota
+    1964); before that, f(x) sums g over the lower set and memoizes only x.
+    Sums run on ints over one common denominator, one Fraction per value;
+    g values other than ints and Fractions are read as Fraction(v).  With
+    certify_nonneg every g value must be >= 0, and f carries an unconditional
+    positive definiteness certificate: its Mobius-inverted values are g.
     """
     def source(z):
         v = g(z)
@@ -131,11 +135,18 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
             raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
         return v, 1
 
-    return LatticeFunction(
-        lattice, lambda x: rational_sum(map(source, lattice.lower_set(x))),
-        name=name or "summatory",
-        certificate=certify_nonneg,
-    )
+    def value(x):
+        try:
+            terms = [(memo[z], -w) for z, w in below(x)]
+        except KeyError:
+            return rational_sum(map(source, lower(x)))
+        terms.append(source(x))
+        return rational_sum(terms)
+
+    below, lower = lattice.mobius_below, lattice.lower_set
+    f = LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
+    memo = f._memo  # the closures hold the memo, not f: no reference cycle keeps f alive
+    return f
 
 
 def meet_composed_function(g, d, name=None):

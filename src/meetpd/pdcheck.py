@@ -27,7 +27,7 @@ from .errors import (
     NumericalFailureError,
     PosetMismatchError,
 )
-from .exact import quadratic_form, symmetric_elimination
+from .exact import _rational, quadratic_form, symmetric_elimination
 from .incidence import inverted_values
 from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable
 
@@ -99,12 +99,12 @@ def _rows_and_labels(matrix):
     """The matrix as (rows, den, labels): its entries times den are the rows.
 
     A MeetMatrix gives int rows, scaled by the lcm of its values'
-    denominators; any other matrix gives its entries as Fractions, den 1.
+    denominators; any other matrix gives its entries as ints or Fractions, den 1.
     """
     if isinstance(matrix, MeetMatrix):
         rows, den = matrix.integer_rows()
         return rows, den, tuple(matrix.subset.members)
-    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    rows = tuple(tuple(map(_rational, row)) for row in matrix)
     return rows, 1, tuple(range(len(rows)))
 
 

@@ -33,7 +33,8 @@ from .errors import (
     DuplicateElementError,
     NotASemilatticeError,
 )
-from .intfun import divisors
+from .incidence import mobius
+from .intfun import divisors, mobius_int
 
 
 class Poset:
@@ -103,6 +104,12 @@ class Poset:
     def lower_set(self, x):
         mask = self._down[self._index[x]]
         return [e for i, e in enumerate(self.elements) if (mask >> i) & 1]
+
+    def mobius_below(self, x):
+        """The pairs (z, mu(z, x)) for z < x with mu nonzero."""
+        cover = self.covering_set()
+        zs, ws = mobius(cover)[cover.index(x)]
+        return tuple(zip(zs[:-1], ws[:-1]))
 
     def covering_set(self, bound=None):
         """The whole element set; a finite poset is its own covering."""
@@ -209,6 +216,12 @@ class DivisorLattice(IntegerLattice):
     def lower_set(self, x):
         return list(divisors(x))
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def mobius_below(x):
+        """(x/e, mu(e)) for each divisor e > 1 of x with mu(e) nonzero."""
+        return tuple((x // e, mu) for e in divisors(x)[1:] if (mu := mobius_int(e)))
+
 
 class MinLattice(IntegerLattice):
     """Positive integers under <=; meet is min."""
@@ -225,6 +238,9 @@ class MinLattice(IntegerLattice):
 
     def lower_set(self, x):
         return list(range(1, x + 1))
+
+    def mobius_below(self, x):
+        return ((x - 1, -1),) if x > 1 else ()
 
 
 class ProductLattice:
@@ -245,6 +261,7 @@ class ProductLattice:
         leasts = [getattr(f, "least", None) for f in factors]
         self.least = tuple(leasts) if all(v is not None for v in leasts) else None
         self._covers = {}
+        self._rows = tuple({} for _ in factors)
 
     def leq(self, x, y):
         return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
@@ -267,6 +284,16 @@ class ProductLattice:
                 raise AmbientNotEnumerableError(f"factor {f!r} cannot enumerate lower sets")
             parts.append(lower(c))
         return [tuple(t) for t in iter_product(*parts)]
+
+    def mobius_below(self, x):
+        """Rota's product rule; factor rows are cached per coordinate, x_t first."""
+        row = None
+        for f, rows, c in zip(self.factors, self._rows, x):
+            fac = rows.get(c)
+            if fac is None:
+                fac = rows[c] = (((c,), 1), *(((z,), w) for z, w in f.mobius_below(c)))
+            row = fac if row is None else [(zs + z, v * w) for zs, v in row for z, w in fac]
+        return row[1:]
 
     def covering_set(self, bound):
         if bound not in self._covers:

@@ -382,6 +382,23 @@ def test_check_refuses_a_covering_set_past_its_limit_before_building_it(capsys, 
                    "--m", "1")[0] == expected
 
 
+def test_grid_refuses_a_grid_past_the_check_limit_before_computing_a_value(capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a grid value was computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "summatory_function", refuse)
+        code, out, err = run(capsys, "grid", "--family", "min", "--m", "100000")
+    assert (code, out) == (2, "")
+    assert err == ("error: grid is limited to covering sets of at most 1048576 members; "
+                   "this one has more\n")
+    monkeypatch.setattr(cli, "MAX_CHECK_MEMBERS", 16)
+    assert run(capsys, "grid", "--m", "4")[0] == 0
+    assert run(capsys, "grid", "--m", "5")[0] == 2
+    # the default bound of 10 is counted as well
+    assert run(capsys, "grid")[0] == 2
+
+
 def test_check_never_builds_the_member_list_of_a_product(capsys, monkeypatch):
     # documents and exit codes as recorded before product covering sets
     # were computed from their factors

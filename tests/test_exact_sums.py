@@ -4,7 +4,9 @@ Each reference below adds one Fraction per term, the plain definition of
 the sum, and every comparison is exact equality of rationals.
 """
 
+import gc
 import time
+import weakref
 from fractions import Fraction
 from math import prod
 
@@ -17,7 +19,7 @@ from meetpd.errors import EvaluationError
 from meetpd.exact import rational_sum
 from meetpd.incidence import inverted_values
 from meetpd.intfun import mobius_int
-from meetpd.meetmatrix import summatory_function, table_function
+from meetpd.meetmatrix import meet_matrix, summatory_function, table_function
 from meetpd.posets import ProductLattice, divisor_lattice, min_lattice
 
 FAMILIES = {"divisor": divisor_lattice, "min": min_lattice}
@@ -122,6 +124,43 @@ def test_summatory_function_equals_the_per_term_fraction_sum(grid, data):
         for z in family.lower_set(x):
             expected += Fraction(g[z])
         assert f(x) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.sampled_from(["member", "reversed", "random"]), st.booleans(), st.data())
+def test_summatory_values_in_any_order_equal_the_lower_set_sums(grid, order, certify, data):
+    # a point whose Mobius row is not yet memoized is summed over its lower
+    # set; in member order every point after the first is computed from its row
+    family, cover, values = grid
+    g = {x: abs(v) if certify else v for x, v in values.items()}
+    calls = []
+    f = summatory_function(family, lambda z: calls.append(z) or g[z], certify_nonneg=certify)
+    points = list(cover.members)
+    if order == "reversed":
+        points.reverse()
+    elif order == "random":
+        points = data.draw(st.permutations(points))[:data.draw(st.integers(1, len(points)))]
+    for x in points:
+        expected = Fraction(0)
+        for z in family.lower_set(x):
+            expected += g[z]
+        assert f(x) == expected
+    if order == "member":
+        assert calls == points
+
+
+def test_a_dropped_summatory_function_is_freed_without_the_cyclic_collector():
+    lattice = min_lattice(2)
+    f = summatory_function(lattice, lambda _z: 1)
+    meet_matrix(lattice.covering_set(4), f)
+    assert f((2, 3)) == 6
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=150, deadline=None)

@@ -444,3 +444,20 @@ def test_criterion_positive_implies_monotone():
             verdict = pd_criterion(f, fam, bound)
             if verdict.is_positive:
                 assert_nonnegative_and_monotone(f, fam.covering_set(bound))
+
+
+
+@pytest.mark.parametrize("n, den", [(6, 1), (6, 2), (64, 1), (EXACT_ORACLE_LIMIT + 2, 2)])
+def test_oracle_reads_int_fraction_and_float_copies_of_one_matrix_alike(n, den):
+    # a gcd matrix with one diagonal entry lowered (indefinite), over den so
+    # that every entry is exact in binary
+    rows = [[Fraction(math.gcd(i, j) - 9 * (i == j == 2), den) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    copies = [rows, [[float(v) for v in row] for row in rows]]
+    if den == 1:
+        copies.append([[int(v) for v in row] for row in rows])
+    reports = [psd_oracle(c) for c in copies]
+    assert reports[0].method == ("exact" if n <= EXACT_ORACLE_LIMIT else "float")
+    assert not reports[0].is_psd
+    fields = [(r.is_psd, r.method, r.min_eigenvalue, r.inertia, r.witness) for r in reports]
+    assert fields == fields[:1] * len(fields)

@@ -12,6 +12,7 @@ from meetpd.errors import (
     NotASemilatticeError,
 )
 from meetpd.incidence import mobius
+from meetpd.intfun import mobius_int
 from meetpd.posets import (
     MAX_ARITY,
     DivisorLattice,
@@ -336,6 +337,48 @@ def test_least_member():
     dl = divisor_lattice()
     assert subset(dl, [1, 2, 3]).least_member == 1
     assert subset(dl, [2, 3]).least_member is None
+
+
+def _generic_rows(cover):
+    """x -> {z: mu(z, x)} over z < x, from the generic rows of incidence.mobius."""
+    return {x: dict(zip(zs[:-1], ws[:-1])) for x, (zs, ws) in zip(cover.members, mobius(cover))}
+
+
+def _shuffled_hasse_divisors(n, seed):
+    """Hasse lines of the divisors of n, elem and edge lines in a shuffled order."""
+    rng = random.Random(seed)
+    ds = [d for d in range(1, n + 1) if n % d == 0]
+    elems = [f"elem {d}" for d in ds]
+    edges = [f"edge {d} {d * p}" for d in ds for p in (2, 3, 5, 7) if n % (d * p) == 0]
+    rng.shuffle(elems)
+    rng.shuffle(edges)
+    return elems + edges
+
+
+@pytest.mark.parametrize("lattice, bound", [
+    (divisor_lattice(1), 60), (divisor_lattice(2), 8), (divisor_lattice(3), 4),
+    (min_lattice(1), 30), (min_lattice(2), 6), (min_lattice(3), 3),
+    (ProductLattice((divisor_lattice(), min_lattice())), 12),
+    (ProductLattice((load_hasse(_shuffled_hasse_divisors(36, 1)), min_lattice())), 3),
+])
+def test_mobius_below_is_the_generic_row_on_lower_closed_covering_sets(lattice, bound):
+    for x, row in _generic_rows(lattice.covering_set(bound)).items():
+        got = lattice.mobius_below(x)
+        assert dict(got) == row and len(got) == len(row)
+
+
+@pytest.mark.parametrize("n, seed", [(60, 2), (210, 3), (360, 4)])
+def test_mobius_below_on_a_hasse_lattice_listed_out_of_order(n, seed):
+    lattice = load_hasse(_shuffled_hasse_divisors(n, seed))
+    # some element is listed before one of its lower covers
+    assert any(lattice.elements.index(a) > lattice.elements.index(b)
+               for a, b in lattice.cover_edges)
+    rows = _generic_rows(lattice.covering_set())
+    for x in lattice.elements:
+        closed = {str(z): mobius_int(int(x) // z) for z in range(1, int(x))
+                  if int(x) % z == 0 and mobius_int(int(x) // z)}
+        assert dict(lattice.mobius_below(x)) == rows[x] == closed
+        assert len(lattice.mobius_below(x)) == len(closed)
 
 
 def test_load_hasse_explicit(tmp_path):
