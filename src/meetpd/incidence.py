@@ -2,7 +2,10 @@
 
 The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x.
-``mobius`` builds them per member as integer rows by Rota's recursion.
+``mobius`` gives them per member as integer rows: by Rota's product rule
+over the factor rows of a product, from the lattice's closed form on a
+lower closed subset of the divisor or MIN lattice, and by Rota's
+recursion on any other subset.
 ``inverted_values`` sums f against those rows in one streaming pass over
 the members; over a product subset it inverts one axis at a time against
 the factor rows (Rota's product rule, applied as in Yates' method), so a
@@ -13,7 +16,8 @@ so a product's member list is never built.
 
 from fractions import Fraction
 from itertools import product as iter_product
-from operator import mul
+from math import prod
+from operator import lt, mul
 from weakref import WeakKeyDictionary
 
 from .exact import rational_sum
@@ -25,16 +29,58 @@ def mobius(subset):
     """Mobius rows of a finite ordered subset, one (zs, ws) per member x.
 
     zs holds the members z below x with mu(z, x) nonzero, in member order
-    and ending with x itself; ws holds those values as ints.  Row x is
-    the unit at x minus the sum of the rows of the members strictly below
-    x (mu(z, x) = -sum of mu(z, w) over z <= w < x), so the order is
-    queried once per pair of members.  Product subsets are inverted as
-    any other subset, without the product rule.  The rows are cached per
-    subset object.
+    and ending with x itself; ws holds those values as ints.  The rows are
+    cached per subset object and come by the cheapest route that holds:
+
+    * a product of several factors: Rota's product rule, mu(z, x) is the
+      product of the factor values mu_t(z_t, x_t), over the factor rows;
+    * a lower closed subset of the divisor or MIN lattice: the ambient
+      closed form ``lattice.mobius_below(x)``, since an interval of a
+      lower closed subset is an interval of the lattice;
+    * any other subset: Rota's recursion (``_recursive_rows``).
     """
+    return _rows(subset)
+
+
+def _rows(subset):
+    """The body of ``mobius``.  A product reads its factor rows here, not
+    through the public name, which benchmarks/tracer.py wraps to count
+    one call per request."""
     rows = _MOBIUS_CACHE.get(subset)
     if rows is not None:
         return rows
+    factors = subset.factors
+    if len(factors) > 1:
+        # the lexicographic order of the factor rows is member order, and
+        # each product row ends at x
+        rows = tuple((tuple(iter_product(*(zs for zs, _ in parts))),
+                      tuple(map(prod, iter_product(*(ws for _, ws in parts)))))
+                     for parts in iter_product(*map(_rows, factors)))
+    elif subset.lattice.kind in ("divisor", "min") and subset.lower_closed:
+        rows = tuple(_closed_rows(subset))
+    else:
+        rows = _recursive_rows(subset)
+    _MOBIUS_CACHE[subset] = rows
+    return rows
+
+
+def _closed_rows(subset):
+    """The rows of a lower closed subset from the lattice's closed form."""
+    ms = subset.members
+    below = subset.lattice.mobius_below
+    # past the divisor lattice's per-int cache: these rows are cached here
+    below = getattr(below, "__wrapped__", below)
+    # numeric order is member order unless incomparable members were given otherwise
+    key = None if all(map(lt, ms, ms[1:])) else (lambda p: subset.index(p[0]))
+    for x in ms:
+        pairs = sorted(below(x), key=key)
+        yield tuple(z for z, _ in pairs) + (x,), tuple(w for _, w in pairs) + (1,)
+
+
+def _recursive_rows(subset):
+    """Rota's recursion: row x is the unit at x minus the sum of the rows
+    of the members strictly below x (mu(z, x) = -sum of mu(z, w) over
+    z <= w < x), so the order is queried once per pair of members."""
     ms = subset.members
     leq = subset.leq
     built = []
@@ -45,9 +91,7 @@ def mobius(subset):
                 for k, v in built[j]:
                     acc[k] = acc.get(k, 0) - v
         built.append([(k, acc[k]) for k in sorted(acc) if acc[k]] + [(i, 1)])
-    rows = tuple((tuple(ms[k] for k, _ in row), tuple(v for _, v in row)) for row in built)
-    _MOBIUS_CACHE[subset] = rows
-    return rows
+    return tuple((tuple(ms[k] for k, _ in row), tuple(v for _, v in row)) for row in built)
 
 
 def inverted_values(f, subset):

@@ -151,15 +151,31 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.max(np.sum(np.abs(fl), axis=1))))
     if lam_min >= -tol * scale:
         return OracleReport(True, "float", lam_min, None, None)
-    vec = np.linalg.eigh(fl)[1][:, 0]
-    approx = tuple(Fraction(float(c)).limit_denominator(10 ** 9) for c in vec)
-    value = quadratic_form(rows, approx)
-    if value >= 0:
-        approx = tuple(Fraction(float(c)) for c in vec)
-        value = quadratic_form(rows, approx)
-    if value >= 0:
-        raise NumericalFailureError("could not replay a negative direction exactly")
+    approx, value = _negative_direction(rows, np.linalg.eigh(fl)[1][:, 0])
     return OracleReport(False, "float", lam_min, None, VectorWitness(labels, approx, value / den))
+
+
+def _negative_direction(rows, vec):
+    """The float vector rounded to one power-of-two denominator 2**bits,
+    and its exact value v^T A v < 0.
+
+    bits grows (0, 16, 32, 64, ...) until the exact replay is negative,
+    up to the bits at which every entry is exact; a common denominator
+    keeps the replayed value as small as the entries.
+    """
+    ratios = [float(c).as_integer_ratio() for c in vec]
+    exact = max(b for _, b in ratios).bit_length() - 1
+    bits = 0
+    while True:
+        unit = 1 << bits
+        # a / b * unit, rounded half up on ints; b is a power of two
+        ints = [(2 * a * unit + b) // (2 * b) for a, b in ratios]
+        value = quadratic_form(rows, ints)
+        if value < 0:
+            return tuple(Fraction(k, unit) for k in ints), value / (unit * unit)
+        if bits >= exact:
+            raise NumericalFailureError("could not replay a negative direction exactly")
+        bits = min(max(2 * bits, 16), exact)
 
 
 def inverted_table(f, subset):

@@ -34,7 +34,7 @@ from .errors import (
     NotASemilatticeError,
 )
 from .incidence import mobius
-from .intfun import divisors, mobius_int
+from .intfun import divisors, factorize
 
 
 class Poset:
@@ -187,7 +187,10 @@ class IntegerLattice:
 
     def covering_set(self, bound):
         if bound not in self._covers:
-            self._covers[bound] = ElementSubset(self, range(1, bound + 1), _presorted=True)
+            cover = ElementSubset(self, range(1, bound + 1), _presorted=True)
+            # {1..m} is lower closed in both orders; no member's lower set is scanned
+            cover.lower_closed = True
+            self._covers[bound] = cover
         return self._covers[bound]
 
     def __eq__(self, other):
@@ -219,8 +222,11 @@ class DivisorLattice(IntegerLattice):
     @staticmethod
     @lru_cache(maxsize=None)
     def mobius_below(x):
-        """(x/e, mu(e)) for each divisor e > 1 of x with mu(e) nonzero."""
-        return tuple((x // e, mu) for e in divisors(x)[1:] if (mu := mobius_int(e)))
+        """(x/e, mu(e)) for each squarefree divisor e > 1 of x, from one factorization."""
+        row = [(x, 1)]
+        for p in factorize(x):
+            row += [(z // p, -w) for z, w in row]
+        return tuple(row[1:])
 
 
 class MinLattice(IntegerLattice):

@@ -7,10 +7,14 @@ only tolerances involved are the stated wall-clock budgets.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from meetpd.arith import (
     builtin,
@@ -33,6 +37,7 @@ from meetpd.meetmatrix import (
 )
 from meetpd.pdcheck import (
     EXACT_ORACLE_LIMIT,
+    POSITIVE,
     add,
     inverted_table,
     pd_criterion,
@@ -325,3 +330,20 @@ def test_criterion_12_grid_values_from_mobius_rows(capsys):
     assert code == 0
     # the lower set of (a, b) in MIN x MIN has a * b elements
     assert out == "".join(f"{a},{b},{a * b}\n" for a in range(1, 161) for b in range(1, 161))
+
+
+def test_criterion_13_cold_checks_from_closed_form_mobius_rows():
+    # one fresh process per check, so the covering set, the sieve and the
+    # Mobius rows are all built cold; the rows of {1..m} come from the
+    # lattice's closed form, where Rota's recursion took 37.7 s at m = 20,000
+    # on divisors (a 2-vCPU host, Python 3.11)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = [["check", "--fn", "gcd_pow:1", "--m", "20000"],
+            ["check", "--family", "min", "--fn", "gcd_pow:1", "--m", "1000"]]
+    with budget("criterion 13: cold check gcd_pow:1, divisor m=20000 and MIN m=1000", 2.0):
+        procs = [subprocess.run([sys.executable, "-m", "meetpd.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=60) for argv in runs]
+    for argv, proc in zip(runs, procs):
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == POSITIVE and doc["tested_bound"] == int(argv[-1])

@@ -4,14 +4,17 @@ from math import prod
 
 import pytest
 
-from meetpd.incidence import inverted_values, mobius
+from meetpd.incidence import _recursive_rows, inverted_values, mobius
 from meetpd.intfun import mobius_int
 from meetpd.meetmatrix import LatticeFunction, table_function
 from meetpd.posets import (
+    DivisorLattice,
     MeetSemilattice,
+    MinLattice,
     Poset,
     ProductLattice,
     divisor_lattice,
+    load_hasse,
     lower_closure,
     meet_closure,
     min_lattice,
@@ -120,11 +123,13 @@ def test_mobius_rows_are_int_and_end_at_their_member():
 
 
 def test_mobius_queries_the_order_once_per_pair():
+    # the recursion itself: mobius would read this lower closed set's
+    # closed-form rows and query no order at all
     s = subset(min_lattice(), range(1, 61))
     calls = []
     real = s.leq
     s.leq = lambda x, y: calls.append((x, y)) or real(x, y)
-    mobius(s)
+    assert _recursive_rows(s) == mobius(s)
     n = len(s)
     assert len(calls) <= n * (n - 1) // 2
 
@@ -220,6 +225,50 @@ def test_subset_mobius_meet_closed_not_lower_closed():
     assert mu[(2, 4)] == -1
     assert mu[(2, 6)] == -1
     assert mu[(2, 2)] == 1
+
+
+def _fresh_power(base, d):
+    """A new d-fold power of a new base, so no Mobius row of it is cached."""
+    return base() if d == 1 else ProductLattice([base()] * d)
+
+
+ROUTED_SUBSETS = {
+    **{f"{base.kind}_d{d}": (lambda base=base, d=d, m=m: _fresh_power(base, d).covering_set(m),
+                             True)
+       for base, bounds in [(DivisorLattice, (60, 8, 4)), (MinLattice, (30, 6, 3))]
+       for d, m in zip((1, 2, 3), bounds)},
+    "divisor_lower_closure": (lambda: lower_closure(subset(divisor_lattice(), [360, 84])), True),
+    # incomparable members listed out of numeric order
+    "divisor_unsorted": (lambda: subset(divisor_lattice(), [1, 5, 3, 2, 15, 6, 10, 30]), True),
+    "mixed_product": (lambda: product_subset([
+        meet_closure(subset(divisor_lattice(), [4, 6, 10])),
+        min_lattice().covering_set(3),
+        load_hasse(["elem 0", "elem x", "elem y", "elem 1", "edge 0 x", "edge 0 y",
+                    "edge x 1", "edge y 1"]).covering_set()]), False),
+    "divisor_not_lower_closed": (lambda: subset(divisor_lattice(), [1, 4]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED_SUBSETS))
+def test_mobius_equals_the_recursion_by_every_route(name, monkeypatch):
+    import meetpd.incidence as incidence
+
+    build, closed_only = ROUTED_SUBSETS[name]
+    s = build()
+    expected = _recursive_rows(s)
+    recursed = []
+    monkeypatch.setattr(incidence, "_recursive_rows",
+                        lambda t: recursed.append(t) or _recursive_rows(t))
+    assert mobius(s) == expected
+    # covering sets and their products never run the recursion; a subset
+    # that is not lower closed, a meet closure and a Hasse lattice do
+    assert (recursed == []) == closed_only
+
+
+def test_mobius_of_a_subset_that_is_not_lower_closed():
+    # in {1, 4} the interval [1, 4] has two elements, so mu(1, 4) = -1,
+    # where the divisor lattice's closed form gives mu(4) = 0
+    assert mu_pairs(subset(divisor_lattice(), [1, 4])) == {(1, 1): 1, (1, 4): -1, (4, 4): 1}
 
 
 def test_subset_mobius_singleton():

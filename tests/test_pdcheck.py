@@ -11,6 +11,7 @@ from meetpd.arith import pd_check_grid
 from meetpd.errors import (
     NegativeScalarError,
     NoLeastElementError,
+    NumericalFailureError,
     PosetMismatchError,
 )
 from meetpd.exact import quadratic_form, symmetric_elimination
@@ -104,6 +105,40 @@ def test_oracle_float_path_large_indefinite_witness_replays():
     assert report.method == "float"
     assert not report.is_psd
     assert quadratic_form(rows, report.witness.vector) == report.witness.value < 0
+
+
+def test_float_path_witness_is_small_enough_to_serialize():
+    # the gcd matrix of {1..400} with entry (2, 2) lowered by 9; rounding
+    # each eigenvector entry on its own gave a value of about 5,455 digits,
+    # past the 4,300 that str() of an int allows
+    n = 400
+    rows = [[math.gcd(i, j) - 9 * (i == j == 2) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    report = psd_oracle(rows)
+    assert report.method == "float" and not report.is_psd
+    doc = report.witness.to_json()
+    assert Fraction(doc["value"]) == report.witness.value
+    assert quadratic_form(rows, report.witness.vector) == report.witness.value < 0
+    # one power-of-two denominator for the whole vector
+    dens = {c.denominator for c in report.witness.vector}
+    assert all(d & (d - 1) == 0 for d in dens)
+
+
+def test_float_path_refuses_a_direction_that_never_replays_negative(monkeypatch):
+    n = EXACT_ORACLE_LIMIT + 6
+    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows[3][3] = Fraction(-2)
+    eigh = np.linalg.eigh
+
+    def positive_direction(a):
+        w, v = eigh(a)
+        v[:, 0] = 0.0
+        v[0, 0] = 1.0 / 3.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", positive_direction)
+    with pytest.raises(NumericalFailureError):
+        psd_oracle(rows)
 
 
 def test_oracle_exact_path_near_the_limit_on_summatory_meet_matrix():

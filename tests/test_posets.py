@@ -11,7 +11,7 @@ from meetpd.errors import (
     DuplicateElementError,
     NotASemilatticeError,
 )
-from meetpd.incidence import mobius
+from meetpd.incidence import _recursive_rows, mobius
 from meetpd.intfun import mobius_int
 from meetpd.posets import (
     MAX_ARITY,
@@ -340,8 +340,10 @@ def test_least_member():
 
 
 def _generic_rows(cover):
-    """x -> {z: mu(z, x)} over z < x, from the generic rows of incidence.mobius."""
-    return {x: dict(zip(zs[:-1], ws[:-1])) for x, (zs, ws) in zip(cover.members, mobius(cover))}
+    """x -> {z: mu(z, x)} over z < x, from Rota's recursion (which mobius
+    routes around on covering sets of the integer families)."""
+    return {x: dict(zip(zs[:-1], ws[:-1]))
+            for x, (zs, ws) in zip(cover.members, _recursive_rows(cover))}
 
 
 def _shuffled_hasse_divisors(n, seed):
