@@ -33,11 +33,9 @@ CONFIG_ERROR = 2
 EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
-# check reads each member once and never builds a product covering set:
-# at this limit, check --d 2 --fn gcd_pow:1 --m 1024 took 6.8 s and 148 MB
-# peak (one run on 2 vCPUs); at d = 1 the Mobius rows of {1..m} come from
-# closed forms, about linear in m in time and memory (1.5 s and 131 MB
-# peak at m = 100,000, cold, same host)
+# check reads each member once and never builds a product covering set: at
+# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 2.3-3.8 s and 128 MB
+# peak, and at d = 1, m = 100,000 took 1.2-2.1 s and 124 MB (cold, 2 vCPUs)
 MAX_CHECK_MEMBERS = 1 << 20
 
 

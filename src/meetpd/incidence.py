@@ -1,26 +1,18 @@
 """Mobius functions of finite ordered subsets, and the inversion they feed.
 
 The diagonal criterion and the LDL^T diagonal read one thing from the
-incidence algebra: the Mobius values mu(z, x) below each member x.
-``mobius`` gives them per member as integer rows: by Rota's product rule
-over the factor rows of a product, from the lattice's closed form on a
-lower closed subset of the divisor or MIN lattice, and by Rota's
-recursion on any other subset.
-``inverted_values`` sums f against those rows in one streaming pass over
-the members; over a product subset it inverts one axis at a time against
-the factor rows (Rota's product rule, applied as in Yates' method), so a
-member costs the sum of its factor row lengths, not their product.  It
-reads the subset's ``factors`` and ``strides`` and iterates the subset,
-so a product's member list is never built.
+incidence algebra: the Mobius values mu(z, x) below each member x, which
+``mobius`` gives per member as integer rows.  ``inverted_blocks`` sums f
+against the factor rows one axis at a time, on flat int lists a block of
+members at a time, so a product's member list is never built.
 """
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from itertools import product as iter_product
-from math import prod
-from operator import lt, mul
+from math import lcm, prod
+from operator import add, lt, mul, sub
 from weakref import WeakKeyDictionary
-
-from .exact import rational_sum
 
 _MOBIUS_CACHE = WeakKeyDictionary()
 
@@ -94,45 +86,78 @@ def _recursive_rows(subset):
     return tuple((tuple(ms[k] for k, _ in row), tuple(v for _, v in row)) for row in built)
 
 
-def inverted_values(f, subset):
-    """Yield (x, sum of f(z) mu(z, x) over members z below x) in member order.
+def inverted_blocks(f, subset):
+    """Yield the Mobius-inverted values of f over the subset in member order,
+    as blocks (xs, values, den): values[i] / den (ints, den > 0) is the sum
+    of f(z) mu(z, x) over the members z below x = xs[i].
 
-    These values are the diagonal of the E diag(d) E^T factorization of the
-    meet matrix and the numbers the diagonal criterion inspects; this is
-    the one routine that computes them.  A plain subset is a product with
-    one factor.  Over a product the Mobius weight of (z, x) is the product
-    of the factor weights mu_t(z_t, x_t) (Rota's product rule), so the
-    inversion runs one axis at a time (Yates; Bjorklund, Husfeldt, Kaski
-    and Koivisto, "Fourier meets Mobius", STOC 2007): layer 0 holds the f
-    values, and layer t + 1 at x sums the weights of factor t against
-    layer t at x with its t-th coordinate replaced by each z_t of the
-    factor row.  Those points come at or before x in the lexicographic
-    member order, at fixed offsets back from x, so the scan streams: f is
-    evaluated once per member, in member order, and a consumer that stops
-    early never evaluates f beyond the element it stopped at.  Only the
-    factor subsets are inverted.  The sums run on ints while every f value
-    so far is an integer; from the first fractional one on, each goes
-    through ``exact.rational_sum`` (one Fraction per sum).
+    These are the diagonal of E diag(d) E^T and the numbers the diagonal
+    criterion inspects.  A plain subset is a product with one factor; over
+    a product, mu(z, x) is the product of the factor values (Rota), so the
+    axes are inverted one at a time (Yates; Bjorklund, Husfeldt, Kaski and
+    Koivisto, "Fourier meets Mobius", STOC 2007).  A block is a slab of the
+    first axis: f is read on it, its inner axes are inverted, and it is the
+    sum of w times the partial slab z over the first factor's row (z, w),
+    each slab over its own denominator.  One factor is read in blocks of 1,
+    2, 4, ... members over one running denominator.  f is read once per
+    member, in member order, and never past the block a consumer stops in;
+    if f raises, the values before that member come out first.
     """
-    factors = subset.factors
-    rows = {s: mobius(s) for s in dict.fromkeys(factors)}
-    # per axis, per factor member: the offsets back from x of the points
-    # read from the layer below, and their Mobius weights
-    axes = []
-    for s, stride in zip(factors, subset.strides):
-        pos = s.index
-        axes.append([(tuple((pos(z) - i) * stride - 1 for z in zs), ws)
-                     for i, (zs, ws) in enumerate(rows[s])])
+    rows = {s: [(tuple(map(s.index, reversed(zs))), ws[::-1]) for zs, ws in mobius(s)]
+            for s in dict.fromkeys(subset.factors)}  # x first: a sum starts from its slab
+    first, *inner = [rows[s] for s in subset.factors]
     evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
-    layers = [[] for _ in axes]
-    integral = True
-    for x, row in zip(subset, iter_product(*axes)):
-        v = evaluate(x)
-        integral = integral and v.denominator == 1
-        if integral:
-            v = v.numerator
-        for layer, (offsets, ws) in zip(layers, row):
-            layer.append(v)
-            below = map(layer.__getitem__, offsets)
-            v = sum(map(mul, ws, below)) if integral else rational_sum(zip(below, ws))
-        yield x, Fraction(v) if integral else v
+    members, start, den, values, slabs, dens = iter(subset), 0, 1, [], [], []
+    while start < len(subset):
+        xs = list(islice(members, subset.strides[0] if inner else start + 1))
+        fs, error = [], None
+        try:
+            for x in xs:
+                fs.append(evaluate(x))
+        except Exception as exc:  # raised once the values before it are out
+            error = exc
+        fden = lcm(*{v.denominator for v in fs})
+        ints = [v.numerator * (fden // v.denominator) if fden > 1 else v.numerator for v in fs]
+        if inner:
+            # a member reads no later member, so the unread ones may stand at 0
+            slabs.append(_invert(ints + [0] * (len(xs) - len(fs)), inner, subset.strides[1:]))
+            dens.append(fden)
+            js, ws = first[len(dens) - 1]
+            den = lcm(*map(dens.__getitem__, js))
+            out = _combine([slabs[j] for j in js], [w * (den // dens[j]) for j, w in zip(js, ws)])
+        else:
+            # all values so far over one denominator; blocks double, so ~2 passes in all
+            new = lcm(den, fden)
+            old_scale, scale = new // den, new // fden
+            values = [v * old_scale for v in values] + [v * scale for v in ints]
+            den = new
+            out = _invert(values, [first[start:start + len(ints)]], ())
+        yield xs, out[:len(fs)], den
+        if error is not None:
+            raise error
+        start += len(xs)
+
+
+def _invert(values, axes, strides):
+    """values with the rows (js, ws) of each axis applied: on the last axis
+    the sum of w * values[j] per row, on the others sums of sub-blocks."""
+    if len(axes) == 1:
+        return [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in axes[0]]
+    subs = [_invert(values[i:i + strides[0]], axes[1:], strides[1:])
+            for i in range(0, len(values), strides[0])]
+    return list(chain.from_iterable(_combine([subs[j] for j in js], ws) for js, ws in axes[0]))
+
+
+def _combine(slabs, coefs):
+    """The elementwise sum of c * slab over the slabs and their int coefficients."""
+    total = slabs[0] if coefs[0] == 1 else [coefs[0] * v for v in slabs[0]]
+    for slab, c in zip(slabs[1:], coefs[1:]):
+        op = sub if c < 0 else add
+        total = list(map(op, total, slab if abs(c) == 1 else map(mul, repeat(abs(c)), slab)))
+    return total
+
+
+def inverted_values(f, subset):
+    """Yield (x, Mobius-inverted value as a Fraction) from ``inverted_blocks``."""
+    for xs, values, den in inverted_blocks(f, subset):
+        yield from zip(xs, map(Fraction, values, repeat(den)))

@@ -3,7 +3,7 @@
 The two routes are independent, and the tests cross-check one against
 the other; nothing else here produces a verdict.  The diagonal criterion
 reads the Mobius-inverted values of the function over a lower closed
-covering set from ``incidence.inverted_values`` (the same values that
+covering set from ``incidence.inverted_blocks`` (the same values that
 form the diagonal of the meet matrix decomposition) and stops at the
 first negative one.  The oracle route decides matrices up to
 EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) exactly, with no
@@ -28,7 +28,7 @@ from .errors import (
     PosetMismatchError,
 )
 from .exact import _rational, quadratic_form, symmetric_elimination
-from .incidence import inverted_values
+from .incidence import inverted_blocks, inverted_values
 from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable
 
 POSITIVE = "positive_definite_on_tested_covering"
@@ -188,17 +188,18 @@ def pd_criterion(f, family, bound):
 
     The function is positive definite on the tested covering iff every
     Mobius-inverted value over the (lower closed) covering set is
-    nonnegative; the scan stops at the first negative value, which becomes
-    an element witness, so f is never evaluated past it.
+    nonnegative.  The scan stops in the first block holding a negative value,
+    whose first negative member is the witness; f is not read past that block.
     """
     if family is None:
         family = f.lattice
     if getattr(family, "least", None) is None:
         raise NoLeastElementError("family has no least element")
     s = family.covering_set(bound)
-    for x, value in inverted_values(f, s):
-        if value.numerator < 0:
-            return PDVerdict(NEGATIVE, bound, ElementWitness(x, value))
+    for xs, values, den in inverted_blocks(f, s):
+        if values and min(values) < 0:
+            i = next(i for i, v in enumerate(values) if v < 0)
+            return PDVerdict(NEGATIVE, bound, ElementWitness(xs[i], Fraction(values[i], den)))
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)
 
 

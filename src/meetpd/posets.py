@@ -424,6 +424,8 @@ class ElementSubset:
         self.lattice = lattice
         self.members = tuple(xs)
         self._pos = {x: i for i, x in enumerate(self.members)}
+        # a member's position (KeyError for others), as a C-level call to map over rows
+        self.index = self._pos.__getitem__
 
     # the layout of a product of one factor, as ProductSubset has it;
     # properties, so that a subset holds no reference to itself
@@ -436,9 +438,6 @@ class ElementSubset:
     @property
     def shape(self):
         return (len(self.members),)
-
-    def index(self, x):
-        return self._pos[x]
 
     def leq(self, x, y):
         return self.lattice.leq(x, y)

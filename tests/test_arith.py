@@ -369,8 +369,8 @@ def test_builtins_live_on_the_cached_divisor_lattice(name, alpha, d):
 
 def test_criterion_on_a_builtin_uses_the_cached_covering_set(monkeypatch):
     seen = []
-    inverted = meetpd.pdcheck.inverted_values
-    monkeypatch.setattr(meetpd.pdcheck, "inverted_values",
+    inverted = meetpd.pdcheck.inverted_blocks
+    monkeypatch.setattr(meetpd.pdcheck, "inverted_blocks",
                         lambda f, s: seen.append(s) or inverted(f, s))
     assert pd_criterion(builtin("gcd_pow", alpha=1, d=2), None, 8).is_positive
     assert len(seen) == 1 and seen[0] is divisor_lattice(2).covering_set(8)

@@ -230,6 +230,45 @@ def test_check_names_the_first_missing_value_in_member_order(capsys, tmp_path, d
     assert err == f"evaluation error: @{table} has no value at {missing}\n"
 
 
+# f = 1 except f(zero) = 0, so the first negative inverted value is -1 at
+# zero; the table has no value at missing.  Blocks: 1, 2, 4, 8, ... members
+# at d = 1, the slabs (a, *) of the first coordinate at d = 2.
+@pytest.mark.parametrize("d, m, zero, missing, code", [
+    (1, 12, 5, 7, 1),                 # gap after the witness, in its block
+    (1, 12, 5, 12, 1),                # gap after the witness, in a later block
+    (1, 12, 5, 4, 3),                 # gap before any negative, in the witness's block
+    (1, 12, 5, 3, 3),                 # gap before any negative, in an earlier block
+    (2, 4, (1, 2), (1, 4), 1),        # gap after the witness, in its slab
+    (2, 4, (1, 2), (3, 1), 1),        # gap after the witness, in a later slab
+    (2, 4, (1, 3), (1, 2), 3),        # gap before any negative, in the witness's slab
+    (2, 4, (2, 1), (1, 3), 3),        # gap before any negative, in an earlier slab
+])
+def test_check_reports_a_negative_before_a_gap_and_a_gap_before_a_negative(
+        capsys, tmp_path, d, m, zero, missing, code):
+    coords = (lambda x: [x]) if d == 1 else list
+    points = range(1, m + 1) if d == 1 else itertools.product(range(1, m + 1), repeat=d)
+    table = tmp_path / "t.csv"
+    table.write_text("".join(",".join(map(str, coords(x) + [int(x != zero)])) + "\n"
+                             for x in points if x != missing))
+    got, out, err = run(capsys, "check", "--fn", f"@{table}", "--d", str(d), "--m", str(m))
+    assert got == code
+    if code == 1:
+        witness = json.loads(out)["witness"]
+        assert witness["element"] == (zero if d == 1 else list(zero))
+        assert witness["value"] == "-1"
+    else:
+        assert err == f"evaluation error: @{table} has no value at {missing}\n"
+
+
+@pytest.mark.xfail(strict=True, reason="gcd_pow with a fractional exponent is evaluated in "
+                   "floats, and check reads the rounded values as exact rationals")
+def test_check_on_a_fractional_gcd_power_is_never_negative(capsys):
+    # gcd^a is positive definite for every a >= 0; at 90 the true inverted
+    # value is (2^a - 1) 3^a (3^a - 1) (5^a - 1), about +1.2e-18 here
+    code, _, _ = run(capsys, "check", "--fn", "gcd_pow:1/1000000", "--m", "90")
+    assert code != 1
+
+
 def test_round_trip_matrix_to_check(capsys, tmp_path):
     out = tmp_path / "m.json"
     code, _, _ = run(capsys, "matrix", "--family", "divisor", "--d", "2",

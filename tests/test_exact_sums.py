@@ -77,8 +77,8 @@ def test_inverted_values_equal_the_per_term_fraction_sum(grid):
 @settings(max_examples=150, deadline=None)
 @given(grids(), st.data())
 def test_inverted_values_switch_to_rational_sums_at_the_first_fraction(grid, data):
-    # integer values up to a random member, fractional from it on: the sums
-    # run on ints first and through rational_sum after the switch
+    # integer values up to a random member, fractional from it on: the first
+    # denominator other than 1 arrives part-way, in a later block
     family, cover, values = grid
     cut = data.draw(st.integers(0, len(cover) - 1))
     table = {}

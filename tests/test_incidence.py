@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetpd.incidence import _recursive_rows, inverted_values, mobius
 from meetpd.intfun import mobius_int
 from meetpd.meetmatrix import LatticeFunction, table_function
+from meetpd.pdcheck import ElementWitness, pd_criterion
 from meetpd.posets import (
     DivisorLattice,
     MeetSemilattice,
@@ -387,6 +391,19 @@ COUNTED_SUBSETS = {
 }
 
 
+def block_end(s, k):
+    """How many members f has been read at once k inverted values are out:
+    the end of the block that holds member k - 1.  A product's blocks are
+    the slabs of its first axis; a single subset's blocks hold 1, 2, 4, ...
+    members, so they end at 1, 3, 7, ..."""
+    if len(s.factors) > 1:
+        return -(-k // s.strides[0]) * s.strides[0]
+    end = 1
+    while end < k:
+        end = 2 * end + 1
+    return min(end, len(s))
+
+
 @pytest.mark.parametrize("fractional", [False, True])
 @pytest.mark.parametrize("name", sorted(COUNTED_SUBSETS))
 def test_inverted_values_evaluates_f_once_per_member_in_member_order(name, fractional):
@@ -397,7 +414,52 @@ def test_inverted_values_evaluates_f_once_per_member_in_member_order(name, fract
     half = len(s) // 2
     for _ in range(half):
         next(values)
-    # a consumer that stops early leaves f unevaluated past where it stopped
-    assert seen == list(s.members[:half])
+    # a consumer that stops early leaves f unevaluated past the end of the
+    # block it stopped in
+    assert block_end(s, half) < len(s)
+    assert seen == list(s.members[:block_end(s, half)])
     list(values)
     assert seen == list(s.members)
+
+
+# M3: three atoms between 0 and 1, so mu(0, 1) = 2, a weight other than +-1
+HASSE_M3 = load_hasse(["elem 0", "elem a", "elem b", "elem c", "elem 1",
+                       "edge 0 a", "edge 0 b", "edge 0 c", "edge a 1", "edge b 1", "edge c 1"])
+MAX_FACTOR_BOUND = {1: 16, 2: 6, 3: 3}
+
+
+@st.composite
+def valued_products(draw):
+    """A product of 1-3 factors (divisor, MIN and an explicit Hasse lattice)
+    with int and fractional values, and one denominator, 97, that appears
+    first in the last slab (the second half of a single factor)."""
+    d = draw(st.integers(1, 3))
+    factors = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["divisor", "min", "hasse"]))
+        bound = draw(st.integers(1, MAX_FACTOR_BOUND[d]))
+        family = {"divisor": divisor_lattice(), "min": min_lattice(), "hasse": HASSE_M3}[kind]
+        factors.append(family.covering_set(bound))
+    grid = product_subset(factors)
+    n = len(grid)
+    values = draw(st.lists(st.one_of(st.integers(-9, 9),
+                                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+                           min_size=n, max_size=n))
+    late = draw(st.integers(n - grid.strides[0] if d > 1 else n // 2, n - 1))
+    values[late] = Fraction(2 * draw(st.integers(-5, 5)) + 1, 97)
+    return grid, dict(zip(grid.members, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valued_products())
+def test_block_inversion_equals_the_fraction_sum_over_the_recursive_rows(case):
+    grid, table = case
+    f = table_function(grid.lattice, table)
+    expected = [(x, sum((f(z) * w for z, w in zip(zs, ws)), Fraction(0)))
+                for x, (zs, ws) in zip(grid.members, _recursive_rows(grid))]
+    assert list(inverted_values(f, grid)) == expected
+    # the criterion's witness is the first negative member in member order
+    family = SimpleNamespace(least=grid.members[0], covering_set=lambda bound: grid)
+    verdict = pd_criterion(table_function(grid.lattice, table), family, 1)
+    negatives = [(x, v) for x, v in expected if v < 0]
+    assert verdict.witness == (ElementWitness(*negatives[0]) if negatives else None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meetpd.arith import pd_check_grid
+from meetpd.arith import builtin, pd_check_grid, to_lattice_function
 from meetpd.errors import (
     NegativeScalarError,
     NoLeastElementError,
@@ -468,6 +468,29 @@ def test_ldl_signature_matches_exact_inertia():
         dec = kron_decompose_d([s], f)
         inertia = symmetric_elimination(meet_matrix(s, f).rows).inertia
         assert dec.signature() == inertia
+
+
+@pytest.mark.parametrize("family, name, alpha, d, m", [
+    ("divisor", "mu_d", None, 1, 30),
+    ("divisor", "ramanujan_C", None, 2, 8),
+    ("divisor", "divisor_count", None, 2, 6),
+    ("divisor", "lcm_pow", 1, 2, 6),
+    ("divisor", "gcd_pow", 1, 2, 6),
+    ("min", "mu_d", None, 2, 6),
+])
+def test_inverted_value_signs_are_the_exact_inertia(family, name, alpha, d, m):
+    # on a lower closed set the meet matrix is E diag(d) E^T with E unit
+    # triangular, so by Sylvester's law the signs of d are its inertia
+    lattice = (min_lattice if family == "min" else divisor_lattice)(d)
+    f = to_lattice_function(builtin(name, alpha=alpha, d=d), lattice)
+    s = lattice.covering_set(m)
+    values = [v for _, v in inverted_table(f, s)]
+    report = psd_oracle(meet_matrix(s, f))
+    assert report.method == "exact"
+    signs = (sum(v > 0 for v in values), sum(v < 0 for v in values), values.count(0))
+    assert signs == tuple(report.inertia)
+    if (name, d) == ("gcd_pow", 2):
+        assert signs[2] == 30  # rank 6: the verdict alone does not show it
 
 
 def test_criterion_positive_implies_monotone():
