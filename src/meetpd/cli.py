@@ -34,8 +34,8 @@ EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
 # check reads each member once and never builds a product covering set: at
-# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 2.3-3.8 s and 128 MB
-# peak, and at d = 1, m = 100,000 took 1.2-2.1 s and 124 MB (cold, 2 vCPUs)
+# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 3.1-3.8 s and 129 MB
+# peak, and at d = 1, m = 100,000 took 1.6-2.2 s and 113 MB (cold, 2 vCPUs)
 MAX_CHECK_MEMBERS = 1 << 20
 
 

@@ -3,18 +3,20 @@
 The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x, which
 ``mobius`` gives per member as integer rows.  ``inverted_blocks`` sums f
-against the factor rows one axis at a time, on flat int lists a block of
-members at a time, so a product's member list is never built.
+against the factor rows one axis at a time, on flat int lists one slab of
+the first axis at a time, so a product's member list is never built.
 """
 
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from itertools import product as iter_product
 from math import lcm, prod
-from operator import add, lt, mul, sub
+from operator import add, attrgetter, lt, mul, sub
 from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
+SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def mobius(subset):
@@ -88,54 +90,52 @@ def _recursive_rows(subset):
 
 def inverted_blocks(f, subset):
     """Yield the Mobius-inverted values of f over the subset in member order,
-    as blocks (xs, values, den): values[i] / den (ints, den > 0) is the sum
-    of f(z) mu(z, x) over the members z below x = xs[i].
+    as blocks (xs, values, den): values[i] / den (den > 0) is the sum of
+    f(z) mu(z, x) over the members z below x = xs[i].
 
     These are the diagonal of E diag(d) E^T and the numbers the diagonal
     criterion inspects.  A plain subset is a product with one factor; over
     a product, mu(z, x) is the product of the factor values (Rota), so the
     axes are inverted one at a time (Yates; Bjorklund, Husfeldt, Kaski and
     Koivisto, "Fourier meets Mobius", STOC 2007).  A block is a slab of the
-    first axis: f is read on it, its inner axes are inverted, and it is the
-    sum of w times the partial slab z over the first factor's row (z, w),
-    each slab over its own denominator.  One factor is read in blocks of 1,
-    2, 4, ... members over one running denominator.  f is read once per
+    first axis, one member of a single subset.  f is read on it as ints over
+    the lcm of its denominators (left as Fractions if that lcm is more than
+    SLACK_BITS longer than the largest), its inner axes are inverted, and it
+    is the sum of w times the partial slab z over the first factor's row
+    (z, w), over the lcm of those slabs' denominators.  f is read once per
     member, in member order, and never past the block a consumer stops in;
     if f raises, the values before that member come out first.
     """
-    rows = {s: [(tuple(map(s.index, reversed(zs))), ws[::-1]) for zs, ws in mobius(s)]
-            for s in dict.fromkeys(subset.factors)}  # x first: a sum starts from its slab
-    first, *inner = [rows[s] for s in subset.factors]
+    rows = {s: mobius(s) for s in set(subset.factors)}
+    first = rows[subset.factors[0]]  # read by member: a row (zs, ws) ends at its own slab
+    inner = [[(tuple(map(s.index, zs)), ws) for zs, ws in rows[s]] for s in subset.factors[1:]]
+    size, strides = subset.strides[0], subset.strides[1:]
     evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
-    members, start, den, values, slabs, dens = iter(subset), 0, 1, [], [], []
-    while start < len(subset):
-        xs = list(islice(members, subset.strides[0] if inner else start + 1))
+    slabs, dens, fractional = {}, {}, False
+    for xs, (zs, ws) in zip(zip(*[iter(subset)] * size), first):
         fs, error = [], None
         try:
             for x in xs:
                 fs.append(evaluate(x))
         except Exception as exc:  # raised once the values before it are out
             error = exc
-        fden = lcm(*{v.denominator for v in fs})
-        ints = [v.numerator * (fden // v.denominator) if fden > 1 else v.numerator for v in fs]
-        if inner:
-            # a member reads no later member, so the unread ones may stand at 0
-            slabs.append(_invert(ints + [0] * (len(xs) - len(fs)), inner, subset.strides[1:]))
-            dens.append(fden)
-            js, ws = first[len(dens) - 1]
-            den = lcm(*map(dens.__getitem__, js))
-            out = _combine([slabs[j] for j in js], [w * (den // dens[j]) for j, w in zip(js, ws)])
-        else:
-            # all values so far over one denominator; blocks double, so ~2 passes in all
-            new = lcm(den, fden)
-            old_scale, scale = new // den, new // fden
-            values = [v * old_scale for v in values] + [v * scale for v in ints]
-            den = new
-            out = _invert(values, [first[start:start + len(ints)]], ())
+        fden = lcm(*map(_denominator, fs))
+        if fden == 1:
+            ints = list(map(_numerator, fs))
+        elif fden.bit_length() <= max(map(_denominator, fs)).bit_length() + SLACK_BITS:
+            ints = [v.numerator * (fden // v.denominator) for v in fs]
+        else:  # many unrelated denominators, as a hostile value table has
+            ints, fden = list(fs), 1
+        ints += [0] * (size - len(fs))  # a member reads no later one: unread ones stand at 0
+        slabs[zs[-1]] = _invert(ints, inner, strides) if inner else ints
+        dens[zs[-1]] = fden
+        fractional = fractional or fden > 1
+        den = lcm(*map(dens.__getitem__, zs)) if fractional else 1
+        coefs = ws if den == 1 else [w * (den // dens[z]) for z, w in zip(zs, ws)]
+        out = _combine(list(map(slabs.__getitem__, zs)), coefs)
         yield xs, out[:len(fs)], den
         if error is not None:
             raise error
-        start += len(xs)
 
 
 def _invert(values, axes, strides):
@@ -149,9 +149,12 @@ def _invert(values, axes, strides):
 
 
 def _combine(slabs, coefs):
-    """The elementwise sum of c * slab over the slabs and their int coefficients."""
-    total = slabs[0] if coefs[0] == 1 else [coefs[0] * v for v in slabs[0]]
-    for slab, c in zip(slabs[1:], coefs[1:]):
+    """The elementwise sum of c * slab over the slabs and their int
+    coefficients, from the last slab (x's own in a Mobius row) back."""
+    if len(slabs[0]) == 1:  # slabs of one member, as on a single subset
+        return [sum(map(mul, coefs, chain.from_iterable(slabs)))]
+    total = slabs[-1] if coefs[-1] == 1 else [coefs[-1] * v for v in slabs[-1]]
+    for slab, c in zip(slabs[:-1], coefs):
         op = sub if c < 0 else add
         total = list(map(op, total, slab if abs(c) == 1 else map(mul, repeat(abs(c)), slab)))
     return total

@@ -424,8 +424,7 @@ class ElementSubset:
         self.lattice = lattice
         self.members = tuple(xs)
         self._pos = {x: i for i, x in enumerate(self.members)}
-        # a member's position (KeyError for others), as a C-level call to map over rows
-        self.index = self._pos.__getitem__
+        self.index = self._pos.__getitem__  # a member's position, C-level to map over rows
 
     # the layout of a product of one factor, as ProductSubset has it;
     # properties, so that a subset holds no reference to itself

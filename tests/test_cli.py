@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from meetpd import cli
+from meetpd import cli, pdcheck
 from meetpd.arith import MAX_EXPONENT, builtin, pd_check_grid
 from meetpd.cli import main
 from meetpd.errors import ExponentLimitError
-from meetpd.incidence import inverted_values
+from meetpd.incidence import SLACK_BITS, inverted_values
 from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
 from meetpd.posets import MAX_ARITY, ProductSubset, divisor_lattice
@@ -231,13 +231,13 @@ def test_check_names_the_first_missing_value_in_member_order(capsys, tmp_path, d
 
 
 # f = 1 except f(zero) = 0, so the first negative inverted value is -1 at
-# zero; the table has no value at missing.  Blocks: 1, 2, 4, 8, ... members
-# at d = 1, the slabs (a, *) of the first coordinate at d = 2.
+# zero; the table has no value at missing.  Blocks: one member at d = 1,
+# the slabs (a, *) of the first coordinate at d = 2.
 @pytest.mark.parametrize("d, m, zero, missing, code", [
-    (1, 12, 5, 7, 1),                 # gap after the witness, in its block
-    (1, 12, 5, 12, 1),                # gap after the witness, in a later block
-    (1, 12, 5, 4, 3),                 # gap before any negative, in the witness's block
-    (1, 12, 5, 3, 3),                 # gap before any negative, in an earlier block
+    (1, 12, 5, 7, 1),                 # gap after the witness
+    (1, 12, 5, 12, 1),                # gap after the witness, at the last member
+    (1, 12, 5, 4, 3),                 # gap just before the witness
+    (1, 12, 5, 3, 3),                 # gap before any negative
     (2, 4, (1, 2), (1, 4), 1),        # gap after the witness, in its slab
     (2, 4, (1, 2), (3, 1), 1),        # gap after the witness, in a later slab
     (2, 4, (1, 3), (1, 2), 3),        # gap before any negative, in the witness's slab
@@ -258,6 +258,55 @@ def test_check_reports_a_negative_before_a_gap_and_a_gap_before_a_negative(
         assert witness["value"] == "-1"
     else:
         assert err == f"evaluation error: @{table} has no value at {missing}\n"
+
+
+def _primes(n):
+    """The first n primes."""
+    size = 64
+    while True:
+        sieve = bytearray([0, 0]) + bytearray([1]) * (size - 2)
+        for i in range(2, math.isqrt(size) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, size, i)))
+        primes = [i for i, flag in enumerate(sieve) if flag]
+        if len(primes) >= n:
+            return primes[:n]
+        size *= 2
+
+
+def _bits(v):
+    return max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+
+
+# positive tables (so the whole covering is scanned) whose denominators are
+# many distinct primes, or 1..m; one common denominator across members would
+# be thousands of bits long
+@pytest.mark.parametrize("d, m, value", [
+    (1, 3000, lambda x, p: x - Fraction(1, p)),
+    (1, 3000, lambda x, p: 1 - Fraction(1, x)),
+    (2, 120, lambda x, p: 3 * x[0] * x[1] - Fraction(1, p)),
+], ids=["primes-d1", "reciprocals-d1", "primes-d2"])
+def test_check_keeps_values_short_on_tables_with_many_denominators(
+        capsys, tmp_path, monkeypatch, d, m, value):
+    points = list(range(1, m + 1) if d == 1 else itertools.product(range(1, m + 1), repeat=d))
+    table = tmp_path / "t.csv"
+    table.write_text("".join(",".join(map(str, [*(x if d > 1 else [x]), value(x, p)])) + "\n"
+                             for x, p in zip(points, _primes(len(points)))))
+    widest = []
+    blocks = pdcheck.inverted_blocks
+
+    def recorded(f, s):
+        for xs, values, den in blocks(f, s):
+            widest.append(max(map(_bits, [*values, den])))
+            yield xs, values, den
+
+    monkeypatch.setattr(pdcheck, "inverted_blocks", recorded)
+    code, out, _ = run(capsys, "check", "--family", "min", "--d", str(d),
+                       "--fn", f"@{table}", "--m", str(m))
+    assert code == 0 and json.loads(out)["verdict"] == POSITIVE
+    assert len(widest) == len(points) // m ** (d - 1)
+    # at most the slack over two rows' worth of denominators
+    assert max(widest) <= 2 * (SLACK_BITS + 64)
 
 
 @pytest.mark.xfail(strict=True, reason="gcd_pow with a fractional exponent is evaluated in "

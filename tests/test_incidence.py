@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meetpd import incidence
+from meetpd.errors import EvaluationError
 from meetpd.incidence import _recursive_rows, inverted_values, mobius
 from meetpd.intfun import mobius_int
 from meetpd.meetmatrix import LatticeFunction, table_function
@@ -393,15 +395,9 @@ COUNTED_SUBSETS = {
 
 def block_end(s, k):
     """How many members f has been read at once k inverted values are out:
-    the end of the block that holds member k - 1.  A product's blocks are
-    the slabs of its first axis; a single subset's blocks hold 1, 2, 4, ...
-    members, so they end at 1, 3, 7, ..."""
-    if len(s.factors) > 1:
-        return -(-k // s.strides[0]) * s.strides[0]
-    end = 1
-    while end < k:
-        end = 2 * end + 1
-    return min(end, len(s))
+    the end of the block that holds member k - 1.  The blocks are the slabs
+    of the first axis, one member each on a single subset."""
+    return -(-k // s.strides[0]) * s.strides[0]
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -451,15 +447,36 @@ def valued_products(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(valued_products())
-def test_block_inversion_equals_the_fraction_sum_over_the_recursive_rows(case):
+@given(valued_products(), st.sampled_from([0, incidence.SLACK_BITS]))
+def test_block_inversion_equals_the_fraction_sum_over_the_recursive_rows(case, slack):
+    # with no slack, a slab whose denominators do not all divide the largest
+    # one keeps its values as Fractions, beside slabs over one denominator
     grid, table = case
     f = table_function(grid.lattice, table)
     expected = [(x, sum((f(z) * w for z, w in zip(zs, ws)), Fraction(0)))
                 for x, (zs, ws) in zip(grid.members, _recursive_rows(grid))]
-    assert list(inverted_values(f, grid)) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incidence, "SLACK_BITS", slack)
+        assert list(inverted_values(f, grid)) == expected
     # the criterion's witness is the first negative member in member order
     family = SimpleNamespace(least=grid.members[0], covering_set=lambda bound: grid)
     verdict = pd_criterion(table_function(grid.lattice, table), family, 1)
     negatives = [(x, v) for x, v in expected if v < 0]
     assert verdict.witness == (ElementWitness(*negatives[0]) if negatives else None)
+
+
+@pytest.mark.parametrize("slack", [0, incidence.SLACK_BITS])
+def test_a_gap_inside_a_slab_yields_only_the_values_before_it(monkeypatch, slack):
+    # distinct prime denominators: with no slack the slab's values stay Fractions
+    monkeypatch.setattr(incidence, "SLACK_BITS", slack)
+    grid = min_lattice(2).covering_set(4)
+    gap = (2, 3)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    table = {x: Fraction(1, p) for x, p in zip(grid.members, primes) if x != gap}
+    got = []
+    with pytest.raises(EvaluationError):
+        for pair in inverted_values(table_function(grid.lattice, table), grid):
+            got.append(pair)
+    tab = lambda i, j: table.get((i, j), 0)  # noqa: E731
+    assert got == [((i, j), tab(i, j) - tab(i - 1, j) - tab(i, j - 1) + tab(i - 1, j - 1))
+                   for i, j in grid.members[:grid.members.index(gap)]]
