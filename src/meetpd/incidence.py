@@ -2,15 +2,16 @@
 
 The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x, which
-``mobius`` gives per member as integer rows.  ``inverted_blocks`` sums f
+``mobius`` gives per member as integer rows, from the lattice's own
+``mobius_below`` on a lower closed subset and by Rota's recursion on any
+other.  ``inverted_blocks`` sums f
 against the factor rows one axis at a time, on flat int lists one slab of
 the first axis at a time, so a product's member list is never built.
 """
 
 from fractions import Fraction
 from itertools import chain, repeat
-from itertools import product as iter_product
-from math import lcm, prod
+from math import lcm
 from operator import add, attrgetter, lt, mul, sub
 from weakref import WeakKeyDictionary
 
@@ -24,33 +25,20 @@ def mobius(subset):
 
     zs holds the members z below x with mu(z, x) nonzero, in member order
     and ending with x itself; ws holds those values as ints.  The rows are
-    cached per subset object and come by the cheapest route that holds:
+    cached per subset object and come by one of two routes:
 
-    * a product of several factors: Rota's product rule, mu(z, x) is the
-      product of the factor values mu_t(z_t, x_t), over the factor rows;
-    * a lower closed subset of the divisor or MIN lattice: the ambient
-      closed form ``lattice.mobius_below(x)``, since an interval of a
-      lower closed subset is an interval of the lattice;
-    * any other subset: Rota's recursion (``_recursive_rows``).
+    * a lower closed subset of an integer lattice or of a product: the
+      lattice's own ``mobius_below(x)``, since an interval of a lower closed
+      subset is an interval of the lattice (on a product that row is Rota's
+      product rule, in ``ProductLattice.mobius_below``);
+    * any other subset, and any subset of an explicit poset, whose
+      ``mobius_below`` is read from these rows: Rota's recursion
+      (``_recursive_rows``).
     """
-    return _rows(subset)
-
-
-def _rows(subset):
-    """The body of ``mobius``.  A product reads its factor rows here, not
-    through the public name, which benchmarks/tracer.py wraps to count
-    one call per request."""
     rows = _MOBIUS_CACHE.get(subset)
     if rows is not None:
         return rows
-    factors = subset.factors
-    if len(factors) > 1:
-        # the lexicographic order of the factor rows is member order, and
-        # each product row ends at x
-        rows = tuple((tuple(iter_product(*(zs for zs, _ in parts))),
-                      tuple(map(prod, iter_product(*(ws for _, ws in parts)))))
-                     for parts in iter_product(*map(_rows, factors)))
-    elif subset.lattice.kind in ("divisor", "min") and subset.lower_closed:
+    if subset.lattice.kind != "explicit" and subset.lower_closed:
         rows = tuple(_closed_rows(subset))
     else:
         rows = _recursive_rows(subset)
@@ -59,13 +47,19 @@ def _rows(subset):
 
 
 def _closed_rows(subset):
-    """The rows of a lower closed subset from the lattice's closed form."""
+    """The rows of a lower closed subset from the lattice's own rows."""
     ms = subset.members
     below = subset.lattice.mobius_below
     # past the divisor lattice's per-int cache: these rows are cached here
     below = getattr(below, "__wrapped__", below)
-    # numeric order is member order unless incomparable members were given otherwise
-    key = None if all(map(lt, ms, ms[1:])) else (lambda p: subset.index(p[0]))
+
+    def position(pair):
+        return subset.index(pair[0])
+
+    try:  # numeric order is member order unless incomparable members were given otherwise
+        key = None if all(map(lt, ms, ms[1:])) else position
+    except TypeError:  # a product with an explicit factor whose ids do not compare
+        key = position
     for x in ms:
         pairs = sorted(below(x), key=key)
         yield tuple(z for z, _ in pairs) + (x,), tuple(w for _, w in pairs) + (1,)

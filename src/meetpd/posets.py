@@ -1,12 +1,13 @@
 """Finite posets, meet semilattices, and the divisor/MIN lattice families.
 
-Explicit posets are stored as cover edges plus per-element reachability
+Explicit posets are stored as cover edges plus per-element down-set
 bitsets, so order queries are O(1) after construction; a MeetSemilattice
-is such a Poset plus its meet table.  The divisor and MIN lattices on the
-positive integers share one IntegerLattice base and are never
-materialized: they answer order, meet, and lower-set queries directly and
-hand out finite lower closed covering grids ({1..m} and its powers) on
-request.  Their d-fold powers come from the cached ``lattice_power``, so
+is such a Poset whose meets are looked up by down-set, since the down-set
+of x meet y is the intersection of theirs.  The divisor and MIN lattices
+on the positive integers share one IntegerLattice base and are never
+materialized: they answer order, meet, and lower-set queries directly
+and hand out finite lower closed covering grids ({1..m} and its powers)
+on request.  Their d-fold powers come from the cached ``lattice_power``, so
 every caller asking for one gets the same instance.  An ordered subset
 caches its own MeetTable, the position of every pairwise meet of its
 members, which also answers whether it is meet closed.  A ProductSubset
@@ -24,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from itertools import repeat
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .errors import (
     AmbientNotEnumerableError,
@@ -62,11 +63,15 @@ class Poset:
                 raise CycleError(f"self-loop on {a!r}")
             edges.append((a, b))
         self.cover_edges = tuple(edges)
-        self._down = self._reachability()
+        self._down, self._order = self._reachability()
         self.least = self._find_least()
         self._covering = None
 
     def _reachability(self):
+        """Down-set bitsets by Kahn's algorithm over the cover edges, and the
+        element indices in the order it reaches them.  Ready elements leave
+        a min-heap of input indices, so that order is the stable linear
+        extension ``linear_extension`` gives."""
         n = len(self.elements)
         succ = [[] for _ in range(n)]
         indeg = [0] * n
@@ -74,19 +79,19 @@ class Poset:
             succ[self._index[a]].append(self._index[b])
             indeg[self._index[b]] += 1
         down = [1 << i for i in range(n)]
-        ready = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
+        ready = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
+        order = []
         while ready:
-            i = ready.pop()
-            seen += 1
+            i = heapq.heappop(ready)
+            order.append(i)
             for j in succ[i]:
                 down[j] |= down[i]
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    ready.append(j)
-        if seen != n:
+                    heapq.heappush(ready, j)
+        if len(order) != n:
             raise CycleError("cover edges contain a cycle")
-        return down
+        return down, order
 
     def _find_least(self):
         minimal = [i for i, mask in enumerate(self._down) if mask == 1 << i]
@@ -114,7 +119,8 @@ class Poset:
     def covering_set(self, bound=None):
         """The whole element set; a finite poset is its own covering."""
         if self._covering is None:
-            self._covering = ElementSubset(self, self.elements)
+            members = map(self.elements.__getitem__, self._order)
+            self._covering = ElementSubset(self, members, _presorted=True)
         return self._covering
 
     def __len__(self):
@@ -125,10 +131,12 @@ class Poset:
 
 
 class MeetSemilattice(Poset):
-    """Explicit finite meet semilattice: a poset plus its total meet table.
+    """Explicit finite meet semilattice: a poset whose every pair has a meet.
 
-    Construction fails with NotASemilatticeError as soon as some pair of
-    elements has no greatest lower bound.
+    The down-set of x meet y is down(x) & down(y), so one dict from down-set
+    mask to element answers every meet, and a pair whose common down-set is
+    no element's has no meet.  Construction checks the pairs i <= j in
+    row-major order and fails with NotASemilatticeError at the first such.
     """
 
     # benchmarks/tracer.py wraps covering_set where a class body defines it
@@ -137,33 +145,18 @@ class MeetSemilattice(Poset):
     def __init__(self, elements, cover_edges=()):
         super().__init__(elements, cover_edges)
         down = self._down
-        n = len(down)
-        table = {}
-        for i in range(n):
-            for j in range(i, n):
-                common = down[i] & down[j]
-                m = -1
-                probe = common
-                while probe:
-                    low = probe & -probe
-                    k = low.bit_length() - 1
-                    if down[k] & common == common:
-                        m = k
-                        break
-                    probe ^= low
-                if m < 0:
-                    raise NotASemilatticeError(
-                        f"elements {self.elements[i]!r} and {self.elements[j]!r} have no meet"
-                    )
-                table[(i, j)] = m
-        self._table = table
+        self._by_down = {mask: i for i, mask in enumerate(down)}
+        has = self._by_down.__contains__
+        for i, mask in enumerate(down):
+            if not all(map(has, map(and_, repeat(mask), down[i:]))):
+                j = next(j for j in range(i, len(down)) if not has(mask & down[j]))
+                raise NotASemilatticeError(
+                    f"elements {self.elements[i]!r} and {self.elements[j]!r} have no meet"
+                )
 
     def meet(self, x, y):
-        i = self._index[x]
-        j = self._index[y]
-        if i > j:
-            i, j = j, i
-        return self.elements[self._table[(i, j)]]
+        down, index = self._down, self._index
+        return self.elements[self._by_down[down[index[x]] & down[index[y]]]]
 
     def __repr__(self):
         return f"MeetSemilattice({len(self.elements)} elements)"
@@ -594,6 +587,11 @@ def product_subset(subsets):
     return subsets[0] if len(subsets) == 1 else ProductSubset(subsets)
 
 
+# a MeetSemilattice checks all n(n+1)/2 pairs and holds n down-sets of n
+# bits, so a Hasse file's element count is refused before a Poset is built
+MAX_HASSE_ELEMENTS = 4096
+
+
 def load_hasse(source):
     """Parse a lattice description.
 
@@ -601,6 +599,7 @@ def load_hasse(source):
     ``#``.  Alternatively a single ``family divisor d=2`` (or ``family min
     d=1``) line names an implicit integer family.  Returns a
     MeetSemilattice for an explicit description, or the named family.
+    More than MAX_HASSE_ELEMENTS ``elem`` lines raise ValueError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -644,4 +643,6 @@ def load_hasse(source):
         if elements or edges:
             raise ValueError("family declarations cannot be mixed with elem/edge records")
         return family
+    if len(elements) > MAX_HASSE_ELEMENTS:
+        raise ValueError(f"{len(elements)} elements are above the limit of {MAX_HASSE_ELEMENTS}")
     return MeetSemilattice(elements, edges)

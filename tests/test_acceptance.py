@@ -347,3 +347,16 @@ def test_criterion_13_cold_checks_from_closed_form_mobius_rows():
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["verdict"] == POSITIVE and doc["tested_bound"] == int(argv[-1])
+
+
+def test_criterion_14_check_on_a_hasse_chain_of_1024_elements(capsys, tmp_path):
+    # every meet is one lookup of the two down-sets' intersection; finding
+    # each meet by a bit-probe scan took about 60 s (a 2-vCPU host, Python 3.11)
+    hasse, table = tmp_path / "chain1024.txt", tmp_path / "t.csv"
+    hasse.write_text("".join(f"elem c{i}\n" for i in range(1024))
+                     + "".join(f"edge c{i} c{i + 1}\n" for i in range(1023)))
+    table.write_text("".join(f"c{i},{i + 1}\n" for i in range(1024)))
+    with budget("criterion 14: check --hasse on a chain of 1,024 elements", 5.0):
+        code = cli_main(["check", "--hasse", str(hasse), "--fn", f"@{table}", "--m", "1"])
+        doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["verdict"] == POSITIVE

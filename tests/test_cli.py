@@ -16,7 +16,7 @@ from meetpd.errors import ExponentLimitError
 from meetpd.incidence import SLACK_BITS, inverted_values
 from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
-from meetpd.posets import MAX_ARITY, ProductSubset, divisor_lattice
+from meetpd.posets import MAX_ARITY, MAX_HASSE_ELEMENTS, Poset, ProductSubset, divisor_lattice
 
 
 def run(capsys, *argv):
@@ -418,6 +418,22 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "matrix", "decompose"])
+def test_hasse_file_past_the_element_limit_exits_two_before_building(capsys, monkeypatch,
+                                                                      tmp_path, command):
+    def build(self, elements, cover_edges=()):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(Poset, "__init__", build)
+    hasse = tmp_path / "big.txt"
+    hasse.write_text("".join(f"elem e{i}\n" for i in range(MAX_HASSE_ELEMENTS + 1)))
+    code, out, err = run(capsys, command, "--hasse", str(hasse), "--fn", f"@{tmp_path / 't.csv'}",
+                         "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot load {hasse}: {MAX_HASSE_ELEMENTS + 1} elements are above "
+                   f"the limit of {MAX_HASSE_ELEMENTS}\n")
 
 
 def test_matrix_refuses_a_covering_set_past_the_limit_before_building_it(capsys):

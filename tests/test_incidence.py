@@ -238,20 +238,37 @@ def _fresh_power(base, d):
     return base() if d == 1 else ProductLattice([base()] * d)
 
 
+def _hasse_diamond():
+    return load_hasse(["elem 0", "elem x", "elem y", "elem 1", "edge 0 x", "edge 0 y",
+                       "edge x 1", "edge y 1"])
+
+
+# name: (build, the subsets Rota's recursion runs on when mobius builds the rows)
 ROUTED_SUBSETS = {
     **{f"{base.kind}_d{d}": (lambda base=base, d=d, m=m: _fresh_power(base, d).covering_set(m),
-                             True)
+                             lambda s: [])
        for base, bounds in [(DivisorLattice, (60, 8, 4)), (MinLattice, (30, 6, 3))]
        for d, m in zip((1, 2, 3), bounds)},
-    "divisor_lower_closure": (lambda: lower_closure(subset(divisor_lattice(), [360, 84])), True),
+    "divisor_lower_closure": (lambda: lower_closure(subset(divisor_lattice(), [360, 84])),
+                              lambda s: []),
     # incomparable members listed out of numeric order
-    "divisor_unsorted": (lambda: subset(divisor_lattice(), [1, 5, 3, 2, 15, 6, 10, 30]), True),
+    "divisor_unsorted": (lambda: subset(divisor_lattice(), [1, 5, 3, 2, 15, 6, 10, 30]),
+                         lambda s: []),
+    # lower closed: the product rule of ProductLattice.mobius_below, over
+    # the Hasse factor's own rows
+    "hasse_product": (lambda: product_subset([_hasse_diamond().covering_set(),
+                                              min_lattice().covering_set(3)]),
+                      lambda s: [s.factors[0]]),
+    # explicit ids of mixed types, which do not compare with each other
+    "mixed_id_product": (lambda: product_subset([
+        MeetSemilattice([0, "a", "b"], [(0, "a"), (0, "b")]).covering_set(),
+        min_lattice().covering_set(2)]), lambda s: [s.factors[0]]),
+    # a meet closure is not lower closed, and neither is a product with one
     "mixed_product": (lambda: product_subset([
         meet_closure(subset(divisor_lattice(), [4, 6, 10])),
         min_lattice().covering_set(3),
-        load_hasse(["elem 0", "elem x", "elem y", "elem 1", "edge 0 x", "edge 0 y",
-                    "edge x 1", "edge y 1"]).covering_set()]), False),
-    "divisor_not_lower_closed": (lambda: subset(divisor_lattice(), [1, 4]), False),
+        _hasse_diamond().covering_set()]), lambda s: [s]),
+    "divisor_not_lower_closed": (lambda: subset(divisor_lattice(), [1, 4]), lambda s: [s]),
 }
 
 
@@ -259,16 +276,16 @@ ROUTED_SUBSETS = {
 def test_mobius_equals_the_recursion_by_every_route(name, monkeypatch):
     import meetpd.incidence as incidence
 
-    build, closed_only = ROUTED_SUBSETS[name]
+    build, recursed_on = ROUTED_SUBSETS[name]
     s = build()
     expected = _recursive_rows(s)
     recursed = []
     monkeypatch.setattr(incidence, "_recursive_rows",
                         lambda t: recursed.append(t) or _recursive_rows(t))
     assert mobius(s) == expected
-    # covering sets and their products never run the recursion; a subset
-    # that is not lower closed, a meet closure and a Hasse lattice do
-    assert (recursed == []) == closed_only
+    # covering sets of the integer lattices and their products never run
+    # the recursion; a Hasse lattice and a subset that is not lower closed do
+    assert recursed == recursed_on(s)
 
 
 def test_mobius_of_a_subset_that_is_not_lower_closed():

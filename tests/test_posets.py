@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from meetpd.incidence import _recursive_rows, mobius
 from meetpd.intfun import mobius_int
 from meetpd.posets import (
     MAX_ARITY,
+    MAX_HASSE_ELEMENTS,
     DivisorLattice,
     ElementSubset,
     MeetSemilattice,
@@ -76,6 +78,61 @@ def test_min_meet_is_min():
 def test_antichain_without_bottom_is_not_a_semilattice():
     with pytest.raises(NotASemilatticeError):
         MeetSemilattice(["a", "b"], [])
+
+
+def _random_dag(rng, n, bottom):
+    """Labels 0..n-1 with edges from smaller to larger labels, and with a
+    bottom -1 below them all if asked, the labels listed in a shuffled order."""
+    labels = list(range(n))
+    edges = [(i, j) for i in labels for j in labels[i + 1:] if rng.random() < 0.35]
+    if bottom:
+        edges += [(-1, i) for i in labels]
+        labels.append(-1)
+    rng.shuffle(labels)
+    return labels, edges
+
+
+def _glb(p, x, y):
+    """The greatest lower bound of x and y in p by brute force, or None."""
+    lower = [z for z in p.elements if p.leq(z, x) and p.leq(z, y)]
+    tops = [m for m in lower if all(p.leq(z, m) for z in lower)]
+    return tops[0] if tops else None
+
+
+def test_meets_from_down_sets_are_the_brute_force_greatest_lower_bounds():
+    rng = random.Random(22)
+    refused = 0
+    for trial in range(300):
+        labels, edges = _random_dag(rng, rng.randint(1, 8), bottom=trial % 2 == 0)
+        pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i:]]
+        p = Poset(labels, edges)
+        missing = [(x, y) for x, y in pairs if _glb(p, x, y) is None]
+        if missing:
+            # the first pair without a meet in row-major order of the input
+            message = f"elements {missing[0][0]!r} and {missing[0][1]!r} have no meet"
+            with pytest.raises(NotASemilatticeError, match=re.escape(message)):
+                MeetSemilattice(labels, edges)
+            refused += 1
+        else:
+            lat = MeetSemilattice(labels, edges)
+            assert all(lat.meet(x, y) == lat.meet(y, x) == _glb(p, x, y) for x, y in pairs)
+    assert 0 < refused < 300
+
+
+BOWTIE = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+
+
+@pytest.mark.parametrize("elements, edges, pair", [
+    (["a", "b", "c"], [], ("a", "b")),
+    # c and d have the lower bounds 0, a and b, and no greatest one
+    (["0", "a", "b", "c", "d"], BOWTIE, ("c", "d")),
+    (["d", "c", "b", "a", "0"], BOWTIE, ("d", "c")),
+    (["c", "0", "d", "a", "b"], BOWTIE, ("c", "d")),
+], ids=["antichain", "bowtie", "bowtie_top_first", "bowtie_shuffled"])
+def test_meet_validation_names_the_first_pair_without_a_meet(elements, edges, pair):
+    message = f"elements {pair[0]!r} and {pair[1]!r} have no meet"
+    with pytest.raises(NotASemilatticeError, match=re.escape(message)):
+        MeetSemilattice(elements, edges)
 
 
 def test_explicit_semilattice_meets():
@@ -381,6 +438,33 @@ def test_mobius_below_on_a_hasse_lattice_listed_out_of_order(n, seed):
                   if int(x) % z == 0 and mobius_int(int(x) // z)}
         assert dict(lattice.mobius_below(x)) == rows[x] == closed
         assert len(lattice.mobius_below(x)) == len(closed)
+
+
+@pytest.mark.parametrize("n, seed", [(60, 2), (210, 3), (360, 4), (720, 5)])
+def test_hasse_covering_set_is_the_stable_linear_extension(n, seed):
+    lattice = load_hasse(_shuffled_hasse_divisors(n, seed))
+    assert lattice.covering_set().members == tuple(linear_extension(lattice, lattice.elements))
+
+
+def test_poset_covering_set_is_the_stable_linear_extension_on_random_dags():
+    rng = random.Random(23)
+    for trial in range(200):
+        labels, edges = _random_dag(rng, rng.randint(1, 10), bottom=trial % 2 == 0)
+        p = Poset(labels, edges)
+        assert p.covering_set().members == tuple(linear_extension(p, labels))
+
+
+def test_load_hasse_refuses_more_elements_than_the_limit_before_building(monkeypatch):
+    def build(self, elements, cover_edges=()):
+        raise AssertionError("a poset was built")
+
+    lines = [f"elem e{i}" for i in range(MAX_HASSE_ELEMENTS + 1)]
+    monkeypatch.setattr(Poset, "__init__", build)
+    message = f"{MAX_HASSE_ELEMENTS + 1} elements are above the limit of {MAX_HASSE_ELEMENTS}"
+    with pytest.raises(ValueError, match=message):
+        load_hasse(lines)
+    with pytest.raises(AssertionError, match="a poset was built"):  # at the limit, one is
+        load_hasse(lines[:-1])
 
 
 def test_load_hasse_explicit(tmp_path):
