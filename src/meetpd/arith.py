@@ -52,7 +52,8 @@ def dirichlet_convolve_d(f, g, point):
 
 
 def dirichlet_convolution(f, g, name=None):
-    """The convolution as a new memoized arithmetic function."""
+    """The convolution as a new arithmetic function; each call sums over the
+    divisors of its argument, reading f and g afresh."""
     if f.lattice.arity != g.lattice.arity:
         raise ArityMismatchError(f"arities differ: {f.lattice.arity} vs {g.lattice.arity}")
     label = name or f"({f.name}*{g.name})"

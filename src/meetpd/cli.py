@@ -34,8 +34,8 @@ EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
 # check reads each member once and never builds a product covering set: at
-# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 3.1-3.8 s and 129 MB
-# peak, and at d = 1, m = 100,000 took 1.6-2.2 s and 113 MB (cold, 2 vCPUs)
+# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 1.8-2.2 s and 25 MB
+# peak, and at d = 1, m = 100,000 took 1.4-2.3 s and 94 MB (cold, 2 vCPUs)
 MAX_CHECK_MEMBERS = 1 << 20
 
 
@@ -192,7 +192,14 @@ def _resolve_config(args, need_fn=True):
     return RunConfig(family, d, fn, bound, args.fmt, args.out)
 
 
-def _emit(text, out):
+def _emit(render, out):
+    """Write render()'s text to out, or to stdout if out is None.  An int past
+    str()'s digit limit makes render() raise ValueError: exit 2, nothing written."""
+    try:
+        text = render()
+    except ValueError:
+        raise ConfigError(f"a value has more than {sys.get_int_max_str_digits()} digits, "
+                          "more than can be written") from None
     if out is None:
         sys.stdout.write(text)
     else:
@@ -224,20 +231,17 @@ def _matrix_covering(config, command):
 
 def cmd_matrix(config):
     m = meet_matrix(_matrix_covering(config, "matrix"), config.fn)
-    fmt = config.fmt or "json"
-    if fmt == "csv":
-        _emit(matrix_to_csv(m), config.out)
+    if (config.fmt or "json") == "csv":
+        _emit(lambda: matrix_to_csv(m), config.out)
     else:
-        _emit(json.dumps(matrix_to_json(m), indent=2) + "\n", config.out)
+        _emit(lambda: json.dumps(matrix_to_json(m), indent=2) + "\n", config.out)
     return 0
 
 
 def cmd_check(config):
     _refuse_large_covering(config, "check", MAX_CHECK_MEMBERS)
     verdict = pd_criterion(config.fn, config.family, config.bound)
-    doc = {"schema": 1}
-    doc.update(verdict.to_json())
-    _emit(json.dumps(doc, indent=2) + "\n", config.out)
+    _emit(lambda: json.dumps({"schema": 1, **verdict.to_json()}, indent=2) + "\n", config.out)
     return 0 if verdict.is_positive else 1
 
 
@@ -246,13 +250,11 @@ def cmd_decompose(config):
     cover = _matrix_covering(config, "decompose")
     dec = kron_decompose_d(cover.factors, f)
     residual = reconstruct(dec).max_abs_difference(meet_matrix(cover, f))
-    doc = decomposition_to_json(dec, residual=residual)
-    fmt = config.fmt or "json"
-    if fmt == "csv":
-        lines = [",".join(str(v) for v in dec.diag)]
-        _emit("\n".join(lines) + "\n", config.out)
+    if (config.fmt or "json") == "csv":
+        _emit(lambda: ",".join(map(str, dec.diag)) + "\n", config.out)
     else:
-        _emit(json.dumps(doc, indent=2) + "\n", config.out)
+        _emit(lambda: json.dumps(decomposition_to_json(dec, residual=residual), indent=2) + "\n",
+              config.out)
     return 0
 
 
@@ -266,7 +268,7 @@ def cmd_grid(config):
     for x1 in range(1, config.bound + 1):
         for x2 in range(1, config.bound + 1):
             lines.append(f"{x1},{x2},{f((x1, x2))}")
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit(lambda: "\n".join(lines) + "\n", config.out)
     return 0
 
 

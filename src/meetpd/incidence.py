@@ -50,8 +50,6 @@ def _closed_rows(subset):
     """The rows of a lower closed subset from the lattice's own rows."""
     ms = subset.members
     below = subset.lattice.mobius_below
-    # past the divisor lattice's per-int cache: these rows are cached here
-    below = getattr(below, "__wrapped__", below)
 
     def position(pair):
         return subset.index(pair[0])

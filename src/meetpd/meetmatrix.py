@@ -27,7 +27,7 @@ subset's own ``shape`` and ``strides``.
 
 import math
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from itertools import product as iter_product
 from operator import itemgetter
@@ -45,18 +45,18 @@ from .posets import lattice_power, product_subset, strides
 
 
 class LatticeFunction:
-    """Memoized pure map from lattice elements to exact rationals.
+    """Pure map from lattice elements to exact rationals.
 
     Arithmetic functions of d variables are LatticeFunctions on
     ``divisor_lattice(d)``, whose elements are integers at d = 1 and
     d-tuples of integers above.  A call checks its argument to be an
-    element of the lattice when it is first seen (ValueError otherwise);
-    ``evaluate`` skips that check, for callers whose arguments are
-    already known elements.
-    Evaluation is serialized per process (a plain dict memo under the
-    GIL); values are immutable once computed.  Functions built through a
-    float fallback carry exact=False: their float values are read as exact
-    rationals, and exact decompositions refuse them.
+    element of the lattice (ValueError otherwise); ``evaluate`` skips that
+    check, for callers whose arguments are already known elements.  Each
+    call runs the rule: the function keeps no values, and a value that is
+    read more than once is cached where it repeats (``summatory_function``,
+    ``meet_composed_function``).  Functions built through a float fallback
+    carry exact=False: their float values are read as exact rationals, and
+    exact decompositions refuse them.
     """
 
     def __init__(self, lattice, fn, name=None, exact=True, certificate=False):
@@ -65,31 +65,21 @@ class LatticeFunction:
         self.name = name or getattr(fn, "__name__", "f")
         self.exact = exact
         self.certificate = certificate
-        self._memo = {}
 
     def __call__(self, x):
-        memo = self._memo
-        if x in memo:
-            return memo[x]
         if not self.lattice.contains(x):
             raise ValueError(f"arguments must be elements of {self.lattice!r}, got {x!r}")
         return self.evaluate(x)
 
     def evaluate(self, x):
-        """f(x), memoized, for an x already known to be an element of the lattice."""
-        memo = self._memo
-        if x in memo:
-            return memo[x]
+        """f(x) as a Fraction, for an x already known to be an element of the lattice."""
         try:
             v = self._fn(x)
         except MeetPDError:
             raise
         except Exception as exc:
             raise EvaluationError(f"{self.name} failed at {x!r}: {exc}") from exc
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        memo[x] = v
-        return v
+        return v if type(v) is Fraction else Fraction(v)
 
     def __repr__(self):
         return f"LatticeFunction({self.name})"
@@ -119,13 +109,14 @@ def table_function(lattice, mapping, name="table"):
 def summatory_function(lattice, g, certify_nonneg=True, name=None):
     """f(x) = sum of g(z) over the lower set of x.
 
-    Once f is memoized at every z of ``lattice.mobius_below(x)``, as in a
-    scan in a linear extension, f(x) = g(x) - sum of mu(z, x) f(z) (Rota
-    1964); before that, f(x) sums g over the lower set and memoizes only x.
-    Sums run on ints over one common denominator, one Fraction per value;
-    g values other than ints and Fractions are read as Fraction(v).  With
-    certify_nonneg every g value must be >= 0, and f carries an unconditional
-    positive definiteness certificate: its Mobius-inverted values are g.
+    f keeps the values it has computed: once it holds every z of
+    ``lattice.mobius_below(x)``, as in a scan in a linear extension,
+    f(x) = g(x) - sum of mu(z, x) f(z) (Rota 1964); before that, f(x) sums
+    g over the lower set.  Sums run on ints over one common denominator,
+    one Fraction per value; g values other than ints and Fractions are read
+    as Fraction(v).  With certify_nonneg every g value must be >= 0, and f
+    carries an unconditional positive definiteness certificate: its
+    Mobius-inverted values are g.
     """
     def source(z):
         v = g(z)
@@ -137,27 +128,31 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
 
     def value(x):
         try:
-            terms = [(memo[z], -w) for z, w in below(x)]
+            terms = [(fs[z], -w) for z, w in below(x)]
         except KeyError:
-            return rational_sum(map(source, lower(x)))
-        terms.append(source(x))
-        return rational_sum(terms)
+            terms = map(source, lower(x))
+        else:
+            terms.append(source(x))
+        v = fs[x] = rational_sum(terms)
+        return v
 
     below, lower = lattice.mobius_below, lattice.lower_set
-    f = LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
-    memo = f._memo  # the closures hold the memo, not f: no reference cycle keeps f alive
-    return f
+    fs = {}  # the values the rows read; held by the closures, not by f, so no cycle keeps f
+    return LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
 
 
 def meet_composed_function(g, d, name=None):
     """f(x_1, ..., x_d) = g(x_1 meet ... meet x_d) on the d-fold product.
 
     g must be a LatticeFunction on the base lattice; the composed function
-    lives on the cached ``lattice_power(base, d)``.
+    lives on the cached ``lattice_power(base, d)``.  At d >= 2 g is read
+    once per distinct meet, through one cache; at d = 1 f is g on the same
+    lattice, and g's rule runs behind f's own membership check.
     """
     base = g.lattice
     meet = base.meet
-    fn = g if d == 1 else (lambda x: g(reduce(meet, x)))
+    read = g.evaluate if d == 1 else lru_cache(maxsize=None)(g.evaluate)
+    fn = read if d == 1 else (lambda x: read(reduce(meet, x)))
     return LatticeFunction(lattice_power(base, d), fn,
                            name=name or (g.name if d == 1 else f"{g.name}(meet)"),
                            exact=g.exact)

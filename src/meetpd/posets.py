@@ -212,9 +212,7 @@ class DivisorLattice(IntegerLattice):
     def lower_set(self, x):
         return list(divisors(x))
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def mobius_below(x):
+    def mobius_below(self, x):
         """(x/e, mu(e)) for each squarefree divisor e > 1 of x, from one factorization."""
         row = [(x, 1)]
         for p in factorize(x):
@@ -296,7 +294,8 @@ class ProductLattice:
 
     def covering_set(self, bound):
         if bound not in self._covers:
-            self._covers[bound] = ProductSubset(f.covering_set(bound) for f in self.factors)
+            self._covers[bound] = ProductSubset((f.covering_set(bound) for f in self.factors),
+                                                _lattice=self)
         return self._covers[bound]
 
     def __eq__(self, other):
@@ -542,11 +541,13 @@ class ProductSubset:
     The lexicographic order of linear extensions is itself a linear
     extension of the product order.  Positions and membership are asked
     of the factors, so the member list is built only when first read.
+    A product family passes itself as _lattice to its covering sets, so
+    that the factor rows ``mobius`` reads on them are cached on it.
     """
 
-    def __init__(self, factors):
+    def __init__(self, factors, _lattice=None):
         self.factors = tuple(factors)
-        self.lattice = ProductLattice(s.lattice for s in self.factors)
+        self.lattice = _lattice or ProductLattice(s.lattice for s in self.factors)
         self.shape = tuple(map(len, self.factors))
         self.strides = strides(self.shape)
         self.leq = self.lattice.leq

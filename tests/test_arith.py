@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import meetpd.pdcheck
-from meetpd import intfun
+from meetpd import arith, intfun
 from meetpd.arith import (
     builtin,
     dirichlet_convolution,
@@ -374,6 +375,34 @@ def test_criterion_on_a_builtin_uses_the_cached_covering_set(monkeypatch):
                         lambda f, s: seen.append(s) or inverted(f, s))
     assert pd_criterion(builtin("gcd_pow", alpha=1, d=2), None, 8).is_positive
     assert len(seen) == 1 and seen[0] is divisor_lattice(2).covering_set(8)
+
+
+def test_a_builtin_criterion_keeps_no_value_per_member():
+    # 65,536 members, each value read once and none kept
+    lattice = divisor_lattice(2)
+    lattice.covering_set(256)
+    f = builtin("gcd_pow", alpha=1, d=2)
+    tracemalloc.start()
+    try:
+        assert pd_criterion(f, lattice, 256).is_positive
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("route", ["criterion", "meet_matrix"])
+def test_a_meet_composed_builtin_reads_its_base_rule_once_per_distinct_meet(monkeypatch, route):
+    seen = []
+    power = arith._power_value
+    monkeypatch.setattr(arith, "_power_value", lambda n, a: seen.append(n) or power(n, a))
+    f = builtin("gcd_pow", alpha=1, d=2)
+    if route == "criterion":
+        assert pd_criterion(f, None, 12).is_positive
+    else:
+        meet_matrix(divisor_lattice(2).covering_set(12), f)
+    # the gcds over {1..12}^2 are 1..12, each read once
+    assert sorted(seen) == list(range(1, 13))
 
 
 def test_builtin_unknown():

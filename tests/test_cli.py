@@ -565,6 +565,31 @@ def test_an_exponent_above_the_limit_exits_two_before_any_value(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "limit of 700" in lines[0]
 
 
+@pytest.mark.parametrize("command, table", [
+    (["check"], "1,1/3\n2,1e-5000\n"),  # the witness value is past the limit
+    (["matrix"], "1,1\n2,1e5000\n"),
+    (["matrix", "--format", "csv"], "1,1\n2,1e5000\n"),
+    (["decompose"], "1,1\n2,1e5000\n"),
+    (["decompose", "--format", "csv"], "1,1\n2,1e5000\n"),
+], ids=["check", "matrix_json", "matrix_csv", "decompose_json", "decompose_csv"])
+def test_a_value_past_the_digit_limit_of_str_exits_two_before_any_document(capsys, tmp_path,
+                                                                            command, table):
+    (tmp_path / "t.csv").write_text(table)
+    out = tmp_path / "out.txt"
+    argv = [*command, "--fn", f"@{tmp_path / 't.csv'}", "--m", "2"]
+    for extra in ([], ["--out", str(out)]):
+        assert run(capsys, *argv, *extra) == (
+            2, "", f"error: a value has more than {sys.get_int_max_str_digits()} digits, "
+                   "more than can be written\n")
+    assert not out.exists()
+
+
+def test_a_value_at_the_digit_limit_of_str_is_written(capsys, tmp_path):
+    (tmp_path / "t.csv").write_text("1,1\n2,1e4299\n")
+    code, out, _ = run(capsys, "decompose", "--fn", f"@{tmp_path / 't.csv'}", "--m", "2")
+    assert code == 0 and f'"{10 ** 4299 - 1}"' in out
+
+
 def test_exponents_at_the_limit_are_served(capsys):
     code, out, _ = run(capsys, "matrix", "--fn", f"gcd_pow:-{MAX_EXPONENT}", "--m", "2")
     assert code == 0 and f"1/{2 ** MAX_EXPONENT}" in out

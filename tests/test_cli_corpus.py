@@ -51,6 +51,9 @@ FILES = {
                                            ["0", "0", "0", "3/2"]]}),
     "m_not.json": "{not json",
     "m_wrong.json": '{"kind": "decomposition"}',
+    # values whose digits, or whose inverted values' digits, are past what str() writes
+    "t_tiny.csv": "1,1/3\n2,1e-5000\n",
+    "t_huge.csv": "1,1\n2,1e5000\n",
 }
 
 EXPONENT_FNS = ["gcd_pow:1", "gcd_pow:2", "gcd_pow:0", "gcd_pow:-1", "lcm_pow:1", "lcm_pow:-1"]
@@ -113,6 +116,11 @@ def corpus():
         for d in ("1", "2", "3"):
             lines += [["grid", "--family", family, "--d", d, "--m", str(m)] for m in (1, 4)]
         lines.append(["grid", "--family", family])
+    for command in ("check", "matrix", "decompose"):
+        for table in ("@t_tiny.csv", "@t_huge.csv"):
+            lines += [[command, "--fn", table, "--m", m] for m in ("1", "2")]
+    lines += [[command, "--fn", "@t_huge.csv", "--m", "2", "--format", "csv"]
+              for command in ("matrix", "decompose")]
     return lines
 
 

@@ -14,6 +14,7 @@ from meetpd.errors import (
 )
 from meetpd.incidence import _recursive_rows, mobius
 from meetpd.intfun import mobius_int
+from meetpd.meetmatrix import summatory_function
 from meetpd.posets import (
     MAX_ARITY,
     MAX_HASSE_ELEMENTS,
@@ -526,3 +527,21 @@ def test_lower_closure_needs_enumerable_ambient():
         s.lower_closed
     with pytest.raises(AmbientNotEnumerableError):
         lower_closure(s)
+
+
+def test_a_product_covering_set_shares_its_family_and_the_factor_rows(monkeypatch):
+    assert divisor_lattice(2).covering_set(4).lattice is divisor_lattice(2)
+    # a new power, so no factor row of it is cached yet
+    lattice = ProductLattice([DivisorLattice()] * 2)
+    cover = lattice.covering_set(6)
+    assert cover.lattice is lattice
+    calls = []
+    below = DivisorLattice.mobius_below
+    monkeypatch.setattr(DivisorLattice, "mobius_below",
+                        lambda self, x: calls.append(x) or below(self, x))
+    mobius(cover)
+    # the family's summatory functions read the rows mobius filled
+    f = summatory_function(lattice, lambda _z: 1)
+    assert [f(x) for x in cover] == [len(lattice.lower_set(x)) for x in cover]
+    assert sorted(calls) == sorted([*range(1, 7)] * 2)
+    assert [sorted(rows) for rows in lattice._rows] == [[*range(1, 7)]] * 2
