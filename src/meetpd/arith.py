@@ -92,7 +92,7 @@ MAX_EXPONENT = 700  # n^700 has at most 4,215 digits for n <= 2^20; str() allows
 def _power_value(base, alpha):
     if alpha.denominator == 1:
         k = int(alpha)
-        return Fraction(base ** k) if k >= 0 else Fraction(1, base ** -k)
+        return base ** k if k >= 0 else Fraction(1, base ** -k)
     return float(base) ** float(alpha)
 
 
@@ -129,11 +129,11 @@ def builtin(name, alpha=None, d=None, g=None):
         return LatticeFunction(lattice, lambda x: int(x == lattice.least), name=f"delta_{arity}")
 
     if name == "mu_d":
-        return LatticeFunction(lattice, lambda x: math.prod(mobius_int(c) for c in _coords(x)),
+        return LatticeFunction(lattice, lambda x: math.prod(map(mobius_int, _coords(x))),
                                name=f"mu_{arity}")
 
     if name == "divisor_count":
-        return LatticeFunction(lattice, lambda x: math.prod(len(divisors(c)) for c in _coords(x)),
+        return LatticeFunction(lattice, lambda x: math.prod(map(len, map(divisors, _coords(x)))),
                                name=f"divisor_count_{arity}")
 
     if name == "ramanujan_C":

@@ -4,9 +4,9 @@ The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x, which
 ``mobius`` gives per member as integer rows, from the lattice's own
 ``mobius_below`` on a lower closed subset and by Rota's recursion on any
-other.  ``inverted_blocks`` sums f
-against the factor rows one axis at a time, on flat int lists one slab of
-the first axis at a time, so a product's member list is never built.
+other.  ``inverted_blocks`` inverts f one axis at a time, on flat int lists
+one slab of the first axis at a time, so a product's member list is never
+built: by the first factor's rows, and within a slab by a lattice's sieve.
 """
 
 from fractions import Fraction
@@ -16,6 +16,7 @@ from operator import add, attrgetter, lt, mul, sub
 from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
+_AXIS_CACHE = WeakKeyDictionary()
 SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
@@ -90,25 +91,23 @@ def inverted_blocks(f, subset):
     a product, mu(z, x) is the product of the factor values (Rota), so the
     axes are inverted one at a time (Yates; Bjorklund, Husfeldt, Kaski and
     Koivisto, "Fourier meets Mobius", STOC 2007).  A block is a slab of the
-    first axis, one member of a single subset.  f is read on it as ints over
-    the lcm of its denominators (left as Fractions if that lcm is more than
-    SLACK_BITS longer than the largest), its inner axes are inverted, and it
-    is the sum of w times the partial slab z over the first factor's row
-    (z, w), over the lcm of those slabs' denominators.  f is read once per
-    member, in member order, and never past the block a consumer stops in;
-    if f raises, the values before that member come out first.
+    first axis, one member of a single subset.  f is read on it by one
+    ``read``, as ints over the lcm of its denominators (left as Fractions if
+    that lcm is more than SLACK_BITS longer than the largest), its inner axes
+    are inverted (by the lattice's ``sieve`` on a covering set {1..m}), and
+    it is the sum of w times the partial slab z over the first factor's row
+    (z, w).  f is read once per member, in member order, and never past the
+    block a consumer stops in; if f raises, the values before it come out.
     """
-    rows = {s: mobius(s) for s in set(subset.factors)}
-    first = rows[subset.factors[0]]  # read by member: a row (zs, ws) ends at its own slab
-    inner = [[(tuple(map(s.index, zs)), ws) for zs, ws in rows[s]] for s in subset.factors[1:]]
+    first = mobius(subset.factors[0])  # read by member: a row (zs, ws) ends at its own slab
+    inner = list(map(_axis, subset.factors[1:]))
     size, strides = subset.strides[0], subset.strides[1:]
-    evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
+    read = reader(f, subset.lattice)
     slabs, dens, fractional = {}, {}, False
     for xs, (zs, ws) in zip(zip(*[iter(subset)] * size), first):
         fs, error = [], None
         try:
-            for x in xs:
-                fs.append(evaluate(x))
+            read(xs, fs)
         except Exception as exc:  # raised once the values before it are out
             error = exc
         fden = lcm(*map(_denominator, fs))
@@ -130,14 +129,40 @@ def inverted_blocks(f, subset):
             raise error
 
 
+def reader(f, lattice):
+    """f's ``read`` if f is a function on the lattice, else a read of f's own calls."""
+    if lattice == getattr(f, "lattice", None):
+        return f.read
+    return lambda xs, out: out.extend(map(f, xs)) or out
+
+
+def _axis(s):
+    """An inner factor's (sieve steps, rows): its lattice's sieve on {1..m}, else its rows."""
+    if s not in _AXIS_CACHE:
+        sieve = getattr(s.lattice, "sieve", None)
+        if sieve and s.members == tuple(range(1, len(s) + 1)):
+            _AXIS_CACHE[s] = sieve(len(s)), None
+        else:
+            _AXIS_CACHE[s] = None, [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
+    return _AXIS_CACHE[s]
+
+
 def _invert(values, axes, strides):
-    """values with the rows (js, ws) of each axis applied: on the last axis
-    the sum of w * values[j] per row, on the others sums of sub-blocks."""
-    if len(axes) == 1:
-        return [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in axes[0]]
-    subs = [_invert(values[i:i + strides[0]], axes[1:], strides[1:])
-            for i in range(0, len(values), strides[0])]
-    return list(chain.from_iterable(_combine([subs[j] for j in js], ws) for js, ws in axes[0]))
+    """values with each axis inverted, later axes first in sub-blocks of strides[0]:
+    a sieve step (dst, src, op) sets out[dst] to op(out[dst], values[src]), a row
+    (js, ws) sums w * values[j], elementwise or, on a middle axis, by sub-block."""
+    (steps, rows), *rest = axes
+    if rest:
+        values = [_invert(values[i:i + strides[0]], rest, strides[1:])
+                  for i in range(0, len(values), strides[0])]
+    if steps is None:
+        return (list(chain.from_iterable(_combine([values[j] for j in js], ws) for js, ws in rows))
+                if rest else [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in rows])
+    out = values[:]
+    for dst, src, op in steps:
+        pairs = out[dst], values[src]
+        out[dst] = map(list, map(map, repeat(op), *pairs)) if rest else map(op, *pairs)
+    return list(chain.from_iterable(out)) if rest else out
 
 
 def _combine(slabs, coefs):

@@ -40,7 +40,7 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia, rational_sum
-from .incidence import inverted_values
+from .incidence import inverted_values, reader
 from .posets import lattice_power, product_subset, strides
 
 
@@ -51,8 +51,9 @@ class LatticeFunction:
     ``divisor_lattice(d)``, whose elements are integers at d = 1 and
     d-tuples of integers above.  A call checks its argument to be an
     element of the lattice (ValueError otherwise); ``evaluate`` skips that
-    check, for callers whose arguments are already known elements.  Each
-    call runs the rule: the function keeps no values, and a value that is
+    check, for callers whose arguments are already known elements, and
+    ``read`` skips it for a whole sequence, with the rule's ints left ints.
+    Each call runs the rule: the function keeps no values, and a value that is
     read more than once is cached where it repeats (``summatory_function``,
     ``meet_composed_function``).  Functions built through a float fallback
     carry exact=False: their float values are read as exact rationals, and
@@ -75,11 +76,29 @@ class LatticeFunction:
         """f(x) as a Fraction, for an x already known to be an element of the lattice."""
         try:
             v = self._fn(x)
-        except MeetPDError:
-            raise
         except Exception as exc:
-            raise EvaluationError(f"{self.name} failed at {x!r}: {exc}") from exc
+            self._failed(x, exc)
         return v if type(v) is Fraction else Fraction(v)
+
+    def read(self, xs, out):
+        """out with f at each x of the sequence xs appended by one C-level map.
+        If the rule raises at x, out keeps the values before x and the error
+        is raised as ``evaluate`` raises it."""
+        start = len(out)
+        try:
+            out.extend(map(self._fn, xs))
+        except Exception as exc:
+            self._failed(xs[len(out) - start], exc)
+        finally:  # other values become Fractions, as evaluate makes them
+            if not set(map(type, out[start:])) <= {int, Fraction}:
+                values, out[start:] = out[start:], ()
+                out.extend(map(Fraction, values))
+        return out
+
+    def _failed(self, x, exc):
+        if isinstance(exc, MeetPDError):
+            raise exc
+        raise EvaluationError(f"{self.name} failed at {x!r}: {exc}") from exc
 
     def __repr__(self):
         return f"LatticeFunction({self.name})"
@@ -95,15 +114,17 @@ def identity_function(lattice):
     return LatticeFunction(lattice, lambda x: Fraction(x), name="identity")
 
 
+class _Table(dict):
+    """A value table, read by a C-level lookup that fails as EvaluationError."""
+
+    def __missing__(self, x):
+        raise EvaluationError(f"{self.name} has no value at {x!r}")
+
+
 def table_function(lattice, mapping, name="table"):
-    values = {k: Fraction(v) for k, v in mapping.items()}
-
-    def fn(x):
-        if x not in values:
-            raise EvaluationError(f"{name} has no value at {x!r}")
-        return values[x]
-
-    return LatticeFunction(lattice, fn, name=name)
+    values = _Table((k, Fraction(v)) for k, v in mapping.items())
+    values.name = name
+    return LatticeFunction(lattice, values.__getitem__, name=name)
 
 
 def summatory_function(lattice, g, certify_nonneg=True, name=None):
@@ -151,7 +172,8 @@ def meet_composed_function(g, d, name=None):
     """
     base = g.lattice
     meet = base.meet
-    read = g.evaluate if d == 1 else lru_cache(maxsize=None)(g.evaluate)
+    # at d >= 2 the cache holds g's own values, so its ints stay ints
+    read = g.evaluate if d == 1 else lru_cache(maxsize=None)(lambda z: g.read((z,), [])[0])
     fn = read if d == 1 else (lambda x: read(reduce(meet, x)))
     return LatticeFunction(lattice_power(base, d), fn,
                            name=name or (g.name if d == 1 else f"{g.name}(meet)"),
@@ -257,10 +279,9 @@ def meet_matrix(subset, f):
         points = list(iter_product(*(t.points for t in tables)))
     keys = [tuple(a for a, _ in c) + tuple(b for _, b in c)
             for c in iter_product(*(t.firsts for t in tables))]
-    evaluate = f.evaluate if subset.lattice == getattr(f, "lattice", None) else f
-    values = [None] * len(keys)
-    for p in sorted(range(len(keys)), key=keys.__getitem__):
-        values[p] = evaluate(points[p])
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    values = reader(f, subset.lattice)(list(map(points.__getitem__, order)), [])
+    values = [v for _, v in sorted(zip(order, values))]
     den = math.lcm(*{v.denominator for v in values})
     nums = [v.numerator * (den // v.denominator) for v in values]
     return MeetMatrix(subset, nums, den, _table_gather(tables, strides(shape)))

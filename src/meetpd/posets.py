@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from itertools import repeat
-from operator import and_, itemgetter
+from operator import add, and_, itemgetter, sub
 
 from .errors import (
     AmbientNotEnumerableError,
@@ -202,12 +202,10 @@ class DivisorLattice(IntegerLattice):
     kind = "divisor"
     # benchmarks/tracer.py wraps covering_set where a class body defines it
     covering_set = IntegerLattice.covering_set
+    meet = staticmethod(math.gcd)
 
     def leq(self, x, y):
         return y % x == 0
-
-    def meet(self, x, y):
-        return math.gcd(x, y)
 
     def lower_set(self, x):
         return list(divisors(x))
@@ -219,6 +217,15 @@ class DivisorLattice(IntegerLattice):
             row += [(z // p, -w) for z, w in row]
         return tuple(row[1:])
 
+    def sieve(self, m):
+        """Mobius inversion on {1..m} as slice steps: each squarefree e > 1 adds
+        mu(e) * values[:m // e] onto values[e-1::e]; mu(n) = -sum(mu(e), e | n, e < n)."""
+        mu = [0, 1] + [0] * (m - 1)
+        for e in range(1, m // 2 + 1):
+            mu[2 * e::e] = map(sub, mu[2 * e::e], repeat(mu[e]))
+        return tuple((slice(e - 1, None, e), slice(m // e), add if mu[e] > 0 else sub)
+                     for e in range(2, m + 1) if mu[e])
+
 
 class MinLattice(IntegerLattice):
     """Positive integers under <=; meet is min."""
@@ -226,18 +233,20 @@ class MinLattice(IntegerLattice):
     kind = "min"
     # benchmarks/tracer.py wraps covering_set where a class body defines it
     covering_set = IntegerLattice.covering_set
+    meet = staticmethod(min)
 
     def leq(self, x, y):
         return x <= y
-
-    def meet(self, x, y):
-        return min(x, y)
 
     def lower_set(self, x):
         return list(range(1, x + 1))
 
     def mobius_below(self, x):
         return ((x - 1, -1),) if x > 1 else ()
+
+    def sieve(self, m):
+        """Mobius inversion on {1..m} as one slice step: a difference of neighbours."""
+        return ((slice(1, None), slice(m - 1), sub),)
 
 
 class ProductLattice:

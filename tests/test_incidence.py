@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import prod
+from operator import add, sub
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meetpd import incidence
+from meetpd.arith import builtin, to_lattice_function
 from meetpd.errors import EvaluationError
 from meetpd.incidence import _recursive_rows, inverted_values, mobius
 from meetpd.intfun import mobius_int
@@ -393,7 +395,9 @@ def test_inverted_values_inverts_only_factor_subsets(monkeypatch):
     f = table_function(grid.lattice, {x: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                       for x in grid.members})
     got = list(inverted_values(f, grid))
-    assert len(inverted) == 3 and all(s.factors == (s,) for s in inverted)
+    # rows are read for the factors only, and not for the MIN covering set,
+    # which its lattice's sieve inverts
+    assert inverted == [left, grid.factors[2]]
     mu = mu_pairs(grid)
     assert got == [
         (x, sum((f(z) * mu.get((z, x), 0) for z in grid.members if grid.leq(z, x)), Fraction(0)))
@@ -497,3 +501,104 @@ def test_a_gap_inside_a_slab_yields_only_the_values_before_it(monkeypatch, slack
     tab = lambda i, j: table.get((i, j), 0)  # noqa: E731
     assert got == [((i, j), tab(i, j) - tab(i - 1, j) - tab(i, j - 1) + tab(i - 1, j - 1))
                    for i, j in grid.members[:grid.members.index(gap)]]
+
+
+# Inner axes a covering set {1..m} of an integer lattice inverts by its
+# lattice's sieve, and any other inner factor by its rows.  The bounds reach
+# what valued_products cannot: e = 30 = 2 * 3 * 5 (mu = -1) on the inner
+# axis of {1..31}^2, and a middle axis at d = 3.
+SIEVE_CASES = {
+    "divisor_d2_m31": (lambda: divisor_lattice(2).covering_set(31), True),
+    "divisor_d3_m7": (lambda: divisor_lattice(3).covering_set(7), True),
+    "min_d2_m1": (lambda: min_lattice(2).covering_set(1), True),
+    "min_d2_m2": (lambda: min_lattice(2).covering_set(2), True),
+    "min_d2_m9": (lambda: min_lattice(2).covering_set(9), True),
+    "closure_inner": (lambda: product_subset([
+        min_lattice().covering_set(3), meet_closure(subset(divisor_lattice(), [4, 6, 10]))]), False),
+    "hasse_inner": (lambda: product_subset([
+        divisor_lattice().covering_set(6), HASSE_M3.covering_set(), min_lattice().covering_set(2)]),
+        False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_CASES))
+def test_sieved_axes_equal_the_fraction_sum_over_the_recursive_rows(name):
+    build, sieved = SIEVE_CASES[name]
+    grid = build()
+    inner = [incidence._axis(s)[0] is not None for s in grid.factors[1:]]
+    assert inner[0] == sieved and all(inner[1:])  # a MIN factor after HASSE_M3 is sieved
+    rng = random.Random(name)
+    table = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for x in grid.members}
+    f = table_function(grid.lattice, table)
+    expected = [(x, sum((table[z] * w for z, w in zip(zs, ws)), Fraction(0)))
+                for x, (zs, ws) in zip(grid.members, _recursive_rows(grid))]
+    for slack in (0, incidence.SLACK_BITS):  # Fraction slabs, then int slabs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incidence, "SLACK_BITS", slack)
+            assert list(inverted_values(f, grid)) == expected
+
+
+def test_the_divisor_sieve_holds_mu_of_every_squarefree_e():
+    steps = DivisorLattice().sieve(31)
+    assert {dst.step: op for dst, _, op in steps} == {
+        e: {1: add, -1: sub}[mobius_int(e)] for e in range(2, 32) if mobius_int(e)}
+    assert (slice(29, None, 30), slice(1), sub) in steps
+    assert MinLattice().sieve(1) == ((slice(1, None), slice(0), sub),)
+
+
+def _gap_rule(gap):
+    def rule(x):
+        if x == gap:
+            raise ZeroDivisionError("no value here")
+        return x[0] * x[1] + Fraction(1, x[0] + x[1])
+    return rule
+
+
+GAP = (2, 3)
+FAILING = {
+    "lattice_function": lambda: LatticeFunction(min_lattice(2), _gap_rule(GAP), name="gappy"),
+    "moved": lambda: to_lattice_function(
+        LatticeFunction(divisor_lattice(2), _gap_rule(GAP), name="gappy"), min_lattice(2)),
+    "plain_callable": lambda: _gap_rule(GAP),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_a_rule_that_raises_inside_a_slab_yields_only_the_values_before_it(name):
+    f = FAILING[name]()
+    grid = min_lattice(2).covering_set(4)
+    rule = _gap_rule(GAP)
+    before = grid.members[:grid.members.index(GAP)]
+    got = []
+    with pytest.raises(Exception) as raised:
+        for pair in inverted_values(f, grid):
+            got.append(pair)
+    assert got == [(x, sum((rule(z) * w for z, w in zip(zs, ws)), Fraction(0)))
+                   for x, (zs, ws) in zip(before, _recursive_rows(grid))]
+    if name == "plain_callable":  # unwrapped, as the rule raised it
+        assert type(raised.value) is ZeroDivisionError
+        return
+    with pytest.raises(EvaluationError) as one:
+        f.evaluate(GAP)
+    assert type(raised.value) is EvaluationError and str(raised.value) == str(one.value)
+    assert str(one.value) == "gappy failed at (2, 3): no value here"
+    out = [0]  # read appends, and keeps what it read before the failure
+    with pytest.raises(EvaluationError):
+        f.read(grid.members, out)
+    assert out == [0] + [f.evaluate(x) for x in before]
+
+
+def test_read_gives_the_fractions_evaluate_gives_and_ints_as_ints():
+    half = Fraction(1, 2)
+    for f in (builtin("gcd_pow", half), builtin("gcd_pow", half, d=2),
+              builtin("lcm_pow", half, d=2)):
+        s = f.lattice.covering_set(6)
+        got = f.read(list(s), [])
+        assert got == [f.evaluate(x) for x in s] and set(map(type, got)) == {Fraction}
+        expected = [(x, sum((f.evaluate(z) * w for z, w in zip(zs, ws)), Fraction(0)))
+                    for x, (zs, ws) in zip(s.members, _recursive_rows(s))]
+        assert list(inverted_values(f, s)) == expected
+    f = builtin("gcd_pow", 2, d=2)
+    assert set(map(type, f.read(list(f.lattice.covering_set(4)), []))) == {int}
+    assert type(builtin("gcd_pow", 2)(3)) is Fraction
+    assert type(f.evaluate((2, 4))) is Fraction
