@@ -7,16 +7,19 @@ incidence algebra: the Mobius values mu(z, x) below each member x, which
 other.  ``inverted_blocks`` inverts f one axis at a time, on flat int lists
 one slab of the first axis at a time, so a product's member list is never
 built: by the first factor's rows, and within a slab by a lattice's sieve.
+``summed_blocks`` is its transpose, the zeta transform f = zeta g by the same
+rows and the lattice's ``zeta``; a summatory function reaches the criterion
+through it, slab by slab from g, instead of one Mobius row per member.
 """
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import add, attrgetter, lt, mul, sub
+from operator import add, attrgetter, floordiv, lt, mul, sub
 from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
-_AXIS_CACHE = WeakKeyDictionary()
+_AXIS_CACHE = WeakKeyDictionary(), WeakKeyDictionary()  # sieve, zeta
 SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
@@ -91,42 +94,86 @@ def inverted_blocks(f, subset):
     a product, mu(z, x) is the product of the factor values (Rota), so the
     axes are inverted one at a time (Yates; Bjorklund, Husfeldt, Kaski and
     Koivisto, "Fourier meets Mobius", STOC 2007).  A block is a slab of the
-    first axis, one member of a single subset.  f is read on it by one
-    ``read``, as ints over the lcm of its denominators (left as Fractions if
-    that lcm is more than SLACK_BITS longer than the largest), its inner axes
-    are inverted (by the lattice's ``sieve`` on a covering set {1..m}), and
-    it is the sum of w times the partial slab z over the first factor's row
-    (z, w).  f is read once per member, in member order, and never past the
-    block a consumer stops in; if f raises, the values before it come out.
+    first axis, one member of a single subset, with f's values from ``slabs``;
+    its inner axes are inverted (by the lattice's ``sieve`` on a covering set
+    {1..m}), and it is the sum of w times the partial slab z over the first
+    factor's row (z, w).  f is read once per member, in member order, and
+    never past the block a consumer stops in; if f raises, the values before
+    it come out.
     """
-    first = mobius(subset.factors[0])  # read by member: a row (zs, ws) ends at its own slab
-    inner = list(map(_axis, subset.factors[1:]))
-    size, strides = subset.strides[0], subset.strides[1:]
+    return _blocks(f, subset, zeta=False)
+
+
+def summed_blocks(g, subset):
+    """Yield the sums of g over the lower sets of the members of a lower closed
+    subset (f = zeta g), as blocks in the form and with the reads of
+    ``inverted_blocks``, its transpose: inner axes by the lattice's ``zeta``
+    on a covering set {1..m}, else by solving their Mobius rows in member
+    order, and slab c of the first axis as F_c = H_c - sum of mu(z, c) F_z
+    over the z below c in the first factor's row.
+    """
+    return _blocks(g, subset, zeta=True)
+
+
+def _blocks(f, subset, zeta):
+    first = mobius(subset.factors[0])
+    inner = [_axis(s, zeta) for s in subset.factors[1:]]
+    strides = subset.strides[1:]
+    parts, dens, fractional = {}, {}, False
+    for (xs, ints, fden), (zs, ws) in zip(slabs(f, subset), first):
+        n, c = len(ints), zs[-1]
+        ints += [0] * (len(xs) - n)  # a member reads no later one: unread ones stand at 0
+        parts[c], dens[c] = _transform(ints, inner, strides, zeta) if inner else ints, fden
+        fractional = fractional or fden > 1
+        den = lcm(*map(dens.__getitem__, zs)) if fractional else 1
+        if zeta:
+            ws = [-w for w in ws[:-1]] + [1]
+        coefs = ws if den == 1 else [w * (den // dens[z]) for z, w in zip(zs, ws)]
+        values = _combine(list(map(parts.__getitem__, zs)), coefs)
+        if zeta:  # later slabs read the sums F_c, not the partial slab H_c
+            parts[c], dens[c] = values, den
+        yield xs, values[:n], den
+
+
+def slabs(f, subset):
+    """Yield f over the subset by slabs of the first axis, as blocks in the
+    form of ``inverted_blocks``: summed from its source by ``summed_blocks``
+    if f is a summatory function on the lattice of a lower closed subset,
+    else read by one ``reader`` call per slab, as ints over the lcm of the
+    slab's denominators.  If f raises, the values before it come out.
+    """
+    g = getattr(f, "summand", None)
+    if g is not None and f.lattice == subset.lattice and subset.lower_closed:
+        yield from summed_blocks(g, subset)
+        return
     read = reader(f, subset.lattice)
-    slabs, dens, fractional = {}, {}, False
-    for xs, (zs, ws) in zip(zip(*[iter(subset)] * size), first):
+    for xs in zip(*[iter(subset)] * subset.strides[0]):
         fs, error = [], None
         try:
             read(xs, fs)
         except Exception as exc:  # raised once the values before it are out
             error = exc
-        fden = lcm(*map(_denominator, fs))
-        if fden == 1:
-            ints = list(map(_numerator, fs))
-        elif fden.bit_length() <= max(map(_denominator, fs)).bit_length() + SLACK_BITS:
-            ints = [v.numerator * (fden // v.denominator) for v in fs]
-        else:  # many unrelated denominators, as a hostile value table has
-            ints, fden = list(fs), 1
-        ints += [0] * (size - len(fs))  # a member reads no later one: unread ones stand at 0
-        slabs[zs[-1]] = _invert(ints, inner, strides) if inner else ints
-        dens[zs[-1]] = fden
-        fractional = fractional or fden > 1
-        den = lcm(*map(dens.__getitem__, zs)) if fractional else 1
-        coefs = ws if den == 1 else [w * (den // dens[z]) for z, w in zip(zs, ws)]
-        out = _combine(list(map(slabs.__getitem__, zs)), coefs)
-        yield xs, out[:len(fs)], den
+        yield (xs, *_scaled(fs))
         if error is not None:
             raise error
+
+
+def _scaled(fs):
+    """fs as (values, den) with values[i] / den == fs[i]: ints over the lcm of
+    their denominators, or fs itself over 1 once that lcm runs more than
+    SLACK_BITS past the largest; the lcm is taken 32 denominators at a time and
+    given up as soon as it passes that budget."""
+    ds = list(map(_denominator, fs))
+    distinct = set(ds)
+    if len(distinct) <= 1:
+        return list(map(_numerator, fs)), max(distinct, default=1)
+    distinct, den = list(distinct), 1
+    budget = max(distinct).bit_length() + SLACK_BITS
+    for i in range(0, len(distinct), 32):
+        den = lcm(den, *distinct[i:i + 32])
+        if den.bit_length() > budget:  # many unrelated denominators, as a hostile value table has
+            return fs, 1
+    return list(map(mul, map(_numerator, fs), map(floordiv, repeat(den), ds))), den
 
 
 def reader(f, lattice):
@@ -136,42 +183,60 @@ def reader(f, lattice):
     return lambda xs, out: out.extend(map(f, xs)) or out
 
 
-def _axis(s):
-    """An inner factor's (sieve steps, rows): its lattice's sieve on {1..m}, else its rows."""
-    if s not in _AXIS_CACHE:
-        sieve = getattr(s.lattice, "sieve", None)
-        if sieve and s.members == tuple(range(1, len(s) + 1)):
-            _AXIS_CACHE[s] = sieve(len(s)), None
+def _axis(s, zeta=False):
+    """An inner factor's (steps, rows): its lattice's ``sieve`` (or ``zeta``)
+    on {1..m}, else its Mobius rows as positions."""
+    cache = _AXIS_CACHE[zeta]
+    if s not in cache:
+        program = getattr(s.lattice, "zeta" if zeta else "sieve", None)
+        if program and s.members == tuple(range(1, len(s) + 1)):
+            cache[s] = program(len(s)), None
         else:
-            _AXIS_CACHE[s] = None, [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
-    return _AXIS_CACHE[s]
+            cache[s] = None, [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
+    return cache[s]
 
 
-def _invert(values, axes, strides):
-    """values with each axis inverted, later axes first in sub-blocks of strides[0]:
-    a sieve step (dst, src, op) sets out[dst] to op(out[dst], values[src]), a row
-    (js, ws) sums w * values[j], elementwise or, on a middle axis, by sub-block."""
+def _transform(values, axes, strides, zeta=False):
+    """values with each axis transformed, later axes first in sub-blocks of strides[0]:
+    a slice step (dst, src, op) sets out[dst] to op(out[dst], values[src]),
+    ``accumulate`` (MIN's zeta) is one running sum, and a row (js, ws) of x sets
+    out[x] to the sum of w * values[j], or with zeta solves it in member order,
+    out[x] = values[x] - the sum of w * out[j] over the j below x; elementwise
+    or, on a middle axis, by sub-block."""
     (steps, rows), *rest = axes
     if rest:
-        values = [_invert(values[i:i + strides[0]], rest, strides[1:])
+        values = [_transform(values[i:i + strides[0]], rest, strides[1:], zeta)
                   for i in range(0, len(values), strides[0])]
-    if steps is None:
-        return (list(chain.from_iterable(_combine([values[j] for j in js], ws) for js, ws in rows))
-                if rest else [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in rows])
-    out = values[:]
-    for dst, src, op in steps:
-        pairs = out[dst], values[src]
-        out[dst] = map(list, map(map, repeat(op), *pairs)) if rest else map(op, *pairs)
+    if steps is accumulate:
+        out = list(accumulate(values, _add if rest else add))
+    elif steps is None and zeta:
+        out = []
+        for (js, ws), v in zip(rows, values):
+            below = list(map(out.__getitem__, js[:-1]))
+            out.append(_combine(below + [v], [-w for w in ws[:-1]] + [1]) if rest
+                       else v - sum(map(mul, ws, below)))
+    elif steps is None:
+        out = ([_combine([values[j] for j in js], ws) for js, ws in rows] if rest
+               else [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in rows])
+    else:
+        out = values[:]
+        for dst, src, op in steps:
+            pairs = out[dst], values[src]
+            out[dst] = map(list, map(map, repeat(op), *pairs)) if rest else map(op, *pairs)
     return list(chain.from_iterable(out)) if rest else out
 
 
-def _combine(slabs, coefs):
+def _add(a, b):
+    return list(map(add, a, b))
+
+
+def _combine(parts, coefs):
     """The elementwise sum of c * slab over the slabs and their int
     coefficients, from the last slab (x's own in a Mobius row) back."""
-    if len(slabs[0]) == 1:  # slabs of one member, as on a single subset
-        return [sum(map(mul, coefs, chain.from_iterable(slabs)))]
-    total = slabs[-1] if coefs[-1] == 1 else [coefs[-1] * v for v in slabs[-1]]
-    for slab, c in zip(slabs[:-1], coefs):
+    if len(parts[0]) == 1:  # slabs of one member, as on a single subset
+        return [sum(map(mul, coefs, chain.from_iterable(parts)))]
+    total = parts[-1] if coefs[-1] == 1 else [coefs[-1] * v for v in parts[-1]]
+    for slab, c in zip(parts[:-1], coefs):
         op = sub if c < 0 else add
         total = list(map(op, total, slab if abs(c) == 1 else map(mul, repeat(abs(c)), slab)))
     return total

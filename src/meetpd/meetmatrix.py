@@ -11,7 +11,9 @@ over one common denominator.  The oracle reads int rows, the writers
 render each value once, and ``decompose`` compares its reconstruction on
 ints; the rows of Fractions are built only when read.  The values of a
 ``summatory_function`` f = zeta g at the points of a member-order scan
-each cost the Mobius row ``lattice.mobius_below(x)``, not the lower set.
+(``meet_matrix``, ``grid``) each cost the Mobius row
+``lattice.mobius_below(x)``, not the lower set; the criterion sums them
+slab-wise from g instead (``incidence.summed_blocks``).
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -59,6 +61,8 @@ class LatticeFunction:
     carry exact=False: their float values are read as exact rationals, and
     exact decompositions refuse them.
     """
+
+    summand = None  # g, if this is a summatory function f = zeta g (``summatory_function``)
 
     def __init__(self, lattice, fn, name=None, exact=True, certificate=False):
         self.lattice = lattice
@@ -137,7 +141,9 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
     one Fraction per value; g values other than ints and Fractions are read
     as Fraction(v).  With certify_nonneg every g value must be >= 0, and f
     carries an unconditional positive definiteness certificate: its
-    Mobius-inverted values are g.
+    Mobius-inverted values are g.  f.summand is that checked g, under f's
+    name, from which ``incidence.slabs`` sums f slab by slab over a lower
+    closed subset.
     """
     def source(z):
         v = g(z)
@@ -145,21 +151,23 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
             v = Fraction(v)
         if certify_nonneg and v.numerator < 0:
             raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
-        return v, 1
+        return v
 
     def value(x):
         try:
             terms = [(fs[z], -w) for z, w in below(x)]
         except KeyError:
-            terms = map(source, lower(x))
+            terms = [(source(z), 1) for z in lower(x)]
         else:
-            terms.append(source(x))
+            terms.append((source(x), 1))
         v = fs[x] = rational_sum(terms)
         return v
 
     below, lower = lattice.mobius_below, lattice.lower_set
     fs = {}  # the values the rows read; held by the closures, not by f, so no cycle keeps f
-    return LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
+    f = LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
+    f.summand = LatticeFunction(lattice, source, name=f.name)
+    return f
 
 
 def meet_composed_function(g, d, name=None):

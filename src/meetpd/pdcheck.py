@@ -28,7 +28,7 @@ from .errors import (
     PosetMismatchError,
 )
 from .exact import _rational, quadratic_form, symmetric_elimination
-from .incidence import inverted_blocks, inverted_values
+from .incidence import _numerator, inverted_blocks, inverted_values
 from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable
 
 POSITIVE = "positive_definite_on_tested_covering"
@@ -197,7 +197,8 @@ def pd_criterion(f, family, bound):
         raise NoLeastElementError("family has no least element")
     s = family.covering_set(bound)
     for xs, values, den in inverted_blocks(f, s):
-        if values and min(values) < 0:
+        # a block's sign is its numerators' sign: Fractions only where a slab kept them
+        if values and min(values if type(values[0]) is int else map(_numerator, values)) < 0:
             i = next(i for i, v in enumerate(values) if v < 0)
             return PDVerdict(NEGATIVE, bound, ElementWitness(xs[i], Fraction(values[i], den)))
     return PDVerdict(POSITIVE, bound, None, certificate=f.certificate)

@@ -24,7 +24,7 @@ import os
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, and_, itemgetter, sub
 
 from .errors import (
@@ -226,6 +226,11 @@ class DivisorLattice(IntegerLattice):
         return tuple((slice(e - 1, None, e), slice(m // e), add if mu[e] > 0 else sub)
                      for e in range(2, m + 1) if mu[e])
 
+    def zeta(self, m):
+        """Summation on {1..m} as slice steps: each e > 1 adds values[:m // e]
+        onto values[e-1::e]."""
+        return tuple((slice(e - 1, None, e), slice(m // e), add) for e in range(2, m + 1))
+
 
 class MinLattice(IntegerLattice):
     """Positive integers under <=; meet is min."""
@@ -247,6 +252,10 @@ class MinLattice(IntegerLattice):
     def sieve(self, m):
         """Mobius inversion on {1..m} as one slice step: a difference of neighbours."""
         return ((slice(1, None), slice(m - 1), sub),)
+
+    def zeta(self, m):
+        """Summation on {1..m}: one running sum, not m slice steps."""
+        return accumulate
 
 
 class ProductLattice:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from meetpd import incidence
 from meetpd.arith import builtin, to_lattice_function
 from meetpd.errors import EvaluationError
-from meetpd.incidence import _recursive_rows, inverted_values, mobius
+from meetpd.incidence import _recursive_rows, _transform, inverted_values, mobius
 from meetpd.intfun import mobius_int
-from meetpd.meetmatrix import LatticeFunction, table_function
+from meetpd.meetmatrix import LatticeFunction, summatory_function, table_function
 from meetpd.pdcheck import ElementWitness, pd_criterion
 from meetpd.posets import (
     DivisorLattice,
@@ -602,3 +602,112 @@ def test_read_gives_the_fractions_evaluate_gives_and_ints_as_ints():
     assert set(map(type, f.read(list(f.lattice.covering_set(4)), []))) == {int}
     assert type(builtin("gcd_pow", 2)(3)) is Fraction
     assert type(f.evaluate((2, 4))) is Fraction
+
+
+# A summatory function f = zeta g reaches inverted_blocks summed slab-wise from
+# its source g on a lower closed subset, and read member by member otherwise.
+def per_member(f):
+    """f read through its own per-member rule, never summed from g."""
+    return LatticeFunction(f.lattice, f.evaluate, name=f.name, certificate=f.certificate)
+
+
+def whole_set(grid):
+    return SimpleNamespace(least=grid.members[0], covering_set=lambda bound: grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valued_products(), st.sampled_from([0, incidence.SLACK_BITS]))
+def test_summed_blocks_invert_back_to_g_and_match_the_per_member_path(case, slack):
+    grid, g = case
+    f = summatory_function(grid.lattice, g.__getitem__, certify_nonneg=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incidence, "SLACK_BITS", slack)
+        got = list(inverted_values(f, grid))
+        assert got == [(x, g[x]) for x in grid.members]
+        assert got == list(inverted_values(per_member(f), grid))
+        assert (pd_criterion(f, whole_set(grid), 1)
+                == pd_criterion(per_member(f), whole_set(grid), 1))
+
+
+def test_a_summatory_function_on_a_set_that_is_not_lower_closed_is_read_per_member():
+    s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))
+    assert not s.lower_closed
+    f = summatory_function(s.lattice, lambda z: z)
+    got = list(inverted_values(f, s))
+    # f(2) = 1 + 2, and f(x) - f(2) above it: g summed over the lattice, not over s
+    assert got == [(2, 3), (4, 4), (6, 9), (10, 15)]
+    assert got == list(inverted_values(per_member(f), s))
+    assert pd_criterion(f, whole_set(s), 1) == pd_criterion(per_member(f), whole_set(s), 1)
+
+
+# "mixed" is not lower closed, so its summatory values are read per member
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("name", ["divisor_d3", "min_d2", "poset"])
+def test_summed_values_read_g_once_per_member_in_member_order(name, fractional):
+    s = COUNTED_SUBSETS[name]()
+    seen = []
+    f = summatory_function(s.lattice,
+                           lambda z: seen.append(z) or Fraction(len(seen), 1 + fractional))
+    values = inverted_values(f, s)
+    half = len(s) // 2
+    got = [next(values) for _ in range(half)]
+    # a consumer that stops early leaves g unread past the end of the block it stopped in
+    assert block_end(s, half) < len(s)
+    assert seen == list(s.members[:block_end(s, half)])
+    got += list(values)
+    assert seen == list(s.members)
+    assert got == [(x, Fraction(k, 1 + fractional)) for k, x in enumerate(s.members, 1)]
+
+
+def _recorded_blocks(monkeypatch):
+    import meetpd.pdcheck as pdcheck
+
+    blocks, seen = pdcheck.inverted_blocks, []
+
+    def recorded(f, s):
+        for xs, values, den in blocks(f, s):
+            seen.extend(xs[:len(values)])
+            yield xs, values, den
+
+    monkeypatch.setattr(pdcheck, "inverted_blocks", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({(3, 2): -1, (2, 5): Fraction(-1, 2)}, "summatory source is negative at (2, 5): -1/2"),
+    ({(2, 5): None}, "summatory failed at (2, 5): (2, 5)"),
+], ids=["negative_source", "failing_g"])
+def test_a_summed_criterion_fails_at_the_first_bad_source_as_the_per_member_path(
+        monkeypatch, bad, message):
+    lattice = divisor_lattice(2)
+    g = {x: Fraction(x[0], x[1]) for x in lattice.covering_set(6) if bad.get(x, 0) is not None}
+    g.update((x, v) for x, v in bad.items() if v is not None)
+    seen = _recorded_blocks(monkeypatch)
+    errors = []
+    for f in (summatory_function(lattice, g.__getitem__),
+              per_member(summatory_function(lattice, g.__getitem__))):
+        with pytest.raises(EvaluationError) as info:
+            pd_criterion(f, lattice, 6)
+        errors.append(str(info.value))
+        # every block before the bad source came out, up to the member before it
+        assert seen == [(i, j) for i in (1, 2) for j in range(1, 7)][:10]
+        seen.clear()
+    assert errors == [message, message]
+
+
+@pytest.mark.parametrize("lattice", [DivisorLattice(), MinLattice()], ids=["divisor", "min"])
+def test_zeta_then_sieve_is_the_identity_on_a_last_and_on_a_middle_axis(lattice):
+    rng = random.Random(type(lattice).__name__)
+    three = lattice.covering_set(3)
+    last = incidence._axis(three, zeta=True), incidence._axis(three)
+    for m in range(1, 41):
+        s = lattice.covering_set(m)
+        zeta, sieve = incidence._axis(s, zeta=True), incidence._axis(s)
+        values = [rng.randint(-50, 50) for _ in range(m)]
+        summed = _transform(values, [zeta], (), zeta=True)
+        assert summed == [sum(v for z, v in enumerate(values, 1) if lattice.leq(z, x))
+                          for x in range(1, m + 1)]
+        assert _transform(summed, [sieve], ()) == values
+        grid = [rng.randint(-50, 50) for _ in range(3 * m)]  # axis m in the middle, 3 last
+        summed = _transform(grid, [zeta, last[0]], (3,), zeta=True)
+        assert _transform(summed, [sieve, last[1]], (3,)) == grid
