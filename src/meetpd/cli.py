@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .arith import builtin, to_lattice_function
 from .errors import EvaluationError, MeetPDError
+from .incidence import slabs
 from .meetmatrix import (
     decomposition_to_json,
     kron_decompose_d,
@@ -264,10 +265,9 @@ def cmd_grid(config):
     config = config._replace(bound=config.bound or 10)
     _refuse_large_covering(config, "grid", MAX_CHECK_MEMBERS)
     f = summatory_function(config.family, lambda _z: 1, name="lower_set_size")
-    lines = []
-    for x1 in range(1, config.bound + 1):
-        for x2 in range(1, config.bound + 1):
-            lines.append(f"{x1},{x2},{f((x1, x2))}")
+    lines = [f"{a},{b},{Fraction(v, den) if den > 1 else v}"
+             for xs, values, den in slabs(f, config.family.covering_set(config.bound))
+             for (a, b), v in zip(xs, values)]
     _emit(lambda: "\n".join(lines) + "\n", config.out)
     return 0
 

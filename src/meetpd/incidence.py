@@ -9,7 +9,8 @@ one slab of the first axis at a time, so a product's member list is never
 built: by the first factor's rows, and within a slab by a lattice's sieve.
 ``summed_blocks`` is its transpose, the zeta transform f = zeta g by the same
 rows and the lattice's ``zeta``; a summatory function reaches the criterion
-through it, slab by slab from g, instead of one Mobius row per member.
+and ``meet_matrix`` through it, slab by slab from g, and ``reconstruct``
+multiplies E diag(d) E^T back as the meet matrix of zeta d.
 """
 
 from fractions import Fraction
@@ -105,12 +106,13 @@ def inverted_blocks(f, subset):
 
 
 def summed_blocks(g, subset):
-    """Yield the sums of g over the lower sets of the members of a lower closed
-    subset (f = zeta g), as blocks in the form and with the reads of
+    """Yield f = zeta_S g, at each member x the sum of g(z) over the members
+    z <= x of the subset, as blocks in the form and with the reads of
     ``inverted_blocks``, its transpose: inner axes by the lattice's ``zeta``
     on a covering set {1..m}, else by solving their Mobius rows in member
     order, and slab c of the first axis as F_c = H_c - sum of mu(z, c) F_z
-    over the z below c in the first factor's row.
+    over the z below c in the first factor's row.  On a lower closed subset
+    these are the sums of g over the lattice's lower sets.
     """
     return _blocks(g, subset, zeta=True)
 

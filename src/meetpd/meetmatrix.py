@@ -9,11 +9,10 @@ the dot product of its factor positions with the ``strides`` of the
 factors' point counts, and one exact value per distinct meet, as ints
 over one common denominator.  The oracle reads int rows, the writers
 render each value once, and ``decompose`` compares its reconstruction on
-ints; the rows of Fractions are built only when read.  The values of a
-``summatory_function`` f = zeta g at the points of a member-order scan
-(``meet_matrix``, ``grid``) each cost the Mobius row
-``lattice.mobius_below(x)``, not the lower set; the criterion sums them
-slab-wise from g instead (``incidence.summed_blocks``).
+ints; the rows of Fractions are built only when read.  Over a meet closed
+subset the meets are the members, so ``meet_matrix`` reads f slab by slab
+in member order (``incidence.slabs``), and a ``summatory_function`` f = zeta g
+is summed from g once there (``incidence.summed_blocks``), not point by point.
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -24,15 +23,18 @@ Kronecker product that is never materialized.  One routine,
 ``kron_decompose_d``, covers both, a single subset being a product with
 one factor; its diagonal comes from ``incidence.inverted_values``, the
 routine behind the diagonal criterion, and its flat order is the
-subset's own ``shape`` and ``strides``.
+subset's own ``shape`` and ``strides``.  Read the other way, entry (i, j)
+of E diag(d) E^T sums d over the members below x_i meet x_j, so
+``reconstruct`` is the meet matrix of zeta_S d: one summed pass, one value
+per meet.
 """
 
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
+from itertools import count, repeat
 from itertools import product as iter_product
-from operator import itemgetter
+from operator import eq
 
 from .errors import (
     DimensionMismatchError,
@@ -42,7 +44,7 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia, rational_sum
-from .incidence import inverted_values, reader
+from .incidence import inverted_values, reader, slabs, summed_blocks
 from .posets import lattice_power, product_subset, strides
 
 
@@ -56,10 +58,9 @@ class LatticeFunction:
     check, for callers whose arguments are already known elements, and
     ``read`` skips it for a whole sequence, with the rule's ints left ints.
     Each call runs the rule: the function keeps no values, and a value that is
-    read more than once is cached where it repeats (``summatory_function``,
-    ``meet_composed_function``).  Functions built through a float fallback
-    carry exact=False: their float values are read as exact rationals, and
-    exact decompositions refuse them.
+    read more than once is cached where it repeats (``meet_composed_function``).
+    Functions built through a float fallback carry exact=False: their float
+    values are read as exact rationals, and exact decompositions refuse them.
     """
 
     summand = None  # g, if this is a summatory function f = zeta g (``summatory_function``)
@@ -126,7 +127,10 @@ class _Table(dict):
 
 
 def table_function(lattice, mapping, name="table"):
-    values = _Table((k, Fraction(v)) for k, v in mapping.items())
+    """f read from a mapping; int and Fraction values are kept as given, others
+    are read as Fraction(v), so a malformed value fails here."""
+    values = _Table((k, v if type(v) in (int, Fraction) else Fraction(v))
+                    for k, v in mapping.items())
     values.name = name
     return LatticeFunction(lattice, values.__getitem__, name=name)
 
@@ -134,16 +138,14 @@ def table_function(lattice, mapping, name="table"):
 def summatory_function(lattice, g, certify_nonneg=True, name=None):
     """f(x) = sum of g(z) over the lower set of x.
 
-    f keeps the values it has computed: once it holds every z of
-    ``lattice.mobius_below(x)``, as in a scan in a linear extension,
-    f(x) = g(x) - sum of mu(z, x) f(z) (Rota 1964); before that, f(x) sums
-    g over the lower set.  Sums run on ints over one common denominator,
-    one Fraction per value; g values other than ints and Fractions are read
-    as Fraction(v).  With certify_nonneg every g value must be >= 0, and f
-    carries an unconditional positive definiteness certificate: its
-    Mobius-inverted values are g.  f.summand is that checked g, under f's
-    name, from which ``incidence.slabs`` sums f slab by slab over a lower
-    closed subset.
+    A call sums g over ``lattice.lower_set(x)`` on ints over one common
+    denominator, one Fraction per value; g values other than ints and
+    Fractions are read as Fraction(v).  With certify_nonneg every g value
+    must be >= 0, and f carries an unconditional positive definiteness
+    certificate: its Mobius-inverted values are g.  f.summand is that
+    checked g, under f's name, from which ``incidence.slabs`` sums f once,
+    slab by slab, over a lower closed subset (the criterion,
+    ``meet_matrix``, ``grid``).
     """
     def source(z):
         v = g(z)
@@ -154,17 +156,8 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
         return v
 
     def value(x):
-        try:
-            terms = [(fs[z], -w) for z, w in below(x)]
-        except KeyError:
-            terms = [(source(z), 1) for z in lower(x)]
-        else:
-            terms.append((source(x), 1))
-        v = fs[x] = rational_sum(terms)
-        return v
+        return rational_sum(zip(map(source, lattice.lower_set(x)), repeat(1)))
 
-    below, lower = lattice.mobius_below, lattice.lower_set
-    fs = {}  # the values the rows read; held by the closures, not by f, so no cycle keeps f
     f = LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
     f.summand = LatticeFunction(lattice, source, name=f.name)
     return f
@@ -194,10 +187,10 @@ class MeetMatrix:
     The matrix is held in index space: each pair of members has a position
     p, the entry there is nums[p] / den (den > 0, nums ints), and
     gather(seq) lists the rows with every position p replaced by seq[p].
-    A meet matrix has one position per distinct meet, so its values are
-    scaled and rendered once per meet rather than once per entry; a
-    reconstructed matrix has one position per entry.  ``rows``, the
-    entries as Fractions, is built on first read.
+    A meet matrix, reconstructed ones included, has one position per
+    distinct meet, so its values are scaled and rendered once per meet
+    rather than once per entry.  ``rows``, the entries as Fractions, is
+    built on first read.
     """
 
     def __init__(self, subset, nums, den, gather):
@@ -276,11 +269,14 @@ def meet_matrix(subset, f):
     factors' point counts.  f is evaluated once per point, in the order a
     row-major pass over the upper triangle first reaches it: over a
     product that first pair is (a_1..a_d, b_1..b_d), (a_t, b_t) the
-    factor's own first pair, so the order is a sort by those, and member
-    order on a meet closed subset.
+    factor's own first pair, so the order is a sort by those.  On a meet
+    closed subset the points are the members and that order is member
+    order, so f is read there by ``incidence.slabs``: once per slab, or
+    summed once from its source if f is a summatory function.
     """
+    if subset.meet_closed:
+        return _from_values(subset, _block_values(slabs(f, subset)))
     tables = [s.meet_table for s in subset.factors]
-    shape = [len(t.points) for t in tables]
     if len(tables) == 1:
         points = tables[0].points
     else:
@@ -289,9 +285,23 @@ def meet_matrix(subset, f):
             for c in iter_product(*(t.firsts for t in tables))]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     values = reader(f, subset.lattice)(list(map(points.__getitem__, order)), [])
-    values = [v for _, v in sorted(zip(order, values))]
+    return _from_values(subset, [v for _, v in sorted(zip(order, values))])
+
+
+def _block_values(blocks):
+    """The values of (xs, values, den) blocks, in order, as ints and Fractions."""
+    out = []
+    for _, values, den in blocks:
+        out += values if den == 1 else map(Fraction, values, repeat(den))
+    return out
+
+
+def _from_values(subset, values):
+    """The MeetMatrix with values[p] at the meet table points p."""
     den = math.lcm(*{v.denominator for v in values})
     nums = [v.numerator * (den // v.denominator) for v in values]
+    tables = [s.meet_table for s in subset.factors]
+    shape = [len(t.points) for t in tables]
     return MeetMatrix(subset, nums, den, _table_gather(tables, strides(shape)))
 
 
@@ -321,12 +331,8 @@ class Decomposition:
 
 
 def _indicator(s):
-    ms = s.members
-    leq = s.leq
-    return tuple(
-        tuple(1 if leq(ms[j], ms[i]) else 0 for j in range(len(ms)))
-        for i in range(len(ms))
-    )
+    """E of an ordered subset: x_j <= x_i exactly when x_i meet x_j sits at position j."""
+    return tuple(tuple(bytes(map(eq, row, count()))) for row in s.meet_table.rows)  # 0/1 ints
 
 
 def kron_decompose_d(subsets, f):
@@ -353,32 +359,21 @@ def kron_decompose_d(subsets, f):
 def reconstruct(dec):
     """Multiply the structured factors back into a meet matrix, exactly.
 
-    The Kronecker product is never materialized: each diagonal entry,
-    scaled to an int over the diagonal's common denominator, is scattered
-    onto the flat pairs whose multi-indices dominate it in every factor,
-    each placed by the subset's strides.  The result has one position per
-    entry.
+    Entry (i, j) of E diag(d) E^T is the sum of d over the members below
+    both x_i and x_j, which are those below x_i meet x_j, itself a member:
+    the product is the meet matrix of zeta_S d.  That is summed once, in the
+    subset's own order (``incidence.summed_blocks``), and gathered through
+    the factor meet tables as ``meet_matrix`` gathers f, one position per
+    meet.  The identity needs the order indicators, so a factor other than
+    its subset's raises ValueError.
     """
     subset = dec.subset
-    nn = len(dec.diag)
-    den = math.lcm(*{v.denominator for v in dec.diag})
-    rows = [[0] * nn for _ in range(nn)]
-    for kmulti, lam in zip(iter_product(*map(range, subset.shape)), dec.diag):
-        if lam == 0:
-            continue
-        lam = lam.numerator * (den // lam.denominator)
-        above = [[i * stride for i, row in enumerate(fac) if row[k]]
-                 for fac, k, stride in zip(dec.factors, kmulti, subset.strides)]
-        flats = reduce(_kron_sum, above, [0])
-        # lexicographic multi-indices have ascending flat positions
-        for s, fi in enumerate(flats):
-            ri = rows[fi]
-            for fj in flats[s:]:
-                ri[fj] += lam
-    for i, row in enumerate(rows):
-        row[:i] = map(itemgetter(i), rows[:i])
-    return MeetMatrix(subset, list(chain.from_iterable(rows)), den,
-                      lambda seq: [seq[i:i + nn] for i in range(0, nn * nn, nn)])
+    if not subset.meet_closed:
+        raise NotMeetClosedError("a decomposition's subset must be meet closed")
+    if len(dec.diag) != len(subset) or dec.factors != tuple(map(_indicator, subset.factors)):
+        raise ValueError("the factors are not the order indicators of the subset's factors")
+    d = dict(zip(subset, dec.diag))
+    return _from_values(subset, _block_values(summed_blocks(d.__getitem__, subset)))
 
 
 def _jsonable(x):

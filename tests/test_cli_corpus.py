@@ -111,7 +111,10 @@ def corpus():
               for fn in ("gcd_pow:1", "lcm_pow:1", "divisor_count", "mu_d")]
     lines += [["matrix", "--d", "2", "--fn", "gcd_pow:1", "--m", "32", "--format", "csv"],
               ["decompose", "--d", "2", "--fn", "gcd_pow:1", "--m", "16"],
-              ["decompose", "--family", "min", "--fn", "lcm_pow:1", "--m", "64"]]
+              ["decompose", "--family", "min", "--fn", "lcm_pow:1", "--m", "64"],
+              ["decompose", "--family", "min", "--fn", "gcd_pow:1", "--m", "200"],
+              ["decompose", "--d", "2", "--fn", "lcm_pow:-1", "--m", "16"],
+              ["grid", "--family", "divisor", "--m", "40"]]
     for family in ("divisor", "min"):
         for d in ("1", "2", "3"):
             lines += [["grid", "--family", family, "--d", d, "--m", str(m)] for m in (1, 4)]

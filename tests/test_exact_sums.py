@@ -129,8 +129,8 @@ def test_summatory_function_equals_the_per_term_fraction_sum(grid, data):
 @settings(max_examples=150, deadline=None)
 @given(grids(), st.sampled_from(["member", "reversed", "random"]), st.booleans(), st.data())
 def test_summatory_values_in_any_order_equal_the_lower_set_sums(grid, order, certify, data):
-    # a point whose Mobius row is not yet memoized is summed over its lower
-    # set; in member order every point after the first is computed from its row
+    # a call sums g over the lower set, whatever points came before it; over
+    # the lower closed cover, meet_matrix sums f from g once instead
     family, cover, values = grid
     g = {x: abs(v) if certify else v for x, v in values.items()}
     calls = []
@@ -140,13 +140,13 @@ def test_summatory_values_in_any_order_equal_the_lower_set_sums(grid, order, cer
         points.reverse()
     elif order == "random":
         points = data.draw(st.permutations(points))[:data.draw(st.integers(1, len(points)))]
+    sums = {x: sum((g[z] for z in family.lower_set(x)), Fraction(0)) for x in cover.members}
     for x in points:
-        expected = Fraction(0)
-        for z in family.lower_set(x):
-            expected += g[z]
-        assert f(x) == expected
-    if order == "member":
-        assert calls == points
+        assert f(x) == sums[x]
+    calls.clear()
+    m = meet_matrix(cover, f)
+    assert calls == list(cover.members)  # g once per member, in member order
+    assert m.values == [sums[x] for x in cover.members]
 
 
 def test_a_dropped_summatory_function_is_freed_without_the_cyclic_collector():

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meetpd.errors import (
@@ -13,6 +14,7 @@ from meetpd.errors import (
 )
 from meetpd.incidence import mobius
 from meetpd.meetmatrix import (
+    Decomposition,
     LatticeFunction,
     constant_function,
     identity_function,
@@ -375,6 +377,95 @@ def test_json_export_shapes():
     assert ddoc["order_map"]["shape"] == [2, 2]
     assert ddoc["reconstruction_residual"] == "0"
     assert len(ddoc["diag"]) == 4
+
+
+def scatter_reconstruction(dec):
+    """Reference E diag(d) E^T: each d_k added, as a Fraction, onto every pair
+    whose multi-indices dominate k in every emitted factor."""
+    multis = list(itertools.product(*map(range, dec.subset.shape)))
+    rows = [[Fraction(0)] * len(multis) for _ in multis]
+    for k, lam in zip(multis, dec.diag):
+        above = [i for i, mi in enumerate(multis)
+                 if all(fac[a][b] for fac, a, b in zip(dec.factors, mi, k))]
+        for i in above:
+            for j in above:
+                rows[i][j] += lam
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def meet_closed_factors(draw):
+    """A meet closed subset of the divisor or MIN lattice: a covering set, the
+    meet closure of a few divisor members, or a few points of the MIN chain;
+    the last two are seldom lower closed."""
+    kind = draw(st.sampled_from(["divisor_cover", "min_cover", "divisor_closure", "min_points"]))
+    if kind == "divisor_cover":
+        return divisor_lattice().covering_set(draw(st.integers(1, 8)))
+    if kind == "min_cover":
+        return min_lattice().covering_set(draw(st.integers(1, 6)))
+    members = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+    if kind == "divisor_closure":
+        return meet_closure(subset(divisor_lattice(), members))
+    return subset(min_lattice(), members)  # every subset of a chain is meet closed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(meet_closed_factors(), min_size=1, max_size=3), st.data())
+def test_reconstruct_equals_the_scatter_on_meet_closed_products(factors, data):
+    grid = product_subset(factors)
+    assume(len(grid) <= 40)
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    f = table_function(grid.lattice, {x: data.draw(fractions) for x in grid})
+    dec = kron_decompose_d(factors, f)
+    got = reconstruct(dec)
+    assert got.rows == scatter_reconstruction(dec)
+    assert got == meet_matrix(grid, f)
+
+
+def test_reconstruct_equals_the_scatter_on_a_closure_that_is_not_lower_closed():
+    s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))  # 2, 4, 6, 10
+    t = subset(min_lattice(), [2, 5, 9])
+    assert not s.lower_closed and not t.lower_closed
+    grid = product_subset([s, t])
+    f = LatticeFunction(grid.lattice, lambda x: Fraction(x[0] * x[0] - 3 * x[1], x[1]))
+    dec = kron_decompose_d([s, t], f)
+    assert reconstruct(dec).rows == scatter_reconstruction(dec) == meet_matrix(grid, f).rows
+
+
+def test_summatory_meet_matrix_off_a_lower_closed_set_sums_over_the_lattice():
+    # meet closed, not lower closed: f is read per slab, each value the sum of
+    # g over the lattice's lower set, not zeta over the subset's own order
+    s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))  # 2, 4, 6, 10
+    assert meet_matrix(s, summatory_function(s.lattice, lambda z: z)).values == [3, 7, 12, 18]
+
+
+def test_reconstruct_refuses_a_factor_that_is_not_the_order_indicator():
+    s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))
+    t = divisor_lattice().covering_set(4)
+    grid = product_subset([s, t])
+    dec = kron_decompose_d([s, t], table_function(grid.lattice, {x: 1 for x in grid}))
+    dec = Decomposition(dec.subset, dec.factors, range(1, len(grid) + 1))  # every d_k > 0
+    for which, fac in enumerate(dec.factors):
+        for i, j in itertools.combinations(range(len(fac)), 2):
+            planted = [list(map(list, e)) for e in dec.factors]
+            planted[which][j][i] ^= 1  # one bit below the diagonal
+            bad = Decomposition(dec.subset, planted, dec.diag)
+            with pytest.raises(ValueError, match="order indicators"):
+                reconstruct(bad)
+            # the meet matrix of zeta d is E diag(d) E^T only for the indicators
+            assert scatter_reconstruction(bad) != reconstruct(dec).rows
+
+
+def test_table_function_keeps_int_and_fraction_values_as_given():
+    dl = divisor_lattice()
+    table = {1: 3, 2: Fraction(1, 2), 3: Fraction(4), 4: -7}
+    got = table_function(dl, table).read([1, 2, 3, 4], [])
+    assert all(v is w for v, w in zip(got, table.values()))
+    assert list(map(type, got)) == [int, Fraction, Fraction, int]
+    assert table_function(dl, {1: "5/2", 2: 0.5}).read([1, 2], []) == [Fraction(5, 2),
+                                                                        Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        table_function(dl, {1: 1, 2: "two"})
 
 
 def test_float_backed_functions_refused_by_decompositions():
