@@ -6,11 +6,9 @@ from .arith import (
     builtin,
     dirichlet_convolution,
     dirichlet_convolve_d,
-    gcd_d,
     mu_star_mu,
     pd_check_grid,
     ramanujan_C,
-    table_to_csv,
     to_lattice_function,
 )
 from .errors import (

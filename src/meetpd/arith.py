@@ -2,10 +2,11 @@
 
 An arithmetic function of d variables is a ``LatticeFunction`` on the
 cached ``divisor_lattice(d)``: its elements are positive integers at
-d = 1 and d-tuples of them above.  This module holds the componentwise
-GCD operator, d-variate Dirichlet convolution, the grid criterion (the
-diagonal criterion of ``pdcheck`` on the divisor grid {1..m}^d), and the
-named example functions exposed on the command line.
+d = 1 and d-tuples of them above, and the lattice's own ``meet`` is the
+componentwise gcd.  This module holds d-variate Dirichlet convolution,
+the grid criterion (the diagonal criterion of ``pdcheck`` on the divisor
+grid {1..m}^d), and the named example functions exposed on the command
+line.
 """
 
 import math
@@ -29,13 +30,6 @@ def _coords(x):
 def _element(coords):
     """The element of divisor_lattice(len(coords)) with these coordinates."""
     return coords if len(coords) > 1 else coords[0]
-
-
-def gcd_d(x, y):
-    """Componentwise gcd of two equal-length tuples of positive integers."""
-    if len(x) != len(y):
-        raise ArityMismatchError(f"tuples have different lengths {len(x)} and {len(y)}")
-    return tuple(math.gcd(a, b) for a, b in zip(x, y))
 
 
 def dirichlet_convolve_d(f, g, point):
@@ -165,10 +159,3 @@ def to_lattice_function(f, lattice=None):
             f"lattice arity {lattice.arity} does not match function arity {f.lattice.arity}")
     return LatticeFunction(lattice, f, name=f.name, exact=f.exact)
 
-
-def table_to_csv(f, bound):
-    """CSV rows ``i1,...,id,value`` over the grid {1..bound}^d."""
-    lines = []
-    for x in divisor_lattice(f.lattice.arity).covering_set(bound):
-        lines.append(",".join(str(c) for c in _coords(x)) + "," + str(f(x)))
-    return "\n".join(lines) + "\n"

@@ -2,11 +2,13 @@
 
 The diagonal criterion and the LDL^T diagonal read one thing from the
 incidence algebra: the Mobius values mu(z, x) below each member x, which
-``mobius`` gives per member as integer rows, from the lattice's own
-``mobius_below`` on a lower closed subset and by Rota's recursion on any
-other.  ``inverted_blocks`` inverts f one axis at a time, on flat int lists
-one slab of the first axis at a time, so a product's member list is never
-built: by the first factor's rows, and within a slab by a lattice's sieve.
+``mobius`` gives per member as integer rows.  It is the one place rows are
+built: a covering set {1..m} reads them off its lattice's ``sieve``, a
+product takes Rota's product rule over its factors' rows, and any other
+subset runs Rota's recursion.  ``inverted_blocks`` inverts f one axis at a
+time, on flat int lists one slab of the first axis at a time, so a
+product's member list is never built: by the first factor's rows, and
+within a slab by a lattice's sieve.
 ``summed_blocks`` is its transpose, the zeta transform f = zeta g by the same
 rows and the lattice's ``zeta``; a summatory function reaches the criterion
 and ``meet_matrix`` through it, slab by slab from g, and ``reconstruct``
@@ -15,8 +17,9 @@ multiplies E diag(d) E^T back as the meet matrix of zeta d.
 
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import lcm
-from operator import add, attrgetter, floordiv, lt, mul, sub
+from itertools import product as iter_product
+from math import lcm, prod
+from operator import add, attrgetter, floordiv, mul, sub
 from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
@@ -30,42 +33,49 @@ def mobius(subset):
 
     zs holds the members z below x with mu(z, x) nonzero, in member order
     and ending with x itself; ws holds those values as ints.  The rows are
-    cached per subset object and come by one of two routes:
+    cached per subset object and come by one of three routes:
 
-    * a lower closed subset of an integer lattice or of a product: the
-      lattice's own ``mobius_below(x)``, since an interval of a lower closed
-      subset is an interval of the lattice (on a product that row is Rota's
-      product rule, in ``ProductLattice.mobius_below``);
-    * any other subset, and any subset of an explicit poset, whose
-      ``mobius_below`` is read from these rows: Rota's recursion
-      (``_recursive_rows``).
+    * a covering set {1..m} of a lattice with a ``sieve``: the sieve's
+      slice steps read as rows (``_sieve_rows``);
+    * a product of subsets, lower closed or not: Rota's product rule,
+      mu(z, x) the product of the factors' mu(z_t, x_t) (``_product_rows``);
+    * any other subset: Rota's recursion (``_recursive_rows``).
     """
+    return _rows(subset)
+
+
+def _rows(subset):
+    """``mobius`` under a private name: the product rule reads its factor
+    rows here, so a tracer that rebinds ``mobius`` sees one call per request."""
     rows = _MOBIUS_CACHE.get(subset)
-    if rows is not None:
-        return rows
-    if subset.lattice.kind != "explicit" and subset.lower_closed:
-        rows = tuple(_closed_rows(subset))
-    else:
-        rows = _recursive_rows(subset)
-    _MOBIUS_CACHE[subset] = rows
+    if rows is None:
+        if subset.factors[0] is not subset:
+            rows = _product_rows(subset)
+        else:
+            steps = _program(subset, "sieve")
+            rows = _recursive_rows(subset) if steps is None else _sieve_rows(subset.members, steps)
+        _MOBIUS_CACHE[subset] = rows
     return rows
 
 
-def _closed_rows(subset):
-    """The rows of a lower closed subset from the lattice's own rows."""
-    ms = subset.members
-    below = subset.lattice.mobius_below
+def _product_rows(subset):
+    """Rota's product rule: the row of x is the product of its factors'
+    rows, which lists it in lexicographic order, the product's member order."""
+    return tuple((tuple(iter_product(*zss)), tuple(map(prod, iter_product(*wss))))
+                 for zss, wss in (zip(*rows) for rows in iter_product(*map(_rows, subset.factors))))
 
-    def position(pair):
-        return subset.index(pair[0])
 
-    try:  # numeric order is member order unless incomparable members were given otherwise
-        key = None if all(map(lt, ms, ms[1:])) else position
-    except TypeError:  # a product with an explicit factor whose ids do not compare
-        key = position
-    for x in ms:
-        pairs = sorted(below(x), key=key)
-        yield tuple(z for z, _ in pairs) + (x,), tuple(w for _, w in pairs) + (1,)
+def _sieve_rows(ms, steps):
+    """The rows of {1..m} transposed from its sieve: a step (dst, src, op)
+    puts op's sign at each pair (ms[src][k], ms[dst][k]) it lines up, and
+    walked last-first, the steps list each row in member order."""
+    zs, ws = [[] for _ in ms], [[] for _ in ms]
+    for dst, src, op in reversed(steps):
+        any(map(list.append, zs[dst], ms[src]))  # append returns None: any runs them all
+        any(map(list.append, ws[dst], repeat(1 if op is add else -1)))
+    for i, x in enumerate(ms):
+        zs[i], ws[i] = (*zs[i], x), (*ws[i], 1)
+    return tuple(zip(zs, ws))
 
 
 def _recursive_rows(subset):
@@ -190,12 +200,18 @@ def _axis(s, zeta=False):
     on {1..m}, else its Mobius rows as positions."""
     cache = _AXIS_CACHE[zeta]
     if s not in cache:
-        program = getattr(s.lattice, "zeta" if zeta else "sieve", None)
-        if program and s.members == tuple(range(1, len(s) + 1)):
-            cache[s] = program(len(s)), None
-        else:
-            cache[s] = None, [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
+        steps = _program(s, "zeta" if zeta else "sieve")
+        cache[s] = steps, None if steps is not None else [
+            (tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
     return cache[s]
+
+
+def _program(s, name):
+    """The lattice's ``sieve`` or ``zeta`` steps if s is {1..m}, else None."""
+    program = getattr(s.lattice, name, None)
+    if program and s.members == tuple(range(1, len(s) + 1)):
+        return program(len(s))
+    return None
 
 
 def _transform(values, axes, strides, zeta=False):

@@ -9,10 +9,11 @@ the dot product of its factor positions with the ``strides`` of the
 factors' point counts, and one exact value per distinct meet, as ints
 over one common denominator.  The oracle reads int rows, the writers
 render each value once, and ``decompose`` compares its reconstruction on
-ints; the rows of Fractions are built only when read.  Over a meet closed
-subset the meets are the members, so ``meet_matrix`` reads f slab by slab
-in member order (``incidence.slabs``), and a ``summatory_function`` f = zeta g
-is summed from g once there (``incidence.summed_blocks``), not point by point.
+the ints at the meet points; the rows of Fractions are built only when
+read.  Over a meet closed subset the meets are the members, so
+``meet_matrix`` reads f slab by slab in member order (``incidence.slabs``),
+and a ``summatory_function`` f = zeta g is summed from g once there
+(``incidence.summed_blocks``), not point by point.
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import count, repeat
 from itertools import product as iter_product
-from operator import eq
+from operator import eq, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -185,7 +186,8 @@ class MeetMatrix:
     """Symmetric matrix of f evaluated at pairwise meets of an ordered subset.
 
     The matrix is held in index space: each pair of members has a position
-    p, the entry there is nums[p] / den (den > 0, nums ints), and
+    p, the entry there is nums[p] / den (nums ints, den the lcm of the
+    values' denominators, so equal entries give equal int rows), and
     gather(seq) lists the rows with every position p replaced by seq[p].
     A meet matrix, reconstructed ones included, has one position per
     distinct meet, so its values are scaled and rendered once per meet
@@ -222,20 +224,23 @@ class MeetMatrix:
         return self._gather([str(v) for v in self.values])
 
     def max_abs_difference(self, other):
-        """max |a - b| over the entries of two matrices of one order, exactly.
-
-        Both are compared as int rows over one common denominator.
-        """
+        """max |a - b| over the entries of two matrices of one subset, exactly:
+        every point of their shared meet tables is the meet of some pair, so
+        it is the largest difference at a point.  Two matrices whose factor
+        members or lattice differ raise ValueError."""
+        if not (self.subset.lattice == other.subset.lattice
+                and [s.members for s in self.subset.factors]
+                == [s.members for s in other.subset.factors]):
+            raise ValueError(f"{self!r} and {other!r} are not over one subset")
         den = math.lcm(self.den, other.den)
-        a, b = (m._gather([v * (den // m.den) for v in m.nums]) for m in (self, other))
-        if a == b:
-            return Fraction(0)
-        return Fraction(max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), den)
+        a, b = ([v * (den // m.den) for v in m.nums] for m in (self, other))
+        return Fraction(max(map(abs, map(sub, a, b))), den)
 
     def __eq__(self, other):
         if not isinstance(other, MeetMatrix):
             return NotImplemented
-        return self.subset.members == other.subset.members and not self.max_abs_difference(other)
+        return (self.subset.members == other.subset.members
+                and self.integer_rows() == other.integer_rows())
 
     def __repr__(self):
         return f"MeetMatrix({self.n}x{self.n})"

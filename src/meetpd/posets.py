@@ -5,7 +5,8 @@ bitsets, so order queries are O(1) after construction; a MeetSemilattice
 is such a Poset whose meets are looked up by down-set, since the down-set
 of x meet y is the intersection of theirs.  The divisor and MIN lattices
 on the positive integers share one IntegerLattice base and are never
-materialized: they answer order, meet, and lower-set queries directly
+materialized: they answer order, meet, and lower-set queries directly,
+state their Mobius function once, as the steps of ``sieve(m)`` on {1..m},
 and hand out finite lower closed covering grids ({1..m} and its powers)
 on request.  Their d-fold powers come from the cached ``lattice_power``, so
 every caller asking for one gets the same instance.  An ordered subset
@@ -13,7 +14,7 @@ caches its own MeetTable, the position of every pairwise meet of its
 members, which also answers whether it is meet closed.  A ProductSubset
 alone knows a product's lexicographic layout (factors, shape, strides)
 and builds its member list only when read; a plain subset is a product
-of one factor.
+of one factor.  Mobius rows and inversion live in ``incidence``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .errors import (
     DuplicateElementError,
     NotASemilatticeError,
 )
-from .incidence import mobius
-from .intfun import divisors, factorize
+from .intfun import divisors
 
 
 class Poset:
@@ -109,12 +109,6 @@ class Poset:
     def lower_set(self, x):
         mask = self._down[self._index[x]]
         return [e for i, e in enumerate(self.elements) if (mask >> i) & 1]
-
-    def mobius_below(self, x):
-        """The pairs (z, mu(z, x)) for z < x with mu nonzero."""
-        cover = self.covering_set()
-        zs, ws = mobius(cover)[cover.index(x)]
-        return tuple(zip(zs[:-1], ws[:-1]))
 
     def covering_set(self, bound=None):
         """The whole element set; a finite poset is its own covering."""
@@ -210,16 +204,10 @@ class DivisorLattice(IntegerLattice):
     def lower_set(self, x):
         return list(divisors(x))
 
-    def mobius_below(self, x):
-        """(x/e, mu(e)) for each squarefree divisor e > 1 of x, from one factorization."""
-        row = [(x, 1)]
-        for p in factorize(x):
-            row += [(z // p, -w) for z, w in row]
-        return tuple(row[1:])
-
     def sieve(self, m):
-        """Mobius inversion on {1..m} as slice steps: each squarefree e > 1 adds
-        mu(e) * values[:m // e] onto values[e-1::e]; mu(n) = -sum(mu(e), e | n, e < n)."""
+        """Mobius inversion on {1..m} as slice steps: each squarefree e > 1, in
+        increasing order, adds mu(e) * values[:m // e] onto values[e-1::e];
+        mu(n) = -sum(mu(e), e | n, e < n)."""
         mu = [0, 1] + [0] * (m - 1)
         for e in range(1, m // 2 + 1):
             mu[2 * e::e] = map(sub, mu[2 * e::e], repeat(mu[e]))
@@ -245,9 +233,6 @@ class MinLattice(IntegerLattice):
 
     def lower_set(self, x):
         return list(range(1, x + 1))
-
-    def mobius_below(self, x):
-        return ((x - 1, -1),) if x > 1 else ()
 
     def sieve(self, m):
         """Mobius inversion on {1..m} as one slice step: a difference of neighbours."""
@@ -276,7 +261,6 @@ class ProductLattice:
         leasts = [getattr(f, "least", None) for f in factors]
         self.least = tuple(leasts) if all(v is not None for v in leasts) else None
         self._covers = {}
-        self._rows = tuple({} for _ in factors)
 
     def leq(self, x, y):
         return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
@@ -300,20 +284,9 @@ class ProductLattice:
             parts.append(lower(c))
         return [tuple(t) for t in iter_product(*parts)]
 
-    def mobius_below(self, x):
-        """Rota's product rule; factor rows are cached per coordinate, x_t first."""
-        row = None
-        for f, rows, c in zip(self.factors, self._rows, x):
-            fac = rows.get(c)
-            if fac is None:
-                fac = rows[c] = (((c,), 1), *(((z,), w) for z, w in f.mobius_below(c)))
-            row = fac if row is None else [(zs + z, v * w) for zs, v in row for z, w in fac]
-        return row[1:]
-
     def covering_set(self, bound):
         if bound not in self._covers:
-            self._covers[bound] = ProductSubset((f.covering_set(bound) for f in self.factors),
-                                                _lattice=self)
+            self._covers[bound] = ProductSubset(f.covering_set(bound) for f in self.factors)
         return self._covers[bound]
 
     def __eq__(self, other):
@@ -488,14 +461,6 @@ class ElementSubset:
                     return False
         return True
 
-    @property
-    def least_member(self):
-        """The member below every other member, or None."""
-        m0 = self.members[0]
-        if all(self.leq(m0, x) for x in self.members):
-            return m0
-        return None
-
     def __len__(self):
         return len(self.members)
 
@@ -559,13 +524,14 @@ class ProductSubset:
     The lexicographic order of linear extensions is itself a linear
     extension of the product order.  Positions and membership are asked
     of the factors, so the member list is built only when first read.
-    A product family passes itself as _lattice to its covering sets, so
-    that the factor rows ``mobius`` reads on them are cached on it.
+    Its lattice is the product of the factors' lattices, equal to (not
+    the same object as) a family's; ``incidence.mobius`` gives its rows by
+    Rota's product rule over the factors' own cached rows.
     """
 
-    def __init__(self, factors, _lattice=None):
+    def __init__(self, factors):
         self.factors = tuple(factors)
-        self.lattice = _lattice or ProductLattice(s.lattice for s in self.factors)
+        self.lattice = ProductLattice(s.lattice for s in self.factors)
         self.shape = tuple(map(len, self.factors))
         self.strides = strides(self.shape)
         self.leq = self.lattice.leq

@@ -11,11 +11,9 @@ from meetpd.arith import (
     builtin,
     dirichlet_convolution,
     dirichlet_convolve_d,
-    gcd_d,
     mu_star_mu,
     pd_check_grid,
     ramanujan_C,
-    table_to_csv,
     to_lattice_function,
 )
 from meetpd.errors import ArityMismatchError, UnknownBuiltinError
@@ -25,17 +23,6 @@ from meetpd.pdcheck import pd_criterion, psd_oracle
 from meetpd.posets import divisor_lattice, min_lattice, product_subset
 
 PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
-
-
-def test_gcd_d_examples():
-    assert gcd_d((4, 9), (6, 3)) == (2, 3)
-    assert gcd_d((12, 8, 5), (18, 12, 10)) == (6, 4, 5)
-    assert gcd_d((6, 10), (6, 10)) == (6, 10)
-
-
-def test_gcd_d_arity_mismatch():
-    with pytest.raises(ArityMismatchError):
-        gcd_d((1, 2), (1, 2, 3))
 
 
 def test_delta_is_identity_of_dirichlet_convolution():
@@ -434,9 +421,3 @@ def test_to_lattice_function_on_min_lattice():
     f = builtin("divisor_count", d=2)
     lat = to_lattice_function(f, min_lattice(2))
     assert lat((2, 3)) == 4
-
-
-def test_table_export():
-    f = builtin("zeta_d", d=2)
-    text = table_to_csv(f, 2)
-    assert text.splitlines() == ["1,1,1", "1,2,1", "2,1,1", "2,2,1"]

@@ -131,8 +131,8 @@ def test_mobius_rows_are_int_and_end_at_their_member():
 
 
 def test_mobius_queries_the_order_once_per_pair():
-    # the recursion itself: mobius would read this lower closed set's
-    # closed-form rows and query no order at all
+    # the recursion itself: mobius would read this set's rows off the MIN
+    # sieve and query no order at all
     s = subset(min_lattice(), range(1, 61))
     calls = []
     real = s.leq
@@ -240,6 +240,11 @@ def _fresh_power(base, d):
     return base() if d == 1 else ProductLattice([base()] * d)
 
 
+# M3: three atoms between 0 and 1, so mu(0, 1) = 2, a weight other than +-1
+HASSE_M3 = load_hasse(["elem 0", "elem a", "elem b", "elem c", "elem 1",
+                       "edge 0 a", "edge 0 b", "edge 0 c", "edge a 1", "edge b 1", "edge c 1"])
+
+
 def _hasse_diamond():
     return load_hasse(["elem 0", "elem x", "elem y", "elem 1", "edge 0 x", "edge 0 y",
                        "edge x 1", "edge y 1"])
@@ -247,17 +252,21 @@ def _hasse_diamond():
 
 # name: (build, the subsets Rota's recursion runs on when mobius builds the rows)
 ROUTED_SUBSETS = {
+    # covering sets {1..m} read their rows off the sieve, and products of
+    # them take the product rule over those: neither runs the recursion
     **{f"{base.kind}_d{d}": (lambda base=base, d=d, m=m: _fresh_power(base, d).covering_set(m),
                              lambda s: [])
        for base, bounds in [(DivisorLattice, (60, 8, 4)), (MinLattice, (30, 6, 3))]
        for d, m in zip((1, 2, 3), bounds)},
+    # lower closed but not {1..m}: no sieve reads it, so the recursion does
     "divisor_lower_closure": (lambda: lower_closure(subset(divisor_lattice(), [360, 84])),
-                              lambda s: []),
+                              lambda s: [s]),
     # incomparable members listed out of numeric order
     "divisor_unsorted": (lambda: subset(divisor_lattice(), [1, 5, 3, 2, 15, 6, 10, 30]),
-                         lambda s: []),
-    # lower closed: the product rule of ProductLattice.mobius_below, over
-    # the Hasse factor's own rows
+                         lambda s: [s]),
+    "meet_closure": (lambda: meet_closure(subset(divisor_lattice(), [4, 6, 10])), lambda s: [s]),
+    "hasse": (lambda: _hasse_diamond().covering_set(), lambda s: [s]),
+    # a product runs the recursion only on its factors that need it
     "hasse_product": (lambda: product_subset([_hasse_diamond().covering_set(),
                                               min_lattice().covering_set(3)]),
                       lambda s: [s.factors[0]]),
@@ -265,11 +274,11 @@ ROUTED_SUBSETS = {
     "mixed_id_product": (lambda: product_subset([
         MeetSemilattice([0, "a", "b"], [(0, "a"), (0, "b")]).covering_set(),
         min_lattice().covering_set(2)]), lambda s: [s.factors[0]]),
-    # a meet closure is not lower closed, and neither is a product with one
+    # a product with a factor that is not lower closed takes the product rule too
     "mixed_product": (lambda: product_subset([
         meet_closure(subset(divisor_lattice(), [4, 6, 10])),
         min_lattice().covering_set(3),
-        _hasse_diamond().covering_set()]), lambda s: [s]),
+        _hasse_diamond().covering_set()]), lambda s: [s.factors[0], s.factors[2]]),
     "divisor_not_lower_closed": (lambda: subset(divisor_lattice(), [1, 4]), lambda s: [s]),
 }
 
@@ -285,9 +294,27 @@ def test_mobius_equals_the_recursion_by_every_route(name, monkeypatch):
     monkeypatch.setattr(incidence, "_recursive_rows",
                         lambda t: recursed.append(t) or _recursive_rows(t))
     assert mobius(s) == expected
-    # covering sets of the integer lattices and their products never run
-    # the recursion; a Hasse lattice and a subset that is not lower closed do
     assert recursed == recursed_on(s)
+
+
+def _product_factors():
+    """Factor subsets the product rule combines: divisor and MIN covering
+    sets, meet closures that are not lower closed, and the M3 and diamond
+    Hasse lattices."""
+    covers = st.builds(lambda family, m: family.covering_set(m),
+                       st.sampled_from([divisor_lattice(), min_lattice()]), st.integers(1, 6))
+    closures = st.lists(st.integers(2, 40), min_size=1, max_size=3, unique=True).map(
+        lambda xs: meet_closure(subset(divisor_lattice(), xs))).filter(
+        lambda s: not s.lower_closed)
+    hasse = st.sampled_from([HASSE_M3, _hasse_diamond()]).map(lambda h: h.covering_set())
+    return st.one_of(covers, closures, hasse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_product_factors(), min_size=2, max_size=3))
+def test_the_product_rule_equals_the_recursion_on_the_whole_product(factors):
+    s = product_subset(factors)
+    assert mobius(s) == _recursive_rows(s)
 
 
 def test_mobius_of_a_subset_that_is_not_lower_closed():
@@ -439,9 +466,6 @@ def test_inverted_values_evaluates_f_once_per_member_in_member_order(name, fract
     assert seen == list(s.members)
 
 
-# M3: three atoms between 0 and 1, so mu(0, 1) = 2, a weight other than +-1
-HASSE_M3 = load_hasse(["elem 0", "elem a", "elem b", "elem c", "elem 1",
-                       "edge 0 a", "edge 0 b", "edge 0 c", "edge a 1", "edge b 1", "edge c 1"])
 MAX_FACTOR_BOUND = {1: 16, 2: 6, 3: 3}
 
 

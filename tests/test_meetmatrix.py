@@ -422,6 +422,55 @@ def test_reconstruct_equals_the_scatter_on_meet_closed_products(factors, data):
     assert got == meet_matrix(grid, f)
 
 
+def _coords(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+def _coord_sum(lattice):
+    return LatticeFunction(lattice, lambda x: Fraction(sum(_coords(x))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(meet_closed_factors(),
+                          st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(
+                              lambda xs: subset(divisor_lattice(), xs))),
+                min_size=1, max_size=2),
+       st.lists(st.integers(-5, 5), min_size=6, max_size=6), st.integers(1, 6))
+def test_max_abs_difference_at_the_meet_points_is_the_largest_entry_difference(
+        factors, coefs, den):
+    grid = product_subset(factors)
+    assume(len(grid) <= 40)
+
+    def quadratic(a, b, c):
+        return lambda x: Fraction(a * sum(_coords(x)) ** 2 + b * math.prod(_coords(x)) + c, den)
+
+    f, g = (LatticeFunction(grid.lattice, quadratic(*coefs[k:k + 3])) for k in (0, 3))
+    a, b = meet_matrix(grid, f), meet_matrix(grid, g)
+    largest = max(abs(x - y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    assert a.max_abs_difference(b) == largest == b.max_abs_difference(a)
+    assert (a == b) == (largest == 0)
+
+
+def test_max_abs_difference_refuses_matrices_of_other_members_or_lattice():
+    dl, ml = divisor_lattice(), min_lattice()
+    a = meet_matrix(dl.covering_set(4), _coord_sum(dl))
+    others = [
+        dl.covering_set(3),            # a prefix, whose entries all equal a's
+        subset(dl, [1, 3, 2, 4]),      # the same members in another order
+        ml.covering_set(4),            # the same members under another lattice
+        product_subset([dl.covering_set(2), dl.covering_set(2)]),
+    ]
+    for s in others:
+        b = meet_matrix(s, _coord_sum(s.lattice))
+        with pytest.raises(ValueError, match="not over one subset"):
+            a.max_abs_difference(b)
+        assert a != b
+    # equality still compares entries: a chain has the same meets under both lattices
+    chain = [1, 2, 4]
+    assert (meet_matrix(subset(dl, chain), identity_function(dl))
+            == meet_matrix(subset(ml, chain), identity_function(ml)))
+
+
 def test_reconstruct_equals_the_scatter_on_a_closure_that_is_not_lower_closed():
     s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))  # 2, 4, 6, 10
     t = subset(min_lattice(), [2, 5, 9])

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from meetpd.errors import (
     DuplicateElementError,
     NotASemilatticeError,
 )
+from meetpd import incidence
 from meetpd.incidence import _recursive_rows, mobius
 from meetpd.intfun import mobius_int
-from meetpd.meetmatrix import summatory_function
 from meetpd.posets import (
     MAX_ARITY,
     MAX_HASSE_ELEMENTS,
@@ -391,17 +393,20 @@ def test_explicit_meet_agrees_with_gcd_oracle():
                 assert lat.meet(str(x), str(y)) == str(math.gcd(x, y))
 
 
-def test_least_member():
-    dl = divisor_lattice()
-    assert subset(dl, [1, 2, 3]).least_member == 1
-    assert subset(dl, [2, 3]).least_member is None
-
-
 def _generic_rows(cover):
     """x -> {z: mu(z, x)} over z < x, from Rota's recursion (which mobius
     routes around on covering sets of the integer families)."""
     return {x: dict(zip(zs[:-1], ws[:-1]))
             for x, (zs, ws) in zip(cover.members, _recursive_rows(cover))}
+
+
+def mobius_below(cover, x):
+    """The pairs (z, mu(z, x)) for z < x with mu nonzero, in member order:
+    the row of x in ``mobius(cover)`` without x itself."""
+    zs, ws = mobius(cover)[cover.index(x)]
+    assert zs[-1] == x and ws[-1] == 1
+    assert [cover.index(z) for z in zs] == sorted(map(cover.index, zs))
+    return tuple(zip(zs[:-1], ws[:-1]))
 
 
 def _shuffled_hasse_divisors(n, seed):
@@ -422,9 +427,11 @@ def _shuffled_hasse_divisors(n, seed):
     (ProductLattice((load_hasse(_shuffled_hasse_divisors(36, 1)), min_lattice())), 3),
 ])
 def test_mobius_below_is_the_generic_row_on_lower_closed_covering_sets(lattice, bound):
-    for x, row in _generic_rows(lattice.covering_set(bound)).items():
-        got = lattice.mobius_below(x)
+    cover = lattice.covering_set(bound)
+    for x, row in _generic_rows(cover).items():
+        got = mobius_below(cover, x)
         assert dict(got) == row and len(got) == len(row)
+    assert mobius(cover) == _recursive_rows(cover)
 
 
 @pytest.mark.parametrize("n, seed", [(60, 2), (210, 3), (360, 4)])
@@ -433,12 +440,13 @@ def test_mobius_below_on_a_hasse_lattice_listed_out_of_order(n, seed):
     # some element is listed before one of its lower covers
     assert any(lattice.elements.index(a) > lattice.elements.index(b)
                for a, b in lattice.cover_edges)
-    rows = _generic_rows(lattice.covering_set())
+    cover = lattice.covering_set()
+    rows = _generic_rows(cover)
     for x in lattice.elements:
         closed = {str(z): mobius_int(int(x) // z) for z in range(1, int(x))
                   if int(x) % z == 0 and mobius_int(int(x) // z)}
-        assert dict(lattice.mobius_below(x)) == rows[x] == closed
-        assert len(lattice.mobius_below(x)) == len(closed)
+        assert dict(mobius_below(cover, x)) == rows[x] == closed
+        assert len(mobius_below(cover, x)) == len(closed)
 
 
 @pytest.mark.parametrize("n, seed", [(60, 2), (210, 3), (360, 4), (720, 5)])
@@ -530,18 +538,43 @@ def test_lower_closure_needs_enumerable_ambient():
 
 
 def test_a_product_covering_set_shares_its_family_and_the_factor_rows(monkeypatch):
-    assert divisor_lattice(2).covering_set(4).lattice is divisor_lattice(2)
-    # a new power, so no factor row of it is cached yet
-    lattice = ProductLattice([DivisorLattice()] * 2)
+    assert divisor_lattice(2).covering_set(4).lattice == divisor_lattice(2)
+    # a new power of a new base, so no factor row of it is cached yet
+    base = DivisorLattice()
+    lattice = ProductLattice([base] * 2)
     cover = lattice.covering_set(6)
-    assert cover.lattice is lattice
-    calls = []
-    below = DivisorLattice.mobius_below
-    monkeypatch.setattr(DivisorLattice, "mobius_below",
-                        lambda self, x: calls.append(x) or below(self, x))
-    mobius(cover)
-    # the family's summatory functions read the rows mobius filled
-    f = summatory_function(lattice, lambda _z: 1)
-    assert [f(x) for x in cover] == [len(lattice.lower_set(x)) for x in cover]
-    assert sorted(calls) == sorted([*range(1, 7)] * 2)
-    assert [sorted(rows) for rows in lattice._rows] == [[*range(1, 7)]] * 2
+    assert cover.lattice == lattice
+    assert cover.factors == (base.covering_set(6),) * 2
+    built = []
+    real = incidence._sieve_rows
+    monkeypatch.setattr(incidence, "_sieve_rows",
+                        lambda ms, steps: built.append(ms) or real(ms, steps))
+    rows = mobius(cover)
+    # both axes read the one factor covering set's rows, built once and kept
+    assert built == [tuple(range(1, 7))]
+    assert mobius(base.covering_set(6)) == _recursive_rows(base.covering_set(6))
+    assert built == [tuple(range(1, 7))]
+    assert rows == _recursive_rows(cover)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "meetpd"
+
+
+def _meetpd_imports(path):
+    """The meetpd modules a source file imports, at any depth of its tree."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("meetpd."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("meetpd."))
+    return {name.split(".")[0] for name in names}
+
+
+def test_posets_imports_no_meetpd_module_but_errors_and_intfun():
+    # the order layer stays below the Mobius and inversion code in incidence
+    imports = {path.stem: _meetpd_imports(path) for path in SRC.glob("*.py")}
+    assert imports["posets"] <= {"errors", "intfun"}
+    assert {"incidence", "posets"} <= imports["meetmatrix"]  # relative imports are seen
