@@ -254,9 +254,32 @@ def cmd_decompose(config):
     if (config.fmt or "json") == "csv":
         _emit(lambda: ",".join(map(str, dec.diag)) + "\n", config.out)
     else:
-        _emit(lambda: json.dumps(decomposition_to_json(dec, residual=residual), indent=2) + "\n",
+        _emit(lambda: _decomposition_text(decomposition_to_json(dec, residual=residual)) + "\n",
               config.out)
     return 0
+
+
+def _indented(items, depth):
+    """A JSON list of rendered items, laid out as json.dumps(..., indent=2) lays it at depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _decomposition_text(doc):
+    """json.dumps(doc, indent=2), with the n^2 0/1 factor entries joined as text.
+
+    The rest of the document goes through json.dumps in two parts, the
+    keys before "factors" and the keys after it, spliced around the block.
+    """
+    keys = list(doc)
+    at = keys.index("factors")
+    head = json.dumps({k: doc[k] for k in keys[:at]}, indent=2)
+    tail = json.dumps({k: doc[k] for k in keys[at + 1:]}, indent=2)
+    block = _indented([_indented([_indented(list(map(str, row)), 3) for row in fac], 2)
+                       for fac in doc["factors"]], 1)
+    return head[:-2] + ',\n  "factors": ' + block + ",\n" + tail[2:]
 
 
 def cmd_grid(config):

@@ -4,22 +4,36 @@ Symmetric congruence elimination decides inertia with no tolerance, on
 the matrix times the lcm of its denominators (int rows are taken as they
 are).  The pivot is the first nonzero diagonal in search order, member
 order for a meet matrix, whose Schur complements are then meet matrices
-with 0/1 multipliers (Haukkanen 1996).  Each active row is ints over its
-own denominator: it is skipped if its pivot-column entry is 0, takes an
-int multiple of the pivot row if there is one, and else is cross-multiplied
-and divided by common factors, to a divisor of the pivot block's
-determinant (the Bareiss 1968 bound).  An all-zero active diagonal with
-a_ij != 0 takes the congruence "add row and column j to i".  The witness
-of the first negative pivot k of P A P^T = L D L^T is v = P^T L^-T e_k,
-by back substitution, mapped back through the row-add congruences.
+with 0/1 multipliers (Haukkanen 1996).  Each row is a full row of n
+entries over its own denominator, packed into one int of n signed w-bit
+fields, so "row minus k times the pivot row" is one big-int subtraction;
+the n x n matrix takes n^2 w / 8 bytes.  w starts from the largest entry.
+Each row keeps a bound on its fields, raised at each update by what the
+pivot row's largest field can add; when a bound would leave its field,
+the row's bound is first refreshed from its fields, and if that is not
+enough every row is unpacked and repacked at a wider w.  Once the lowest
+active column is past half of the stored ones (pivots in member order
+eliminate the low columns first), every row drops the columns below it.
+The pivot row is unpacked once per pivot, for its multipliers and its
+bound.  A row with an int multiplier takes the int multiple of the pivot
+row; any other is cross-multiplied and divided by a divisor of the pivot
+block's determinant (the Bareiss 1968 bound), which divides every field
+at once.  An all-zero active diagonal with a_ij != 0 takes the
+congruence "add row and column j to i".  The witness of the first
+negative pivot k of P A P^T = L D L^T is v = P^T L^-T e_k, by back
+substitution over the pivot rows, mapped back through the row-add
+congruences.
 """
 
 import math
-from bisect import bisect_left
+import sys
+from array import array
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
-from operator import sub
+from itertools import chain, compress
+
+_TYPECODES = {array(t).itemsize * 8: t for t in "hiq"}  # field width in bits: array typecode
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class Inertia(namedtuple("Inertia", "positive negative zero")):
@@ -80,87 +94,183 @@ def _integer_matrix(rows):
     return a, c
 
 
-def _full_row(tri, den, q):
-    """Row q of the active block, as ints over one positive denominator, and that denominator."""
-    d = math.lcm(*den[:q + 1])
-    col = [tri[v][q - v] * (d // den[v]) for v in range(q)]
-    return col + (tri[q] if d == den[q] else [e * (d // den[q]) for e in tri[q]]), d
+def _native(fields):
+    """An array read from or written as little-endian bytes, in native byte order."""
+    if _BIG_ENDIAN:
+        fields.byteswap()
+    return fields
+
+
+def _width(bound):
+    """The field width, 16, 32 or a multiple of 64 bits, that holds -bound .. bound.
+
+    Below 16 bits, a meet matrix of 1,024 members spends more on reading
+    its rows' bounds back than 8-bit fields save.
+    """
+    bits = bound.bit_length() + 1
+    return next((w for w in (16, 32) if bits <= w), -(-bits // 64) * 64)
+
+
+class _Fields:
+    """Rows of signed w-bit fields, each row one int: the sum of e_i << (w * (i - lo)).
+
+    Field i holds column i, for lo <= i < n; the columns below lo are zero
+    in every row and not stored.  Adding two such ints, or scaling one,
+    does so to every field at once, and the result is exact even where a
+    field leaves its range; only reading the fields back needs each in
+    -2**(w-1) .. 2**(w-1) - 1.  To read, adding the bias (2**(w-1) in every
+    field) makes the fields unsigned, so no borrow crosses them, and xor
+    with the bias leaves each field's two's complement bytes.
+    """
+
+    def __init__(self, n, w, lo=0):
+        self.n, self.w, self.lo = n, w, lo
+        self.limit = 1 << (w - 1)  # every field is below limit in absolute value
+        self.bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * (n - lo), "little")
+
+    def pack(self, values):
+        """The row of a sequence of n values, those below lo zero."""
+        w, values = self.w, values[self.lo:]
+        if w in _TYPECODES:
+            data = _native(array(_TYPECODES[w], values)).tobytes()
+        else:
+            data = b"".join([v.to_bytes(w // 8, "little", signed=True) for v in values])
+        return (int.from_bytes(data, "little") ^ self.bias) - self.bias
+
+    def unpack(self, row):
+        """The n fields of row, those below lo zero: an array for w <= 64, else a list."""
+        w, size = self.w, self.n * self.w // 8
+        data = ((row + self.bias) ^ self.bias).to_bytes(size - self.lo * w // 8, "little")
+        data = bytes(size - len(data)) + data
+        if w in _TYPECODES:
+            return _native(array(_TYPECODES[w], data))
+        wb, zero = w // 8, bytes(w // 8)
+        fields = [0] * self.n  # only the nonzero fields are converted
+        for i in compress(range(self.n), [data[j:j + wb] != zero for j in range(0, size, wb)]):
+            fields[i] = int.from_bytes(data[i * wb:(i + 1) * wb], "little", signed=True)
+        return fields
+
+
+def _peak(fields):
+    """The largest absolute value in a nonempty sequence."""
+    return max(max(fields), -min(fields))
+
+
+def _repacked(packed, fields, bound):
+    """Repack every row in place at the width that holds bound, and that width's _Fields."""
+    wide = _Fields(fields.n, _width(bound), fields.lo)
+    packed[:] = [wide.pack(fields.unpack(row)) for row in packed]
+    return wide
+
+
+def _trimmed(packed, fields, lo):
+    """Drop the columns below lo, zero in every row, from every row in place; the new _Fields."""
+    shift = fields.w * (lo - fields.lo)
+    packed[:] = [row >> shift for row in packed]
+    return _Fields(fields.n, fields.w, lo)
 
 
 def symmetric_elimination(rows):
     """Exact inertia of a symmetric rational matrix by pivoted elimination."""
     a, scale = _integer_matrix(rows)
     n = len(a)
-    act, order = list(range(n)), list(range(n))  # active indices: ascending, in search order
-    tri, den = [a[i][i:] for i in range(n)], [1] * n  # tri[t][u - t] / den[t]: a[act[t]][act[u]]
-    cols = []  # (active indices, pivot row, its position), up to the first negative pivot
+    bound = list(map(_peak, a))  # no field of packed[x] exceeds bound[x] in absolute value
+    fields = _Fields(n, _width(max(bound, default=0)))
+    packed = [fields.pack(row) for row in a]  # row x of the active block, over den[x]
+    den, diag = [1] * n, [a[x][x] for x in range(n)]  # diag[x]: field x of packed[x]
+    order = list(range(n))  # the active indices, in search order
+    cols = []  # (pivot, its packed row and _Fields, len(adds) then), up to the first negative pivot
     adds = []  # row-add congruences (i, j): row and column j added to i
     neg, value = 0, None  # the number of negative pivots, and the first one
-    det = 1  # determinant of the pivot block; det times an active entry is an int
-    while act:
+    # det times the pivots p / pd is the pivot block's determinant; the product is
+    # costly on wide entries, so it is only taken when a cross-multiplied row needs it
+    det, pivots = 1, []
+    while order:
         for s, x in enumerate(order):
-            q = bisect_left(act, x)
-            if tri[q][0]:
+            if diag[x]:
                 break
         else:  # the active diagonal is zero: add row/column u to t, the first a_tu != 0
-            t, u = next(((t, t + j) for t, row in enumerate(tri) for j, e in enumerate(row) if e),
-                        (0, 0))
-            if t == u:
+            t = next((t for t in sorted(order) if packed[t]), None)
+            if t is None:
                 break  # the active block is zero
-            ry, dy = _full_row(tri, den, u)
-            d = math.lcm(den[t], dy)
-            tri[t] = [d // den[t] * e + d // dy * w for e, w in zip(tri[t], ry[t:])]
-            tri[t][0], den[t] = 2 * d // dy * ry[t], d
-            for v in range(t):
-                tri[v][t - v] += tri[v][u - v]
-            for kept_act, kept, _ in cols:
-                kept[bisect_left(kept_act, act[t])] += kept[bisect_left(kept_act, act[u])]
-            adds.append((act[t], act[u]))
+            u = ((packed[t] & -packed[t]).bit_length() - 1) // fields.w + fields.lo
+            ry, du, dt = fields.unpack(packed[u]), den[u], den[t]
+            den[t] = d = math.lcm(dt, du)
+            bound[t] = bound[t] * (d // dt) + bound[u] * (d // du)
+            col = [(v, e * den[v] // du) for v, e in enumerate(ry) if e]  # column u, to column t
+            for v, e in col:
+                bound[v] += abs(e)
+            if max(bound) >= fields.limit:
+                fields = _repacked(packed, fields, max(bound))
+            packed[t] = packed[t] * (d // dt) + packed[u] * (d // du)
+            for v, e in col:
+                packed[v] += e << fields.w * (t - fields.lo)
+            diag[t] = 2 * ry[t] * (d // du)
+            adds.append((t, u))
             continue
-        pr, pd = _full_row(tri, den, q)
-        p = pr[q]
+        row, pd, p = packed[x], den[x], diag[x]
+        pr = fields.unpack(row)
+        bp = _peak(pr)
         if value is None:
-            cols.append((act, pr, q))
+            cols.append((x, row, fields, len(adds)))
             if p < 0:
                 value = Fraction(p, pd * scale)
-        det = det * p // pd
+        pivots.append((p, pd))
         neg += p < 0
         order[s] = order[0]
         del order[0]
-        for t, c in enumerate(pr):
-            if not c or t == q:
-                continue  # a zero multiplier leaves the row as it is
-            row, dt = tri[t], den[t]
-            k, r = divmod(c * dt, p * pd)
+        pr[x], pp, limit = 0, p * pd, fields.limit  # pr: the nonzero multipliers
+        for t in compress(range(n), pr):
+            c, dt = pr[t], den[t]
+            k, r = (1, 0) if c * dt == pp else divmod(c * dt, pp)
             if not r:  # row - k * pivot row, over dt
-                tri[t] = (list(map(sub, row, pr[t:])) if k == 1
-                          else [e - k * v for e, v in zip(row, pr[t:])])
+                b = bound[t] + abs(k) * bp
+                if b >= limit:  # refresh the row's bound; repack only if that is not enough
+                    b = _peak(fields.unpack(packed[t])) + abs(k) * bp
+                    if b >= limit:
+                        fields = _repacked(packed, fields, b)
+                        row, limit = packed[x], fields.limit
+                packed[t] -= row if k == 1 else k * row
+                diag[t] -= k * c
+                bound[t] = b
                 continue
             g = math.gcd(dt, pd)  # over p lcm(dt, pd), then divided back
             f, k, dt = p * (pd // g), c * (dt // g), p * (pd // g) * dt
             if p < 0:
                 f, k, dt = -f, -k, -dt
+            if pivots:  # det times an active entry is an int
+                det = det * math.prod(p for p, _ in pivots) // math.prod(d for _, d in pivots)
+                pivots.clear()
             g = math.gcd(dt, det)
-            h = dt // g
-            row = [(f * e - k * v) // h for e, v in zip(row, pr[t:])]
-            h = math.gcd(g, *row)
-            tri[t], den[t] = [e // h for e in row] if h > 1 else row, g // h
-        for t in range(q):
-            del tri[t][q - t]
-        del tri[q], den[q]
-        act = act[:q] + act[q + 1:]
-    inertia = Inertia(n - len(act) - neg, neg, len(act))  # act: the zero block left
+            h = dt // g  # divides every field of f * row - k * pivot row
+            b = (abs(f) * bound[t] + abs(k) * bp) // h
+            if b >= limit:  # as above
+                b = (abs(f) * _peak(fields.unpack(packed[t])) + abs(k) * bp) // h
+                if b >= limit:
+                    fields = _repacked(packed, fields, b)
+                    row, limit = packed[x], fields.limit
+            packed[t], den[t], bound[t] = (f * packed[t] - k * row) // h, g, b
+            diag[t] = (f * diag[t] - k * c) // h
+        packed[x] = bound[x] = 0
+        if order and 2 * (order[0] - fields.lo) >= n - fields.lo and order[0] == min(order):
+            # half the stored columns are eliminated: in member order, the low ones
+            fields = _trimmed(packed, fields, order[0])
+    inertia = Inertia(n - len(order) - neg, neg, len(order))  # order: the zero block left
     if value is None:
         return SymmetricFactorization(inertia, None, None)
-    # z = L^-T e_k on ints over zden, by back substitution: L[j][i] = pr_i[j] / pr_i[q_i]
-    kept_act, _, q = cols.pop()
-    z, zden = {kept_act[q]: 1}, 1
-    for kept_act, pr, q in reversed(cols):
-        s = sum(pr[bisect_left(kept_act, x)] * zx for x, zx in z.items())
-        h = pr[q] // math.gcd(s, pr[q])
+    # z = L^-T e_k on ints over zden, by back substitution: L[j][i] = pr_i[j] / pr_i[x_i]
+    z, zden = {cols.pop()[0]: 1}, 1
+    for x, row, fields, done in reversed(cols):
+        pr = fields.unpack(row)
+        if done < len(adds):  # the row-add congruences made after this pivot
+            pr = list(pr)
+            for i, j in adds[done:]:
+                pr[i] += pr[j]
+        s = sum(pr[y] * zy for y, zy in z.items())
+        h = pr[x] // math.gcd(s, pr[x])
         if h > 1:
-            z, zden = {x: zx * h for x, zx in z.items()}, zden * h
-        z[kept_act[q]] = -s * h // pr[q]
+            z, zden = {y: zy * h for y, zy in z.items()}, zden * h
+        z[x] = -s * h // pr[x]
     v = [z.get(x, 0) if zden == 1 else Fraction(z.get(x, 0), zden) for x in range(n)]
     for i, j in reversed(adds):
         v[j] += v[i]

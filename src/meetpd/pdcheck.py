@@ -9,7 +9,9 @@ first negative one.  The oracle route decides matrices up to
 EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) exactly, with no
 tolerance and no float work, by the congruence elimination on int rows
 of ``exact.symmetric_elimination`` (a MeetMatrix gives its values times
-their common denominator).  Only larger matrices are converted to floats
+their common denominator).  The elimination packs each row into one int
+of n signed w-bit fields, n^2 w / 8 bytes in all, with w widened only
+when an entry could outgrow it.  Only larger matrices are converted to floats
 and bounded by their smallest eigenvalue; NumPy is imported on that path
 alone.  A positive verdict is always relative to the tested covering
 bound; negative verdicts carry a reproducible witness.  The closure

@@ -665,3 +665,14 @@ def test_cli_imports_neither_numpy_nor_dataclasses_and_runs_without_numpy(capsys
     expected = [list(run(capsys, *argv)[:2]) for argv in EXACT_COMMANDS]
     assert probe["runs"] == expected
     assert [code for code, _ in expected] == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": 2, "factors": [[[1]]], "diag": ["1"]},
+    {"schema": 2, "kind": "decomposition", "factor_labels": [["a", "b\n\"c"], [1, 2]],
+     "factors": [[[1, 0], [1, 1]], [[1, 0], [0, 1]]], "diag": ["1/2", "-3", "0", "7"],
+     "order_map": {"shape": [2, 2]}, "reconstruction_residual": "0"},
+    {"kind": "decomposition", "factors": [[], [[]]], "order_map": {"shape": []}},
+])
+def test_decomposition_text_is_json_dumps_with_indent_2(doc):
+    assert cli._decomposition_text(doc) == json.dumps(doc, indent=2)

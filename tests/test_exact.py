@@ -1,12 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from bisect import bisect_left
 from fractions import Fraction
+from operator import sub
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meetpd import exact
 from meetpd.exact import (
     Inertia,
     SymmetricFactorization,
@@ -156,6 +163,105 @@ def reference_elimination(rows):
     return fact, used_block
 
 
+# --------------------------------------------------------------------------
+# Reference: the list elimination that the packed-row one replaced.  It
+# keeps the upper triangle of the active block as lists of ints, one
+# denominator per row, and builds each pivot row from the column entries of
+# the rows above it.  Pivots, row-add congruences and back substitution
+# are the same, so the two return the same factorization, value for value.
+
+def _reference_full_row(tri, den, q):
+    d = math.lcm(*den[:q + 1])
+    col = [tri[v][q - v] * (d // den[v]) for v in range(q)]
+    return col + (tri[q] if d == den[q] else [e * (d // den[q]) for e in tri[q]]), d
+
+
+def reference_list_elimination(rows):
+    a, scale = exact._integer_matrix(rows)
+    n = len(a)
+    act, order = list(range(n)), list(range(n))
+    tri, den = [a[i][i:] for i in range(n)], [1] * n
+    cols, adds = [], []
+    neg, value, det = 0, None, 1
+    while act:
+        for s, x in enumerate(order):
+            q = bisect_left(act, x)
+            if tri[q][0]:
+                break
+        else:
+            t, u = next(((t, t + j) for t, row in enumerate(tri) for j, e in enumerate(row) if e),
+                        (0, 0))
+            if t == u:
+                break
+            ry, dy = _reference_full_row(tri, den, u)
+            d = math.lcm(den[t], dy)
+            tri[t] = [d // den[t] * e + d // dy * w for e, w in zip(tri[t], ry[t:])]
+            tri[t][0], den[t] = 2 * d // dy * ry[t], d
+            for v in range(t):
+                tri[v][t - v] += tri[v][u - v]
+            for kept_act, kept, _ in cols:
+                kept[bisect_left(kept_act, act[t])] += kept[bisect_left(kept_act, act[u])]
+            adds.append((act[t], act[u]))
+            continue
+        pr, pd = _reference_full_row(tri, den, q)
+        p = pr[q]
+        if value is None:
+            cols.append((act, pr, q))
+            if p < 0:
+                value = Fraction(p, pd * scale)
+        det = det * p // pd
+        neg += p < 0
+        order[s] = order[0]
+        del order[0]
+        for t, c in enumerate(pr):
+            if not c or t == q:
+                continue
+            row, dt = tri[t], den[t]
+            k, r = divmod(c * dt, p * pd)
+            if not r:
+                tri[t] = (list(map(sub, row, pr[t:])) if k == 1
+                          else [e - k * v for e, v in zip(row, pr[t:])])
+                continue
+            g = math.gcd(dt, pd)
+            f, k, dt = p * (pd // g), c * (dt // g), p * (pd // g) * dt
+            if p < 0:
+                f, k, dt = -f, -k, -dt
+            g = math.gcd(dt, det)
+            h = dt // g
+            row = [(f * e - k * v) // h for e, v in zip(row, pr[t:])]
+            h = math.gcd(g, *row)
+            tri[t], den[t] = [e // h for e in row] if h > 1 else row, g // h
+        for t in range(q):
+            del tri[t][q - t]
+        del tri[q], den[q]
+        act = act[:q] + act[q + 1:]
+    inertia = Inertia(n - len(act) - neg, neg, len(act))
+    if value is None:
+        return SymmetricFactorization(inertia, None, None)
+    kept_act, _, q = cols.pop()
+    z, zden = {kept_act[q]: 1}, 1
+    for kept_act, pr, q in reversed(cols):
+        s = sum(pr[bisect_left(kept_act, x)] * zx for x, zx in z.items())
+        h = pr[q] // math.gcd(s, pr[q])
+        if h > 1:
+            z, zden = {x: zx * h for x, zx in z.items()}, zden * h
+        z[kept_act[q]] = -s * h // pr[q]
+    v = [z.get(x, 0) if zden == 1 else Fraction(z.get(x, 0), zden) for x in range(n)]
+    for i, j in reversed(adds):
+        v[j] += v[i]
+    return SymmetricFactorization(inertia, tuple(v), value)
+
+
+def assert_matches_list_reference(rows):
+    """The same factorization as the list kernel, down to the type of each
+    witness entry (ints when the back substitution needs no denominator)."""
+    fact = symmetric_elimination(rows)
+    ref = reference_list_elimination(rows)
+    assert fact == ref
+    assert [type(c) for c in fact.negative_direction or ()] == \
+        [type(c) for c in ref.negative_direction or ()]
+
+
 def reference_quadratic_form(rows, v):
     """v^T A v by Fraction arithmetic on every entry."""
     n = len(rows)
@@ -175,7 +281,8 @@ def reference_quadratic_form(rows, v):
 def assert_matches_reference(rows):
     """Identical factorization unless the reference needed a 2x2 block;
     then identical inertia and a witness that replays exactly.  Returns
-    whether the block occurred."""
+    whether the block occurred.  Always identical to the list kernel."""
+    assert_matches_list_reference(rows)
     fact = symmetric_elimination(rows)
     ref, used_block = reference_elimination(rows)
     if not used_block:
@@ -316,6 +423,66 @@ def test_scaled_integer_elimination_keeps_inertia_of_tiny_entries():
     assert quadratic_form(rows, fact.negative_direction) == fact.negative_value < 0
     assert_matches_reference(rows)
 
+
+
+@pytest.mark.parametrize("big", [2 ** 14 - 1, 2 ** 30, 2 ** 62, 2 ** 100])
+def test_matches_list_reference_at_each_field_width(big):
+    # entries at the top of a 16-, 32- and 64-bit field and inside a 128-bit
+    # one, of both signs and next to small ones; a row update leaves the
+    # field the matrix started with
+    rng = random.Random(big % 1_000_003)
+    values = (0, 1, -1, 2, big, -big, big - 1, 1 - big)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        assert_matches_list_reference(
+            symmetric_from_upper(n, [rng.choice(values) for _ in range(n * (n + 1) // 2)]))
+
+
+def test_fields_widen_as_the_scaled_rows_grow(monkeypatch):
+    # tridiagonal (1, 3, 1): the pivot block determinants, and with them
+    # the scaled rows, grow by (3 + 5 ** 0.5) / 2 > 2 at every pivot; the
+    # last pivot is negative, so the witness runs back over pivot rows kept
+    # at every width
+    n = 60
+    rows = [[3 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    rows[-1][-1] = -3
+    widths = []
+    repacked = exact._repacked
+
+    def spy(packed, fields, bound):
+        wide = repacked(packed, fields, bound)
+        widths.append(wide.w)
+        return wide
+
+    monkeypatch.setattr(exact, "_repacked", spy)
+    assert_matches_list_reference(rows)
+    assert widths[:3] == [32, 64, 128]
+    fact = symmetric_elimination(rows)
+    assert fact.inertia.as_tuple() == (n - 1, 1, 0)
+    assert quadratic_form(rows, fact.negative_direction) == fact.negative_value < 0
+
+
+# Runs in a fresh interpreter: the exact oracle on a 100 x 100 summatory
+# meet matrix, then whether NumPy was imported.
+ORACLE_PROBE = """
+import sys
+from meetpd import divisor_lattice, meet_matrix, psd_oracle, summatory_function
+lat = divisor_lattice(2)
+f = summatory_function(lat, lambda z: (7 * z[0] + 3 * z[1]) % 5 - 1, certify_nonneg=False)
+rep = psd_oracle(meet_matrix(lat.covering_set(10), f))
+print(rep.method, list(rep.inertia), "numpy" in sys.modules)
+"""
+
+
+def test_exact_oracle_does_not_import_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    g = [(7 * a + 3 * b) % 5 - 1 for a in range(1, 11) for b in range(1, 11)]
+    inertia = [sum(v > 0 for v in g), sum(v < 0 for v in g), g.count(0)]
+    assert proc.stdout.strip() == f"exact {inertia} False"
 
 @settings(max_examples=100, deadline=None)
 @given(rational_symmetric_matrices(), st.data())
