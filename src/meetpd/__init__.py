@@ -4,9 +4,7 @@ functions on the positive integers."""
 
 from .arith import (
     builtin,
-    dirichlet_convolution,
     dirichlet_convolve_d,
-    mu_star_mu,
     pd_check_grid,
     ramanujan_C,
     to_lattice_function,
@@ -38,7 +36,6 @@ from .meetmatrix import (
     MeetMatrix,
     constant_function,
     decomposition_to_json,
-    identity_function,
     kron_decompose_d,
     matrix_to_csv,
     matrix_to_json,

@@ -11,7 +11,6 @@ line.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .errors import ArityMismatchError, ExponentLimitError, UnknownBuiltinError
@@ -43,22 +42,6 @@ def dirichlet_convolve_d(f, g, point):
     terms = ((f(_element(ks)) * g(_element(tuple(i // k for i, k in zip(point, ks)))), 1)
              for ks in iter_product(*(divisors(i) for i in point)))
     return rational_sum(terms)
-
-
-def dirichlet_convolution(f, g, name=None):
-    """The convolution as a new arithmetic function; each call sums over the
-    divisors of its argument, reading f and g afresh."""
-    if f.lattice.arity != g.lattice.arity:
-        raise ArityMismatchError(f"arities differ: {f.lattice.arity} vs {g.lattice.arity}")
-    label = name or f"({f.name}*{g.name})"
-    return LatticeFunction(divisor_lattice(f.lattice.arity),
-                           lambda x: dirichlet_convolve_d(f, g, x), name=label)
-
-
-@lru_cache(maxsize=None)
-def mu_star_mu(n):
-    """(mu * mu)(n) by direct divisor-sum convolution."""
-    return sum(mobius_int(d) * mobius_int(n // d) for d in divisors(n))
 
 
 def ramanujan_C(m, n):
@@ -95,8 +78,9 @@ def builtin(name, alpha=None, d=None, g=None):
 
     Known names: gcd_pow, lcm_pow (exponent alpha; integer exponents stay
     exact, others fall back to floats flagged exact=False), zeta_d,
-    delta_d, mu_d, divisor_count, ramanujan_C, meet_composed (wraps a
-    univariate g around the componentwise gcd).
+    delta_d, mu_d, divisor_count, ramanujan_C (these five take no
+    exponent: ValueError), meet_composed (wraps a univariate g around the
+    componentwise gcd).
     """
     arity = 1 if d is None else d
     if arity < 1:
@@ -115,6 +99,9 @@ def builtin(name, alpha=None, d=None, g=None):
             return meet_composed_function(base, arity, name=f"gcd_pow:{a}")
         return LatticeFunction(lattice, lambda x: _power_value(math.lcm(*_coords(x)), a),
                                name=f"lcm_pow:{a}", exact=a.denominator == 1)
+
+    if alpha is not None and name in ("zeta_d", "delta_d", "mu_d", "divisor_count", "ramanujan_C"):
+        raise ValueError(f"{name} takes no parameter")
 
     if name == "zeta_d":
         return constant_function(lattice, 1, name=f"zeta_{arity}")
@@ -145,14 +132,14 @@ def builtin(name, alpha=None, d=None, g=None):
     raise UnknownBuiltinError(f"unknown builtin {name!r}")
 
 
-def to_lattice_function(f, lattice=None):
+def to_lattice_function(f, lattice):
     """f on the given lattice: f itself when that is its own lattice.
 
     Otherwise f is moved onto the lattice, which should have the same
     elements (for example the MIN lattice of the same arity): the moved
     function calls f, so an element f does not know fails to evaluate.
     """
-    if lattice is None or lattice == f.lattice:
+    if lattice == f.lattice:
         return f
     if lattice.arity != f.lattice.arity:
         raise ArityMismatchError(

@@ -126,6 +126,9 @@ def _load_matrix_diagonal(path, text_ids):
         raise ConfigError(f"{path} is not a meet matrix document")
     entries = doc["entries"]
     labels = [x if isinstance(x, list) else [x] for x in doc["labels"]]
+    if not (isinstance(entries, list) and len(entries) == len(labels)
+            and all(isinstance(row, list) for row in entries)):
+        raise ValueError("entries must hold one row per label")
     if text_ids:
         labels = [[str(c) for c in x] for x in labels]
     return _table(((x, entries[i][i]) for i, x in enumerate(labels)), path)

@@ -20,7 +20,8 @@ Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 function (Haukkanen, 1996); a lower closed subset is the special case in
 which d holds the ambient Mobius-inverted values.  Over a Cartesian
 product of meet closed subsets the indicator factors combine as a
-Kronecker product that is never materialized.  One routine,
+Kronecker product, fixed by the subset, so a ``Decomposition`` holds d
+alone.  One routine,
 ``kron_decompose_d``, covers both, a single subset being a product with
 one factor; its diagonal comes from ``incidence.inverted_values``, the
 routine behind the diagonal criterion, and its flat order is the
@@ -113,11 +114,6 @@ class LatticeFunction:
 def constant_function(lattice, c, name=None):
     q = Fraction(c)
     return LatticeFunction(lattice, lambda _x: q, name=name or f"const({q})")
-
-
-def identity_function(lattice):
-    """f(x) = x on a lattice whose elements are integers."""
-    return LatticeFunction(lattice, lambda x: Fraction(x), name="identity")
 
 
 class _Table(dict):
@@ -270,27 +266,18 @@ def meet_matrix(subset, f):
     """Entries f(x_i meet x_j); the subset need not be closed under meets.
 
     A plain subset is a product with one factor.  A product point is a
-    tuple of factor table positions, numbered by the ``strides`` of the
-    factors' point counts.  f is evaluated once per point, in the order a
-    row-major pass over the upper triangle first reaches it: over a
-    product that first pair is (a_1..a_d, b_1..b_d), (a_t, b_t) the
-    factor's own first pair, so the order is a sort by those.  On a meet
-    closed subset the points are the members and that order is member
-    order, so f is read there by ``incidence.slabs``: once per slab, or
-    summed once from its source if f is a summatory function.
+    tuple of factor table points, numbered by the ``strides`` of the
+    factors' point counts.  f is read once per point, in point order: the
+    order of a factor's ``MeetTable.points``, lexicographic over a product.
+    On a meet closed subset the points are the members, so f is read there
+    by ``incidence.slabs``: once per slab, or summed once from its source
+    if f is a summatory function.
     """
     if subset.meet_closed:
         return _from_values(subset, _block_values(slabs(f, subset)))
-    tables = [s.meet_table for s in subset.factors]
-    if len(tables) == 1:
-        points = tables[0].points
-    else:
-        points = list(iter_product(*(t.points for t in tables)))
-    keys = [tuple(a for a, _ in c) + tuple(b for _, b in c)
-            for c in iter_product(*(t.firsts for t in tables))]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    values = reader(f, subset.lattice)(list(map(points.__getitem__, order)), [])
-    return _from_values(subset, [v for _, v in sorted(zip(order, values))])
+    points = [s.meet_table.points for s in subset.factors]
+    points = points[0] if len(points) == 1 else list(iter_product(*points))
+    return _from_values(subset, reader(f, subset.lattice)(points, []))
 
 
 def _block_values(blocks):
@@ -313,16 +300,20 @@ def _from_values(subset, values):
 class Decomposition:
     """Structured congruence factorization of a meet matrix.
 
-    One 0/1 lower triangular order-indicator factor per factor of the
-    subset, and the flat diagonal in the subset's lexicographic order.
-    The product (E1 kron ... kron Ed) diag (E1 kron ... kron Ed)^T
-    reproduces the meet matrix exactly.
+    The flat diagonal d, in the subset's lexicographic order, is its only
+    content: the product (E1 kron ... kron Ed) diag(d) (E1 kron ... kron Ed)^T
+    reproduces the meet matrix exactly, and each E_t is fixed by the
+    subset.  ``factors``, the 0/1 lower triangular order indicators E_t, is
+    read off the factors' meet tables when first read.
     """
 
-    def __init__(self, subset, factors, diag):
+    def __init__(self, subset, diag):
         self.subset = subset
-        self.factors = tuple(tuple(tuple(row) for row in fac) for fac in factors)
         self.diag = tuple(Fraction(v) for v in diag)
+
+    @cached_property
+    def factors(self):
+        return tuple(map(_indicator, self.subset.factors))
 
     def signature(self):
         """Counts of positive, negative, and zero diagonal entries."""
@@ -357,8 +348,7 @@ def kron_decompose_d(subsets, f):
     if arity != len(subset.factors):
         raise DimensionMismatchError(
             f"function arity {arity} does not match {len(subset.factors)} subset factors")
-    diag = [v for _, v in inverted_values(f, subset)]
-    return Decomposition(subset, tuple(map(_indicator, subset.factors)), diag)
+    return Decomposition(subset, [v for _, v in inverted_values(f, subset)])
 
 
 def reconstruct(dec):
@@ -369,14 +359,11 @@ def reconstruct(dec):
     the product is the meet matrix of zeta_S d.  That is summed once, in the
     subset's own order (``incidence.summed_blocks``), and gathered through
     the factor meet tables as ``meet_matrix`` gathers f, one position per
-    meet.  The identity needs the order indicators, so a factor other than
-    its subset's raises ValueError.
+    meet; no order indicator is built.
     """
     subset = dec.subset
     if not subset.meet_closed:
         raise NotMeetClosedError("a decomposition's subset must be meet closed")
-    if len(dec.diag) != len(subset) or dec.factors != tuple(map(_indicator, subset.factors)):
-        raise ValueError("the factors are not the order indicators of the subset's factors")
     d = dict(zip(subset, dec.diag))
     return _from_values(subset, _block_values(summed_blocks(d.__getitem__, subset)))
 
@@ -404,15 +391,13 @@ def matrix_to_json(m):
     return doc
 
 
-def decomposition_to_json(dec, residual=None):
-    doc = {
+def decomposition_to_json(dec, residual):
+    return {
         "schema": 2,
         "kind": "decomposition",
         "factor_labels": [[_jsonable(x) for x in s.members] for s in dec.subset.factors],
         "factors": [[list(row) for row in fac] for fac in dec.factors],
         "diag": [str(v) for v in dec.diag],
         "order_map": {"shape": list(dec.subset.shape)},
+        "reconstruction_residual": str(residual),
     }
-    if residual is not None:
-        doc["reconstruction_residual"] = str(residual)
-    return doc

@@ -37,7 +37,7 @@ POSITIVE = "positive_definite_on_tested_covering"
 NEGATIVE = "not_positive_definite"
 
 EXACT_ORACLE_LIMIT = 256
-DEFAULT_TOL = 1e-9
+FLOAT_TOL = 1e-9  # relative tolerance of the float path
 
 
 class ElementWitness(namedtuple("ElementWitness", "element value")):
@@ -124,7 +124,7 @@ def _float_eigen(rows, den):
         return fl, None
 
 
-def psd_oracle(matrix, tol=DEFAULT_TOL):
+def psd_oracle(matrix):
     """Positive semidefiniteness of a symmetric rational matrix.
 
     Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
@@ -132,10 +132,8 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
     minimum eigenvalue is computed only when min_eigenvalue is first
     read.  A MeetMatrix goes in as den times itself, in ints, and the
     witness value is divided back by den.  Larger matrices fall back to a
-    float eigenvalue bound with relative tolerance tol.
+    float eigenvalue bound with relative tolerance FLOAT_TOL.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     rows, den, labels = _rows_and_labels(matrix)
     if len(rows) <= EXACT_ORACLE_LIMIT:
         fact = symmetric_elimination(rows)
@@ -151,7 +149,7 @@ def psd_oracle(matrix, tol=DEFAULT_TOL):
             "float eigenvalue computation failed and the matrix exceeds the exact path limit"
         )
     scale = max(1.0, float(np.max(np.sum(np.abs(fl), axis=1))))
-    if lam_min >= -tol * scale:
+    if lam_min >= -FLOAT_TOL * scale:
         return OracleReport(True, "float", lam_min, None, None)
     approx, value = _negative_direction(rows, np.linalg.eigh(fl)[1][:, 0])
     return OracleReport(False, "float", lam_min, None, VectorWitness(labels, approx, value / den))
@@ -192,9 +190,8 @@ def pd_criterion(f, family, bound):
     Mobius-inverted value over the (lower closed) covering set is
     nonnegative.  The scan stops in the first block holding a negative value,
     whose first negative member is the witness; f is not read past that block.
+    The family must have a least element (NoLeastElementError otherwise).
     """
-    if family is None:
-        family = f.lattice
     if getattr(family, "least", None) is None:
         raise NoLeastElementError("family has no least element")
     s = family.covering_set(bound)

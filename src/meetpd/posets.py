@@ -68,29 +68,17 @@ class Poset:
         self._covering = None
 
     def _reachability(self):
-        """Down-set bitsets by Kahn's algorithm over the cover edges, and the
-        element indices in the order it reaches them.  Ready elements leave
-        a min-heap of input indices, so that order is the stable linear
-        extension ``linear_extension`` gives."""
+        """Down-set bitsets, and the element indices in the stable linear
+        extension of the cover edges, as ``linear_extension`` orders them."""
         n = len(self.elements)
         succ = [[] for _ in range(n)]
-        indeg = [0] * n
         for a, b in self.cover_edges:
             succ[self._index[a]].append(self._index[b])
-            indeg[self._index[b]] += 1
+        order = _kahn(succ, "cover edges contain a cycle")
         down = [1 << i for i in range(n)]
-        ready = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
-        order = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
+        for i in order:  # every cover below i has reached down[i] already
             for j in succ[i]:
                 down[j] |= down[i]
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != n:
-            raise CycleError("cover edges contain a cycle")
         return down, order
 
     def _find_least(self):
@@ -336,38 +324,40 @@ def linear_extension(lattice, members):
     keep the order in which they were given.
     """
     xs = list(members)
-    n = len(xs)
-    npred = [0] * n
-    succs = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and lattice.leq(xs[i], xs[j]):
-                npred[j] += 1
-                succs[i].append(j)
-    heap = [i for i in range(n) if npred[i] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        i = heapq.heappop(heap)
-        out.append(xs[i])
-        for j in succs[i]:
-            npred[j] -= 1
-            if npred[j] == 0:
-                heapq.heappush(heap, j)
-    if len(out) != n:
-        raise CycleError("order relation on the members is cyclic")
-    return out
+    succ = [[j for j, y in enumerate(xs) if i != j and lattice.leq(x, y)]
+            for i, x in enumerate(xs)]
+    return list(map(xs.__getitem__, _kahn(succ, "order relation on the members is cyclic")))
 
 
-class MeetTable(namedtuple("MeetTable", "rows points firsts")):
+def _kahn(succ, cyclic):
+    """The indices 0..n-1 in topological order of the edges i -> succ[i], by
+    Kahn's algorithm with the ready indices on a min-heap, so that ties keep
+    index order; CycleError(cyclic) if the edges close a cycle."""
+    indeg = [0] * len(succ)
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
+    ready = [i for i, k in enumerate(indeg) if k == 0]  # ascending, so a heap
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) != len(succ):
+        raise CycleError(cyclic)
+    return order
+
+
+class MeetTable(namedtuple("MeetTable", "rows points")):
     """Positions of the pairwise meets of an ordered subset.
 
     rows[i][j] is the position in points of x_i meet x_j.  points holds the
     members first, in member order, then each meet outside the subset in
-    the order a row-major scan of the upper triangle first reaches it.
-    firsts[p] is the pair (i, j), i <= j, at which that scan first reaches
-    position p; a member x_k is first reached at (k, k), since x_k <= x_i
-    puts k <= i in a linear extension.
+    the order a row-major scan of the upper triangle first reaches it: the
+    point order in which ``meet_matrix`` reads f.
     """
 
     __slots__ = ()
@@ -437,14 +427,11 @@ class ElementSubset:
         # self.meet raises NotASemilatticeError when the lattice has no meet
         meet = getattr(self.lattice, "meet", None) or self.meet
         where = _Positions(self._pos)
-        firsts = [(k, k) for k in range(len(ms))]
         rows = []
         for i, x in enumerate(ms):
-            seen = len(where)
-            upper = list(map(where.__getitem__, map(meet, repeat(x), ms[i:])))
-            firsts.extend((i, i + upper.index(p)) for p in range(seen, len(where)))
-            rows.append(list(map(itemgetter(i), rows)) + upper)
-        return MeetTable(rows, tuple(where), tuple(firsts))
+            upper = map(where.__getitem__, map(meet, repeat(x), ms[i:]))
+            rows.append([*map(itemgetter(i), rows), *upper])
+        return MeetTable(rows, tuple(where))
 
     @property
     def meet_closed(self):

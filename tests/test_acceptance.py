@@ -19,7 +19,6 @@ from pathlib import Path
 from meetpd.arith import (
     builtin,
     dirichlet_convolve_d,
-    mu_star_mu,
     pd_check_grid,
 )
 from meetpd.cli import main as cli_main
@@ -27,7 +26,6 @@ from meetpd.exact import char_poly, quadratic_form, symmetric_elimination
 from meetpd.intfun import factorize
 from meetpd.meetmatrix import (
     LatticeFunction,
-    identity_function,
     kron_decompose_d,
     meet_composed_function,
     meet_matrix,
@@ -52,6 +50,13 @@ from meetpd.posets import (
     product_subset,
     subset,
 )
+
+MU = builtin("mu_d")
+
+
+def mu_star_mu(n):
+    """(mu * mu)(n) by the d-variate convolution at d = 1."""
+    return dirichlet_convolve_d(MU, MU, n)
 
 
 @contextmanager
@@ -99,7 +104,7 @@ def test_criterion_2_gcd_positive_definiteness():
             fact = symmetric_elimination(rows)
             assert fact.inertia.negative == 0 and fact.inertia.zero == 0, m
         dl = divisor_lattice()
-        f = meet_composed_function(identity_function(dl), 2)
+        f = meet_composed_function(builtin("gcd_pow", 1), 2)
         for m in range(1, 9):
             s = dl.covering_set(m)
             grid = product_subset([s, s])
@@ -305,7 +310,7 @@ def test_criterion_11_exact_oracle_at_its_size_limit():
     # the determinant on these (10.6 s for the two on a 2-vCPU host, Python 3.11)
     with budget("criterion 11: exact oracle on the gcd matrix and MIN 16x16 at n=256", 2.0):
         dl = divisor_lattice()
-        gcd = psd_oracle(meet_matrix(dl.covering_set(EXACT_ORACLE_LIMIT), identity_function(dl)))
+        gcd = psd_oracle(meet_matrix(dl.covering_set(EXACT_ORACLE_LIMIT), builtin("gcd_pow", 1)))
         assert gcd.method == "exact"
         assert gcd.inertia.as_tuple() == (EXACT_ORACLE_LIMIT, 0, 0)
         rng = random.Random(16)

@@ -9,9 +9,7 @@ import meetpd.pdcheck
 from meetpd import arith, intfun
 from meetpd.arith import (
     builtin,
-    dirichlet_convolution,
     dirichlet_convolve_d,
-    mu_star_mu,
     pd_check_grid,
     ramanujan_C,
     to_lattice_function,
@@ -23,6 +21,12 @@ from meetpd.pdcheck import pd_criterion, psd_oracle
 from meetpd.posets import divisor_lattice, min_lattice, product_subset
 
 PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+MU = builtin("mu_d")
+
+
+def mu_star_mu(n):
+    """(mu * mu)(n) by the d-variate convolution at d = 1."""
+    return dirichlet_convolve_d(MU, MU, n)
 
 
 def test_delta_is_identity_of_dirichlet_convolution():
@@ -66,12 +70,11 @@ def test_bivariate_zeta_self_convolution_counts_divisors():
         assert dirichlet_convolve_d(z2, z2, (i, j)) == len(divisors(i)) * len(divisors(j))
 
 
-def test_dirichlet_convolution_wrapper():
+def test_dirichlet_convolve_d_takes_an_integer_point():
     mu = builtin("mu_d", d=1)
     z = builtin("zeta_d", d=1)
-    conv = dirichlet_convolution(mu, z)
-    assert conv(1) == 1
-    assert conv(10) == 0
+    assert dirichlet_convolve_d(mu, z, 1) == 1
+    assert dirichlet_convolve_d(mu, z, 10) == 0
 
 
 def test_mobius_arith_values():
@@ -170,7 +173,7 @@ def test_grid_check_lcm_negative():
     assert not verdict.is_positive
     assert verdict.witness.element == (2, 2)
     grid = divisor_lattice(2).covering_set(2)
-    m = meet_matrix(grid, to_lattice_function(builtin("lcm_pow", alpha=1, d=2)))
+    m = meet_matrix(grid, builtin("lcm_pow", alpha=1, d=2))
     assert not psd_oracle(m).is_psd
 
 
@@ -182,10 +185,9 @@ def test_reciprocal_lcm_is_not_positive_definite_and_paths_agree():
     assert not verdict.is_positive
     assert verdict.witness.element == (1, 2)
     assert verdict.witness.value == Fraction(-1, 2)
-    lat = to_lattice_function(f)
     fam = divisor_lattice(2)
-    assert not pd_criterion(lat, fam, 4).is_positive
-    assert not psd_oracle(meet_matrix(fam.covering_set(2), lat)).is_psd
+    assert not pd_criterion(f, fam, 4).is_positive
+    assert not psd_oracle(meet_matrix(fam.covering_set(2), f)).is_psd
 
 
 def _rows_collapse(grid, f, g):
@@ -209,7 +211,7 @@ def test_rank_collapse_verdict_matches_full_oracle_for_reciprocal_base():
     # g(n) = 1/n composed with the coordinatewise gcd: the collapsed block
     # and the full grid matrix must agree on (non) positive semidefiniteness
     g = builtin("gcd_pow", alpha=-1, d=1)
-    lat = to_lattice_function(builtin("gcd_pow", alpha=-1, d=2))
+    lat = builtin("gcd_pow", alpha=-1, d=2)
     s = divisor_lattice().covering_set(4)
     grid = product_subset([s, s])
     assert _rows_collapse(grid, lat, g)
@@ -221,7 +223,7 @@ def test_rank_collapse_verdict_matches_full_oracle_for_reciprocal_base():
 
 def test_rank_collapse_verdict_matches_full_oracle_for_gcd():
     g = builtin("gcd_pow", alpha=1, d=1)
-    lat = to_lattice_function(builtin("gcd_pow", alpha=1, d=2))
+    lat = builtin("gcd_pow", alpha=1, d=2)
     s = divisor_lattice().covering_set(4)
     grid = product_subset([s, s])
     assert _rows_collapse(grid, lat, g)
@@ -234,7 +236,7 @@ def test_rank_collapse_refuses_a_function_moved_to_the_min_lattice(bound):
     # moved onto MIN, gcd_pow is still n^1 of the gcd, not of the min, so its
     # rows do not collapse onto the diagonal and no small block decides it
     f = to_lattice_function(builtin("gcd_pow", 1, d=2), min_lattice(2))
-    assert not pd_criterion(f, None, bound).is_positive
+    assert not pd_criterion(f, min_lattice(2), bound).is_positive
     assert not _rows_collapse(min_lattice(2).covering_set(bound), f, builtin("gcd_pow", 1))
 
 
@@ -305,7 +307,7 @@ def test_separability_of_inversion():
 
 def test_criterion_on_ramanujan_matches_grid_witness():
     f = builtin("ramanujan_C")
-    verdict = pd_criterion(to_lattice_function(f), divisor_lattice(2), 6)
+    verdict = pd_criterion(f, divisor_lattice(2), 6)
     assert not verdict.is_positive
     assert verdict.witness.element == (1, 2)
     assert verdict.witness.value == -2
@@ -321,9 +323,8 @@ def test_grid_check_matches_lattice_criterion():
             for pt in fam.covering_set(bound).members:
                 values[pt] = Fraction(rng.randint(-5, 5))
             f = LatticeFunction(fam, lambda x, v=values: v[x], name="rand")
-            lat = to_lattice_function(f)
             gv = pd_check_grid(f, bound)
-            cv = pd_criterion(lat, fam, bound)
+            cv = pd_criterion(f, fam, bound)
             assert gv.verdict == cv.verdict
             if not gv.is_positive:
                 assert gv.witness == cv.witness
@@ -360,7 +361,7 @@ def test_criterion_on_a_builtin_uses_the_cached_covering_set(monkeypatch):
     inverted = meetpd.pdcheck.inverted_blocks
     monkeypatch.setattr(meetpd.pdcheck, "inverted_blocks",
                         lambda f, s: seen.append(s) or inverted(f, s))
-    assert pd_criterion(builtin("gcd_pow", alpha=1, d=2), None, 8).is_positive
+    assert pd_criterion(builtin("gcd_pow", alpha=1, d=2), divisor_lattice(2), 8).is_positive
     assert len(seen) == 1 and seen[0] is divisor_lattice(2).covering_set(8)
 
 
@@ -385,7 +386,7 @@ def test_a_meet_composed_builtin_reads_its_base_rule_once_per_distinct_meet(monk
     monkeypatch.setattr(arith, "_power_value", lambda n, a: seen.append(n) or power(n, a))
     f = builtin("gcd_pow", alpha=1, d=2)
     if route == "criterion":
-        assert pd_criterion(f, None, 12).is_positive
+        assert pd_criterion(f, divisor_lattice(2), 12).is_positive
     else:
         meet_matrix(divisor_lattice(2).covering_set(12), f)
     # the gcds over {1..12}^2 are 1..12, each read once
@@ -395,6 +396,12 @@ def test_a_meet_composed_builtin_reads_its_base_rule_once_per_distinct_meet(monk
 def test_builtin_unknown():
     with pytest.raises(UnknownBuiltinError):
         builtin("nope")
+
+
+@pytest.mark.parametrize("name", ["zeta_d", "delta_d", "mu_d", "divisor_count", "ramanujan_C"])
+def test_a_builtin_without_an_exponent_refuses_one(name):
+    with pytest.raises(ValueError, match=f"^{name} takes no parameter$"):
+        builtin(name, alpha=Fraction(3))
 
 
 def test_builtin_float_fallback_flagged():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from meetpd import cli, pdcheck
+from meetpd import cli, meetmatrix, pdcheck
 from meetpd.arith import MAX_EXPONENT, builtin, pd_check_grid
 from meetpd.cli import main
 from meetpd.errors import ExponentLimitError
@@ -154,6 +154,17 @@ def test_decompose_totients(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["diag"] == ["1", "1", "2", "2"]
+
+
+def test_decompose_builds_each_order_indicator_once(capsys, monkeypatch):
+    calls = []
+    indicator = meetmatrix._indicator
+    monkeypatch.setattr(meetmatrix, "_indicator", lambda s: calls.append(s) or indicator(s))
+    assert main(["decompose", "--d", "2", "--fn", "gcd_pow:1", "--m", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reconstruction_residual"] == "0"
+    assert len(calls) == 2  # one per factor, for the document; reconstruct builds none
+    assert doc["factors"][0] == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 1]]
 
 
 def test_grid_divisor(capsys):
@@ -393,7 +404,14 @@ HOSTILE_INPUTS = {
     "json_without_labels": ("m.json", '{"kind": "meet_matrix"}'),
     "json_mixed_label_lengths": (
         "m.json", '{"kind": "meet_matrix", "labels": [[1, 1], [2]], "entries": [["1"], ["1", "2"]]}'),
+    "json_entries_not_a_list": (
+        "m.json", '{"kind": "meet_matrix", "labels": [1, 2], "entries": {"0": ["1"]}}'),
+    "json_fewer_rows_than_labels": (
+        "m.json", '{"kind": "meet_matrix", "labels": [1, 2, 3], "entries": [["1"], ["1", "2"]]}'),
     "mixed_row_lengths": ("t.csv", "1,1\n1,2,3\n"),
+    # a builtin that takes no parameter refuses one rather than dropping it
+    **{f"{name}_with_a_parameter": (None, f"{name}:3")
+       for name in ("zeta_d", "delta_d", "mu_d", "divisor_count", "ramanujan_C")},
     "unwritable_out": (None, None),
     "decompose_float_exponent": (None, None),
     "zero_denominator_exponent": (None, None),
@@ -408,6 +426,8 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
         command, argv = "decompose", ["--fn", "gcd_pow:1/2"]
     elif case == "zero_denominator_exponent":
         command, argv = "check", ["--fn", "gcd_pow:1/0"]
+    elif name is None and text is not None:
+        command, argv = "check", ["--fn", text]
     elif name is None:
         argv = ["--fn", "gcd_pow:1", "--out", str(tmp_path / "no_dir" / "m.json")]
     else:
@@ -418,6 +438,10 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     assert code == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if case.startswith(("json_entries", "json_fewer")):
+        assert lines[0].endswith(": entries must hold one row per label")
+    elif case.endswith("_with_a_parameter"):
+        assert lines[0] == f"error: {text.partition(':')[0]} takes no parameter"
 
 
 @pytest.mark.parametrize("command", ["check", "matrix", "decompose"])
@@ -605,7 +629,7 @@ def test_decompose_reports_a_nonzero_residual_exactly(capsys, monkeypatch):
         dec = real(subsets, f)
         diag = list(dec.diag)
         diag[4] += Fraction(5, 3)
-        return Decomposition(dec.subset, dec.factors, diag)
+        return Decomposition(dec.subset, diag)
 
     monkeypatch.setattr(cli, "kron_decompose_d", one_entry_off)
     code, out, _ = run(capsys, "decompose", "--d", "2", "--fn", "lcm_pow:1", "--m", "3")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from meetpd.arith import builtin, to_lattice_function
 from meetpd.errors import (
     DimensionMismatchError,
     EvaluationError,
@@ -14,10 +15,8 @@ from meetpd.errors import (
 )
 from meetpd.incidence import mobius
 from meetpd.meetmatrix import (
-    Decomposition,
     LatticeFunction,
     constant_function,
-    identity_function,
     kron_decompose_d,
     matrix_to_csv,
     matrix_to_json,
@@ -38,6 +37,11 @@ from meetpd.posets import (
     product_subset,
     subset,
 )
+
+
+def identity(lattice):
+    """f(n) = n on the divisor or MIN lattice: the builtin gcd_pow:1, moved there."""
+    return to_lattice_function(builtin("gcd_pow", 1), lattice)
 
 
 def lcm_function(d):
@@ -75,14 +79,14 @@ def test_lcm_grid_matrix_matches_brute_force():
 def test_singleton_matrix():
     dl = divisor_lattice()
     s = subset(dl, [7])
-    m = meet_matrix(s, identity_function(dl))
+    m = meet_matrix(s, identity(dl))
     assert m.rows == ((Fraction(7),),)
 
 
 def test_classical_gcd_matrix():
     dl = divisor_lattice()
     s = dl.covering_set(4)
-    m = meet_matrix(s, identity_function(dl))
+    m = meet_matrix(s, identity(dl))
     assert [[int(v) for v in row] for row in m.rows] == [
         [1, 1, 1, 1],
         [1, 2, 1, 2],
@@ -94,7 +98,7 @@ def test_classical_gcd_matrix():
 def test_meet_matrix_allows_non_meet_closed_subsets():
     dl = divisor_lattice()
     s = subset(dl, [2, 3])
-    m = meet_matrix(s, identity_function(dl))
+    m = meet_matrix(s, identity(dl))
     assert [[int(v) for v in row] for row in m.rows] == [[2, 1], [1, 3]]
 
 
@@ -108,7 +112,7 @@ def test_meet_matrix_propagates_evaluation_error():
 def test_ldl_divisors_of_four_gives_totients():
     dl = divisor_lattice()
     s = lower_closure(subset(dl, [4]))
-    dec = kron_decompose_d([s], identity_function(dl))
+    dec = kron_decompose_d([s], identity(dl))
     assert dec.diag == (1, 1, 2)
     assert dec.factors[0] == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
 
@@ -152,9 +156,9 @@ def test_kron_reconstructs_lcm_grid():
         grid = product_subset([s, s])
         assert reconstruct(dec) == meet_matrix(grid, lcm_function(2))
     s = subset(dl, [2, 4])
-    one = kron_decompose_d([s], identity_function(dl))
+    one = kron_decompose_d([s], identity(dl))
     assert one.diag == (2, 2)
-    assert reconstruct(one) == meet_matrix(s, identity_function(dl))
+    assert reconstruct(one) == meet_matrix(s, identity(dl))
 
 
 def test_kron_singletons():
@@ -216,7 +220,7 @@ def test_kron_diag_equals_bottom_row_inversion_when_lower_closed():
 def test_kron_d_reduces_to_ldl_on_lower_closed():
     dl = divisor_lattice()
     s = lower_closure(subset(dl, [12]))
-    f = identity_function(dl)
+    f = identity(dl)
     one = kron_decompose_d([s], f)
     # E diag(phi) E^T: the order indicator and the totients of 1, 2, 3, 4, 6, 12
     assert s.members == (1, 2, 3, 4, 6, 12)
@@ -266,7 +270,7 @@ def test_kron_d_arity_mismatch():
     dl = divisor_lattice()
     s = subset(dl, [1, 2])
     with pytest.raises(DimensionMismatchError):
-        kron_decompose_d([s, s], identity_function(dl))
+        kron_decompose_d([s, s], identity(dl))
 
 
 def test_flat_index_convention_matches_floor_mod_formula():
@@ -305,7 +309,7 @@ def test_rank_collapse_identity_on_three_grid():
     # diagonal elements is the gcd matrix of {1, 2, 3}
     dl = divisor_lattice()
     s = dl.covering_set(3)
-    f = meet_composed_function(identity_function(dl), 2)
+    f = meet_composed_function(identity(dl), 2)
     grid = product_subset([s, s])
     big = meet_matrix(grid, f)
     diag = [grid.index((x, x)) for x in s]
@@ -342,7 +346,7 @@ def test_rank_collapse_requires_meet_closed_base():
     # no diagonal element
     dl = divisor_lattice()
     s = subset(dl, [2, 3])
-    f = meet_composed_function(identity_function(dl), 2)
+    f = meet_composed_function(identity(dl), 2)
     grid = product_subset([s, s])
     big = meet_matrix(grid, f)
     assert (1, 1) not in grid
@@ -467,8 +471,8 @@ def test_max_abs_difference_refuses_matrices_of_other_members_or_lattice():
         assert a != b
     # equality still compares entries: a chain has the same meets under both lattices
     chain = [1, 2, 4]
-    assert (meet_matrix(subset(dl, chain), identity_function(dl))
-            == meet_matrix(subset(ml, chain), identity_function(ml)))
+    assert (meet_matrix(subset(dl, chain), identity(dl))
+            == meet_matrix(subset(ml, chain), identity(ml)))
 
 
 def test_reconstruct_equals_the_scatter_on_a_closure_that_is_not_lower_closed():
@@ -488,23 +492,6 @@ def test_summatory_meet_matrix_off_a_lower_closed_set_sums_over_the_lattice():
     assert meet_matrix(s, summatory_function(s.lattice, lambda z: z)).values == [3, 7, 12, 18]
 
 
-def test_reconstruct_refuses_a_factor_that_is_not_the_order_indicator():
-    s = meet_closure(subset(divisor_lattice(), [4, 6, 10]))
-    t = divisor_lattice().covering_set(4)
-    grid = product_subset([s, t])
-    dec = kron_decompose_d([s, t], table_function(grid.lattice, {x: 1 for x in grid}))
-    dec = Decomposition(dec.subset, dec.factors, range(1, len(grid) + 1))  # every d_k > 0
-    for which, fac in enumerate(dec.factors):
-        for i, j in itertools.combinations(range(len(fac)), 2):
-            planted = [list(map(list, e)) for e in dec.factors]
-            planted[which][j][i] ^= 1  # one bit below the diagonal
-            bad = Decomposition(dec.subset, planted, dec.diag)
-            with pytest.raises(ValueError, match="order indicators"):
-                reconstruct(bad)
-            # the meet matrix of zeta d is E diag(d) E^T only for the indicators
-            assert scatter_reconstruction(bad) != reconstruct(dec).rows
-
-
 def test_table_function_keeps_int_and_fraction_values_as_given():
     dl = divisor_lattice()
     table = {1: 3, 2: Fraction(1, 2), 3: Fraction(4), 4: -7}
@@ -518,9 +505,7 @@ def test_table_function_keeps_int_and_fraction_values_as_given():
 
 
 def test_float_backed_functions_refused_by_decompositions():
-    from meetpd.arith import builtin, to_lattice_function
-
-    f = to_lattice_function(builtin("gcd_pow", alpha=Fraction(1, 2), d=1))
+    f = builtin("gcd_pow", alpha=Fraction(1, 2), d=1)
     dl = divisor_lattice()
     s = dl.covering_set(3)
     with pytest.raises(ValueError):
@@ -540,6 +525,16 @@ def pair_loop_rows(s, f):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = f(s.meet(ms[i], ms[j]))
     return tuple(map(tuple, rows))
+
+
+def point_order(s):
+    """Reference point order: over each factor its members, then the meets
+    outside it as a row-major pass over the upper triangle first reaches
+    them; over a product the lexicographic order of those."""
+    orders = [list(dict.fromkeys([*t.members, *(t.meet(x, y) for i, x in enumerate(t.members)
+                                                for y in t.members[i:])]))
+              for t in s.factors]
+    return orders[0] if len(orders) == 1 else list(itertools.product(*orders))
 
 
 def recording(lattice, fn):
@@ -564,9 +559,9 @@ def assert_table_path_matches_pair_loop(s, fn=signed_value):
     g, seen_by_pairs = recording(s.lattice, fn)
     m = meet_matrix(s, f)
     assert m.rows == pair_loop_rows(s, g)
-    # the pair loop calls f once per pair; meet_matrix once per distinct
-    # meet, in the order the pair loop first reaches it
-    assert seen == list(dict.fromkeys(seen_by_pairs))
+    # the pair loop calls f once per pair; meet_matrix once per point, in point order
+    assert seen == point_order(s)
+    assert set(seen) == set(seen_by_pairs)
     # the oracle on the int rows of the meet table gives what it gives on the Fractions
     by_table = psd_oracle(m)
     by_rows = psd_oracle([list(r) for r in m.rows])
@@ -629,8 +624,9 @@ def test_meet_table_cases_match_the_pair_loop(case):
 
 def test_meet_table_stops_at_the_first_missing_value_the_pair_loop_reaches():
     # 1 = gcd(2, 3) and 2 = gcd(4, 6) lie outside the factors; the table
-    # lacks (1, 2) and (2, 1), and a row-major scan reaches (2, 1) first, as
-    # (2, 4) meet (2, 9) in row 0, and (1, 2) only in row 1
+    # lacks (1, 2) and (2, 1).  A row-major scan reaches (2, 1) first, as
+    # (2, 4) meet (2, 9) in row 0, and (1, 2) only in row 1; in point order
+    # (2, 1) is the fifth point, after (2, 4), (2, 6), (2, 9) and (2, 2)
     s = product_subset([subset(divisor_lattice(), [2, 3]),
                         subset(divisor_lattice(), [4, 6, 9])])
     lattice = s.lattice
@@ -642,5 +638,6 @@ def test_meet_table_stops_at_the_first_missing_value_the_pair_loop_reaches():
         with pytest.raises(EvaluationError) as info:
             build(s, f)
         errors.append((str(info.value), seen))
-    assert errors[0] == errors[1]
-    assert errors[0][0] == "table has no value at (2, 1)"
+    assert errors[0][0] == errors[1][0] == "table has no value at (2, 1)"
+    # one read per point, in point order, up to the missing one
+    assert errors[0][1] == point_order(s)[:5] == [(2, 4), (2, 6), (2, 9), (2, 2), (2, 1)]
