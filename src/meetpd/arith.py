@@ -11,7 +11,9 @@ line.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
+from itertools import repeat
 
 from .errors import ArityMismatchError, ExponentLimitError, UnknownBuiltinError
 from .exact import rational_sum
@@ -109,13 +111,14 @@ def builtin(name, alpha=None, d=None, g=None):
     if name == "delta_d":
         return LatticeFunction(lattice, lambda x: int(x == lattice.least), name=f"delta_{arity}")
 
-    if name == "mu_d":
-        return LatticeFunction(lattice, lambda x: math.prod(map(mobius_int, _coords(x))),
-                               name=f"mu_{arity}")
-
-    if name == "divisor_count":
-        return LatticeFunction(lattice, lambda x: math.prod(map(len, map(divisors, _coords(x)))),
-                               name=f"divisor_count_{arity}")
+    if name in ("mu_d", "divisor_count"):  # products of one table over the coordinates
+        table = mobius_int if name == "mu_d" else lambda n: len(divisors(n))
+        table = lru_cache(None)(table) if arity > 1 else table  # at d = 1 no value repeats
+        f = LatticeFunction(lattice, lambda x: math.prod(map(table, _coords(x))),
+                            name=f"{name.removesuffix('_d')}_{arity}")
+        f._slab = lambda xs, out: out.extend(
+            map(math.prod, map(map, repeat(table), xs if arity > 1 else zip(xs))))
+        return f
 
     if name == "ramanujan_C":
         if d not in (None, 2):

@@ -124,13 +124,15 @@ def _load_matrix_diagonal(path, text_ids):
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "meet_matrix":
         raise ConfigError(f"{path} is not a meet matrix document")
-    entries = doc["entries"]
-    labels = [x if isinstance(x, list) else [x] for x in doc["labels"]]
+    entries, labels = doc.get("entries"), doc.get("labels")
+    if not isinstance(labels, list):
+        raise ValueError("labels must be a list")
     if not (isinstance(entries, list) and len(entries) == len(labels)
             and all(isinstance(row, list) for row in entries)):
         raise ValueError("entries must hold one row per label")
-    if text_ids:
-        labels = [[str(c) for c in x] for x in labels]
+    if any(len(row) <= i for i, row in enumerate(entries)):
+        raise ValueError("a row ends before its diagonal entry")
+    labels = [[str(c) if text_ids else c for c in (x if type(x) is list else [x])] for x in labels]
     return _table(((x, entries[i][i]) for i, x in enumerate(labels)), path)
 
 

@@ -1,18 +1,16 @@
 """Mobius functions of finite ordered subsets, and the inversion they feed.
 
-The diagonal criterion and the LDL^T diagonal read one thing from the
-incidence algebra: the Mobius values mu(z, x) below each member x, which
-``mobius`` gives per member as integer rows.  It is the one place rows are
-built: a covering set {1..m} reads them off its lattice's ``sieve``, a
-product takes Rota's product rule over its factors' rows, and any other
-subset runs Rota's recursion.  ``inverted_blocks`` inverts f one axis at a
-time, on flat int lists one slab of the first axis at a time, so a
-product's member list is never built: by the first factor's rows, and
-within a slab by a lattice's sieve.
-``summed_blocks`` is its transpose, the zeta transform f = zeta g by the same
-rows and the lattice's ``zeta``; a summatory function reaches the criterion
-and ``meet_matrix`` through it, slab by slab from g, and ``reconstruct``
-multiplies E diag(d) E^T back as the meet matrix of zeta d.
+The diagonal criterion and the LDL^T diagonal read the Mobius values
+mu(z, x) below each member x, which ``mobius`` gives as integer rows, the
+one place rows are built: off the lattice's ``sieve`` on a covering set
+{1..m}, by Rota's product rule on a product, else by Rota's recursion.
+``inverted_blocks`` inverts f one axis at a time on flat int lists, one
+slab of the first axis at a time, so a product's member list is never
+built: by the first factor's rows, and within a slab by the lattice's
+sieve, one slice step per prime on the divisor lattice.  ``summed_blocks``
+is its transpose f = zeta g, by the same rows and the lattice's ``zeta``;
+a summatory function reaches the criterion and ``meet_matrix`` through it,
+and ``reconstruct`` multiplies E diag(d) E^T back as the meet matrix of zeta d.
 """
 
 from fractions import Fraction
@@ -35,8 +33,8 @@ def mobius(subset):
     and ending with x itself; ws holds those values as ints.  The rows are
     cached per subset object and come by one of three routes:
 
-    * a covering set {1..m} of a lattice with a ``sieve``: the sieve's
-      slice steps read as rows (``_sieve_rows``);
+    * a covering set {1..m} of a lattice with a ``sieve``: the
+      compositions of the sieve's slice steps read as rows (``_sieve_rows``);
     * a product of subsets, lower closed or not: Rota's product rule,
       mu(z, x) the product of the factors' mu(z_t, x_t) (``_product_rows``);
     * any other subset: Rota's recursion (``_recursive_rows``).
@@ -66,14 +64,28 @@ def _product_rows(subset):
 
 
 def _sieve_rows(ms, steps):
-    """The rows of {1..m} transposed from its sieve: a step (dst, src, op)
-    puts op's sign at each pair (ms[src][k], ms[dst][k]) it lines up, and
-    walked last-first, the steps list each row in member order."""
+    """The rows of {1..m} transposed from its sieve, the product of its steps:
+    a step (dst, src, op) moves position k of the prefix src to a + s*k, and
+    mu(z, x) is op's sign over the one composition of steps taking z to x.
+    Each composition grows up to the first step it no longer reaches (steps
+    come by growing s); by decreasing s they list each row in member order."""
+    r, terms, todo = range(len(ms)), [], [(1, 0, len(ms), 1, 0)]
+    maps = [(r[dst].step, r[dst].start, len(r[src]), 1 if op is add else -1)
+            for dst, src, op in steps]
+    while todo:  # compositions (s, a, n, w), each with the first step it may take
+        s, a, n, w, i = todo.pop()
+        for j in range(i, len(maps)):
+            s2, a2, n2, w2 = maps[j]
+            term = s * s2, a2 + s2 * a, min(n, (n2 - a + s - 1) // s), w * w2
+            if term[2] <= 0:  # no position k < n has a + s*k < n2
+                break
+            terms.append(term)
+            todo.append((*term, j + 1))
     zs, ws = [[] for _ in ms], [[] for _ in ms]
-    for dst, src, op in reversed(steps):
-        any(map(list.append, zs[dst], ms[src]))  # append returns None: any runs them all
-        any(map(list.append, ws[dst], repeat(1 if op is add else -1)))
-    for i, x in enumerate(ms):
+    for s, a, n, w in sorted(terms, reverse=True):
+        any(map(list.append, zs[a::s], ms[:n]))  # append returns None: any runs them all
+        any(map(list.append, ws[a::s], repeat(w, n)))
+    for i, x in enumerate(ms):  # in place, so each list is freed as its tuple is made
         zs[i], ws[i] = (*zs[i], x), (*ws[i], 1)
     return tuple(zip(zs, ws))
 
@@ -216,11 +228,11 @@ def _program(s, name):
 
 def _transform(values, axes, strides, zeta=False):
     """values with each axis transformed, later axes first in sub-blocks of strides[0]:
-    a slice step (dst, src, op) sets out[dst] to op(out[dst], values[src]),
-    ``accumulate`` (MIN's zeta) is one running sum, and a row (js, ws) of x sets
-    out[x] to the sum of w * values[j], or with zeta solves it in member order,
-    out[x] = values[x] - the sum of w * out[j] over the j below x; elementwise
-    or, on a middle axis, by sub-block."""
+    a slice step (dst, src, op) sets out[dst] to op(out[dst], out[src]), each
+    step reading the running values, ``accumulate`` (MIN's zeta) is one running
+    sum, and a row (js, ws) of x sets out[x] to the sum of w * values[j], or
+    with zeta solves it in member order, out[x] = values[x] - the sum of
+    w * out[j] over the j below x; elementwise or, on a middle axis, by sub-block."""
     (steps, rows), *rest = axes
     if rest:
         values = [_transform(values[i:i + strides[0]], rest, strides[1:], zeta)
@@ -239,7 +251,7 @@ def _transform(values, axes, strides, zeta=False):
     else:
         out = values[:]
         for dst, src, op in steps:
-            pairs = out[dst], values[src]
+            pairs = out[dst], out[src]
             out[dst] = map(list, map(map, repeat(op), *pairs)) if rest else map(op, *pairs)
     return list(chain.from_iterable(out)) if rest else out
 

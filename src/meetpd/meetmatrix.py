@@ -46,7 +46,7 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia, rational_sum
-from .incidence import inverted_values, reader, slabs, summed_blocks
+from .incidence import _numerator, inverted_values, reader, slabs, summed_blocks
 from .posets import lattice_power, product_subset, strides
 
 
@@ -58,14 +58,15 @@ class LatticeFunction:
     d-tuples of integers above.  A call checks its argument to be an
     element of the lattice (ValueError otherwise); ``evaluate`` skips that
     check, for callers whose arguments are already known elements, and
-    ``read`` skips it for a whole sequence, with the rule's ints left ints.
-    Each call runs the rule: the function keeps no values, and a value that is
+    ``read`` skips it for a whole sequence, ints left ints and, given a slab
+    form, no Python frame per member.  The function keeps no values; a value
     read more than once is cached where it repeats (``meet_composed_function``).
     Functions built through a float fallback carry exact=False: their float
     values are read as exact rationals, and exact decompositions refuse them.
     """
 
     summand = None  # g, if this is a summatory function f = zeta g (``summatory_function``)
+    _slab = None  # read's C-level form of the rule, slab(xs, out), where it has one
 
     def __init__(self, lattice, fn, name=None, exact=True, certificate=False):
         self.lattice = lattice
@@ -88,18 +89,17 @@ class LatticeFunction:
         return v if type(v) is Fraction else Fraction(v)
 
     def read(self, xs, out):
-        """out with f at each x of the sequence xs appended by one C-level map.
-        If the rule raises at x, out keeps the values before x and the error
-        is raised as ``evaluate`` raises it."""
+        """out with f at each x of the sequence xs appended by one C-level map,
+        of the slab form or else of the rule.  If the rule raises at x, out keeps
+        the values before x and the error is raised as ``evaluate`` raises it."""
         start = len(out)
         try:
-            out.extend(map(self._fn, xs))
+            out.extend(map(self._fn, xs)) if self._slab is None else self._slab(xs, out)
         except Exception as exc:
             self._failed(xs[len(out) - start], exc)
         finally:  # other values become Fractions, as evaluate makes them
             if not set(map(type, out[start:])) <= {int, Fraction}:
-                values, out[start:] = out[start:], ()
-                out.extend(map(Fraction, values))
+                out[start:] = map(Fraction, out[start:])
         return out
 
     def _failed(self, x, exc):
@@ -113,7 +113,9 @@ class LatticeFunction:
 
 def constant_function(lattice, c, name=None):
     q = Fraction(c)
-    return LatticeFunction(lattice, lambda _x: q, name=name or f"const({q})")
+    f = LatticeFunction(lattice, lambda _x: q, name=name or f"const({q})")
+    f._slab = lambda xs, out: out.extend(repeat(q.numerator if q.denominator == 1 else q, len(xs)))
+    return f
 
 
 class _Table(dict):
@@ -142,21 +144,31 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
     certificate: its Mobius-inverted values are g.  f.summand is that
     checked g, under f's name, from which ``incidence.slabs`` sums f once,
     slab by slab, over a lower closed subset (the criterion,
-    ``meet_matrix``, ``grid``).
+    ``meet_matrix``, ``grid``), read, typed and signed once per slab.
     """
-    def source(z):
-        v = g(z)
-        if not isinstance(v, (int, Fraction)):
-            v = Fraction(v)
+    read = reader(g, lattice)
+    def checked(v, z):
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
         if certify_nonneg and v.numerator < 0:
             raise EvaluationError(f"summatory source is negative at {z!r}: {v}")
         return v
 
+    def slab(zs, out):
+        vs = []
+        try:
+            read(zs, vs)
+        finally:  # if g fails, the values before it come out first, checked
+            plain = set(map(type, vs)) <= {int, Fraction} and not (
+                certify_nonneg and vs and min(map(_numerator, vs)) < 0)
+            out.extend(vs if plain else map(checked, vs, zs))
+
     def value(x):
-        return rational_sum(zip(map(source, lattice.lower_set(x)), repeat(1)))
+        zs = lattice.lower_set(x)
+        return rational_sum(zip(map(checked, map(g, zs), zs), repeat(1)))
 
     f = LatticeFunction(lattice, value, name=name or "summatory", certificate=certify_nonneg)
-    f.summand = LatticeFunction(lattice, source, name=f.name)
+    f.summand = LatticeFunction(lattice, lambda z: checked(g(z), z), name=f.name)
+    f.summand._slab = slab
     return f
 
 
@@ -165,17 +177,16 @@ def meet_composed_function(g, d, name=None):
 
     g must be a LatticeFunction on the base lattice; the composed function
     lives on the cached ``lattice_power(base, d)``.  At d >= 2 g is read
-    once per distinct meet, through one cache; at d = 1 f is g on the same
-    lattice, and g's rule runs behind f's own membership check.
+    once per distinct meet, through one cache a slab maps its meets through;
+    at d = 1 f is g on the same lattice, read by g's ``read``.
     """
-    base = g.lattice
-    meet = base.meet
-    # at d >= 2 the cache holds g's own values, so its ints stay ints
-    read = g.evaluate if d == 1 else lru_cache(maxsize=None)(lambda z: g.read((z,), [])[0])
-    fn = read if d == 1 else (lambda x: read(reduce(meet, x)))
-    return LatticeFunction(lattice_power(base, d), fn,
-                           name=name or (g.name if d == 1 else f"{g.name}(meet)"),
-                           exact=g.exact)
+    base, cached = g.lattice, lru_cache(None)(lambda z: g.read((z,), [])[0])  # ints stay ints
+    f = LatticeFunction(lattice_power(base, d),
+                        g.evaluate if d == 1 else lambda x: cached(reduce(base.meet, x)),
+                        name=name or (g.name if d == 1 else f"{g.name}(meet)"), exact=g.exact)
+    f._slab = g.read if d == 1 else (
+        lambda xs, out: out.extend(map(cached, map(reduce, repeat(base.meet), xs))))
+    return f
 
 
 class MeetMatrix:

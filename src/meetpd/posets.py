@@ -6,15 +6,16 @@ is such a Poset whose meets are looked up by down-set, since the down-set
 of x meet y is the intersection of theirs.  The divisor and MIN lattices
 on the positive integers share one IntegerLattice base and are never
 materialized: they answer order, meet, and lower-set queries directly,
-state their Mobius function once, as the steps of ``sieve(m)`` on {1..m},
-and hand out finite lower closed covering grids ({1..m} and its powers)
-on request.  Their d-fold powers come from the cached ``lattice_power``, so
-every caller asking for one gets the same instance.  An ordered subset
-caches its own MeetTable, the position of every pairwise meet of its
-members, which also answers whether it is meet closed.  A ProductSubset
-alone knows a product's lexicographic layout (factors, shape, strides)
-and builds its member list only when read; a plain subset is a product
-of one factor.  Mobius rows and inversion live in ``incidence``.
+state their Mobius function once, as the slice steps of ``sieve(m)`` on
+{1..m} (one per prime on the divisor lattice, an Euler product), and hand
+out finite lower closed covering grids ({1..m} and its powers) on request.
+Their d-fold powers come from the cached ``lattice_power``, so every caller
+asking for one gets the same instance.  An ordered subset caches its own
+MeetTable, the position of every pairwise meet of its members, which also
+answers whether it is meet closed.  A ProductSubset alone knows a product's
+lexicographic layout (factors, shape, strides) and builds its member list
+only when read; a plain subset is a product of one factor.  Mobius rows and
+inversion live in ``incidence``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat, takewhile
 from operator import add, and_, itemgetter, sub
 
 from .errors import (
@@ -193,19 +194,20 @@ class DivisorLattice(IntegerLattice):
         return list(divisors(x))
 
     def sieve(self, m):
-        """Mobius inversion on {1..m} as slice steps: each squarefree e > 1, in
-        increasing order, adds mu(e) * values[:m // e] onto values[e-1::e];
-        mu(n) = -sum(mu(e), e | n, e < n)."""
-        mu = [0, 1] + [0] * (m - 1)
-        for e in range(1, m // 2 + 1):
-            mu[2 * e::e] = map(sub, mu[2 * e::e], repeat(mu[e]))
-        return tuple((slice(e - 1, None, e), slice(m // e), add if mu[e] > 0 else sub)
-                     for e in range(2, m + 1) if mu[e])
+        """Mobius inversion on {1..m} as slice steps, the Euler product of
+        (1 - p^-s): each prime p <= m (by Eratosthenes' slice steps), in
+        increasing order, subtracts the running values[:m // p] from values[p-1::p]."""
+        prime = bytearray(2) + bytearray([1]) * (m - 1)
+        for p in compress(range(math.isqrt(m) + 1), prime):
+            prime[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+        return tuple((slice(p - 1, None, p), slice(m // p), sub)
+                     for p in compress(range(m + 1), prime))
 
     def zeta(self, m):
-        """Summation on {1..m} as slice steps: each e > 1 adds values[:m // e]
-        onto values[e-1::e]."""
-        return tuple((slice(e - 1, None, e), slice(m // e), add) for e in range(2, m + 1))
+        """Summation on {1..m}, each sieve step inverted as (1 + p^-s)(1 + p^-2s)(1 + p^-4s)...:
+        values[q-1::q] += the running values[:m // q] for q = p, p^2, p^4, ... <= m."""
+        return tuple((slice(q - 1, None, q), slice(m // q), add) for dst, _, _ in self.sieve(m)
+                     for q in takewhile(m.__ge__, accumulate(repeat(2), pow, initial=dst.step)))
 
 
 class MinLattice(IntegerLattice):

@@ -444,6 +444,20 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
         assert lines[0] == f"error: {text.partition(':')[0]} takes no parameter"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"labels": [1, 2], "entries": [["1"], []]}, "a row ends before its diagonal entry"),
+    ({"labels": 5, "entries": [["1"]]}, "labels must be a list"),
+    ({"entries": [["1"]]}, "labels must be a list"),
+], ids=["row_shorter_than_its_position", "labels_not_a_list", "labels_missing"])
+def test_a_malformed_matrix_document_exits_two_with_its_own_message(capsys, tmp_path, doc,
+                                                                     message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "meet_matrix", **doc}))
+    code, out, err = run(capsys, "check", "--fn", f"@{path}", "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["check", "matrix", "decompose"])
 def test_hasse_file_past_the_element_limit_exits_two_before_building(capsys, monkeypatch,
                                                                       tmp_path, command):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import prod
 from operator import add, sub
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from meetpd.posets import (
     meet_closure,
     min_lattice,
     product_subset,
+    strides,
     subset,
 )
 
@@ -562,11 +564,61 @@ def test_sieved_axes_equal_the_fraction_sum_over_the_recursive_rows(name):
             assert list(inverted_values(f, grid)) == expected
 
 
-def test_the_divisor_sieve_holds_mu_of_every_squarefree_e():
-    steps = DivisorLattice().sieve(31)
-    assert {dst.step: op for dst, _, op in steps} == {
-        e: {1: add, -1: sub}[mobius_int(e)] for e in range(2, 32) if mobius_int(e)}
-    assert (slice(29, None, 30), slice(1), sub) in steps
+# The divisor lattice's programs before its Euler products, kept as references:
+# one slice step per squarefree e (the sieve) or per e (zeta), each step
+# reading the input line, where the prime steps read the running values.
+def squarefree_sieve(m):
+    mu = [0, 1] + [0] * (m - 1)
+    for e in range(1, m // 2 + 1):
+        mu[2 * e::e] = map(sub, mu[2 * e::e], repeat(mu[e]))
+    return tuple((slice(e - 1, None, e), slice(m // e), add if mu[e] > 0 else sub)
+                 for e in range(2, m + 1) if mu[e])
+
+
+def every_e_zeta(m):
+    return tuple((slice(e - 1, None, e), slice(m // e), add) for e in range(2, m + 1))
+
+
+def along_axis(values, shape, axis, steps):
+    """The flat grid of the shape with the steps run on each line of the axis,
+    every step reading the line as it was."""
+    stride, size = prod(shape[axis + 1:]), shape[axis]
+    out = values[:]
+    for start in range(len(values)):
+        if start // stride % size == 0:  # the first point of its line
+            line = values[start::stride][:size]
+            new = line[:]
+            for dst, src, op in steps:
+                new[dst] = map(op, new[dst], line[src])
+            out[start:start + stride * size:stride] = new
+    return out
+
+
+def test_the_prime_steps_equal_the_squarefree_sieve_and_every_e_zeta():
+    rng = random.Random(30)
+    lattice = DivisorLattice()
+    for m in range(1, 301):
+        programs = [(lattice.sieve(m), squarefree_sieve(m)), (lattice.zeta(m), every_e_zeta(m))]
+        assert all(len(steps) <= len(old) for steps, old in programs)
+        for axis in range(3):  # the first, a middle and the last of three axes
+            shape = [2, 2]
+            shape.insert(axis, m)
+            ints = [rng.randint(-50, 50) for _ in range(prod(shape))]
+            fractions = [Fraction(v, 1 + i % 6) for i, v in enumerate(ints)]
+            for values in (ints, fractions) if m < 40 or m % 20 == 0 else (ints,):
+                for steps, old in programs:
+                    axes = [((), None)] * 3
+                    axes[axis] = (steps, None)
+                    got = _transform(values, axes, strides(shape))
+                    assert got == along_axis(values, shape, axis, old)
+                    assert set(map(type, got)) == set(map(type, values))
+
+
+def test_sieve_rows_of_every_m_up_to_300_equal_the_recursion():
+    for lattice in (DivisorLattice(), MinLattice()):
+        recursive = _recursive_rows(lattice.covering_set(300))
+        for m in range(1, 301):
+            assert mobius(lattice.covering_set(m)) == recursive[:m]  # {1..m} is lower closed
     assert MinLattice().sieve(1) == ((slice(1, None), slice(0), sub),)
 
 

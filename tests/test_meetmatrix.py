@@ -641,3 +641,71 @@ def test_meet_table_stops_at_the_first_missing_value_the_pair_loop_reaches():
     assert errors[0][0] == errors[1][0] == "table has no value at (2, 1)"
     # one read per point, in point order, up to the missing one
     assert errors[0][1] == point_order(s)[:5] == [(2, 4), (2, 6), (2, 9), (2, 2), (2, 1)]
+
+
+# read(xs, []) is evaluate over xs, by the slab form where a builtin has one:
+# ints stay ints, and a negative exponent gives Fractions throughout
+READ_BUILTINS = [("gcd_pow", k) for k in range(-2, 3)] + [
+    ("divisor_count", None), ("mu_d", None), ("zeta_d", None)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name, alpha", READ_BUILTINS,
+                         ids=[f"{n}:{a}" if a is not None else n for n, a in READ_BUILTINS])
+def test_read_equals_evaluate_with_ints_kept_as_ints(name, alpha, d):
+    f = builtin(name, alpha=alpha, d=d)
+    xs = list(f.lattice.covering_set({1: 60, 2: 12, 3: 5}[d]))
+    want = [f.evaluate(x) for x in xs]
+    for _ in range(2):  # cold, then through the warm caches
+        got = f.read(xs, [])
+        assert got == want
+        assert set(map(type, got)) == {Fraction if alpha is not None and alpha < 0 else int}
+
+
+def _failing_at_six(n):
+    if n == 6:
+        raise ZeroDivisionError("no value at six")
+    return n * n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_composed_read_keeps_the_values_before_a_failing_meet(d):
+    g = LatticeFunction(divisor_lattice(), _failing_at_six, name="sq")
+    f = meet_composed_function(g, d)
+    xs = list(f.lattice.covering_set(7))
+    bad = next(i for i, x in enumerate(xs) if math.gcd(*((x,) if d == 1 else x)) == 6)
+    assert 0 < bad < len(xs) - 1  # inside the slab
+    out = [0]
+    with pytest.raises(EvaluationError) as info:
+        f.read(xs, out)
+    assert out == [0] + [f.evaluate(x) for x in xs[:bad]]
+    assert str(info.value) == "sq failed at 6: no value at six"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad, message", [
+    ({5: -1}, "summatory source is negative at {}: -1"),
+    ({5: Fraction(-1, 2), 6: None}, "summatory source is negative at {}: -1/2"),
+    ({5: -0.5}, "summatory source is negative at {}: -1/2"),
+    ({5: None, 6: -1}, "summatory failed at {}: {}"),
+    ({5: "x"}, "summatory failed at {}: Invalid literal for Fraction: 'x'"),
+], ids=["negative", "negative_then_failing", "negative_float", "failing", "not_a_number"])
+def test_a_summand_read_keeps_the_values_before_a_bad_source(d, bad, message):
+    lattice = divisor_lattice(d)
+    xs = list(lattice.covering_set(7))
+    at = {x: bad[x if d == 1 else x[0] * x[1]] for x in xs
+          if (x if d == 1 else x[0] * x[1]) in bad}
+    first = min(map(xs.index, at))
+
+    def g(x):
+        if x in at and at[x] is None:
+            raise KeyError(x)
+        return at.get(x, Fraction(len(str(x)), 3) if d == 1 else 1)
+
+    values = [g(x) for x in xs[:first]]
+    assert set(map(type, values)) and first > 0
+    out = [0]
+    with pytest.raises(EvaluationError) as info:
+        summatory_function(lattice, g).summand.read(xs, out)
+    assert out == [0] + values
+    assert str(info.value) == message.format(xs[first], repr(xs[first]))
