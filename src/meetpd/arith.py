@@ -98,6 +98,8 @@ def builtin(name, alpha=None, d=None, g=None):
         if name == "gcd_pow":
             base = LatticeFunction(divisor_lattice(), lambda n: _power_value(n, a),
                                    name=f"n^{a}", exact=a.denominator == 1)
+            if a.denominator == 1 and a >= 0:  # int powers, with no Python frame per value
+                base._slab = lambda xs, out, k=int(a): out.extend(map(pow, xs, repeat(k)))
             return meet_composed_function(base, arity, name=f"gcd_pow:{a}")
         return LatticeFunction(lattice, lambda x: _power_value(math.lcm(*_coords(x)), a),
                                name=f"lcm_pow:{a}", exact=a.denominator == 1)

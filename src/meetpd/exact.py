@@ -8,6 +8,8 @@ with 0/1 multipliers (Haukkanen 1996).  Each row is a full row of n
 entries over its own denominator, packed into one int of n signed w-bit
 fields, so "row minus k times the pivot row" is one big-int subtraction;
 the n x n matrix takes n^2 w / 8 bytes.  w starts from the largest entry.
+A ``KronMatrix``, a meet matrix on its meet tables, is packed chunk by
+chunk: a row is one join of the bytes of its chunks, each encoded once.
 Each row keeps a bound on its fields, raised at each update by what the
 pivot row's largest field can add; when a bound would leave its field,
 the row's bound is first refreshed from its fields, and if that is not
@@ -128,13 +130,15 @@ class _Fields:
         self.limit = 1 << (w - 1)  # every field is below limit in absolute value
         self.bias = int.from_bytes((bytes(w // 8 - 1) + b"\x80") * (n - lo), "little")
 
-    def pack(self, values):
-        """The row of a sequence of n values, those below lo zero."""
-        w, values = self.w, values[self.lo:]
+    def encode(self, values):
+        """The w-bit fields of a sequence of values, as little-endian bytes."""
+        w = self.w
         if w in _TYPECODES:
-            data = _native(array(_TYPECODES[w], values)).tobytes()
-        else:
-            data = b"".join([v.to_bytes(w // 8, "little", signed=True) for v in values])
+            return _native(array(_TYPECODES[w], values)).tobytes()
+        return b"".join([v.to_bytes(w // 8, "little", signed=True) for v in values])
+
+    def pack(self, data):
+        """The row whose fields from column lo on are encoded in data."""
         return (int.from_bytes(data, "little") ^ self.bias) - self.bias
 
     def unpack(self, row):
@@ -159,7 +163,7 @@ def _peak(fields):
 def _repacked(packed, fields, bound):
     """Repack every row in place at the width that holds bound, and that width's _Fields."""
     wide = _Fields(fields.n, _width(bound), fields.lo)
-    packed[:] = [wide.pack(fields.unpack(row)) for row in packed]
+    packed[:] = [wide.pack(wide.encode(fields.unpack(row)[wide.lo:])) for row in packed]
     return wide
 
 
@@ -170,14 +174,71 @@ def _trimmed(packed, fields, lo):
     return _Fields(fields.n, fields.w, lo)
 
 
+class KronMatrix:
+    """The matrix with nums[sum of T_t[i_t][j_t] s_t] at (i, j), i and j index
+    tuples in lexicographic order, for ints nums, square symmetric tables T_t
+    (lists of lists) and strides s_t: a meet matrix on its factors' meet tables."""
+
+    __slots__ = ("nums", "tables", "strides")
+
+    def __init__(self, nums, tables, strides):
+        self.nums, self.tables, self.strides = nums, tables, strides
+
+    def __len__(self):
+        return math.prod(map(len, self.tables))
+
+    def __iter__(self):
+        return iter(self.gather(self.nums))
+
+    def layout(self):
+        """(prefixes, inner): row (h, r), h an index tuple of the first d - 1 tables
+        and r a row of the last, is nums[a + b] for a in prefixes[h], b in inner[r]."""
+        *outer, inner = [t if s == 1 else [[p * s for p in row] for row in t]
+                         for t, s in zip(self.tables, self.strides)]
+        prefixes = [[0]]
+        for t in outer:
+            prefixes = [[a + b for a in acc for b in row] for acc in prefixes for row in t]
+        return prefixes, inner
+
+    def gather(self, seq):
+        """The rows, with each position p replaced by seq[p]."""
+        prefixes, inner = self.layout()
+        return [[seq[a + b] for a in prefix for b in row] for prefix in prefixes for row in inner]
+
+
+def _packed_rows(rows):
+    """(packed rows, their bounds, diagonal, _Fields, scale) of the rows times scale,
+    the lcm of their denominators.  KronMatrix row (h, r) joins the bytes of the chunks
+    nums[a + b], b in inner[r], for a in prefixes[h], each encoded and its peak taken once."""
+    if not isinstance(rows, KronMatrix):
+        a, scale = _integer_matrix(rows)
+        bound = list(map(_peak, a))
+        fields = _Fields(len(a), _width(max(bound, default=0)))
+        packed = [fields.pack(fields.encode(row)) for row in a]
+        return packed, bound, [a[x][x] for x in range(len(a))], fields, scale
+    nums = rows.nums
+    if not set(map(type, nums)) <= {int}:
+        raise ValueError("a KronMatrix holds ints")
+    if any(t != [list(col) for col in zip(*t)] for t in rows.tables):
+        raise ValueError("a KronMatrix's tables must be square and symmetric")
+    prefixes, inner = rows.layout()
+    span = max(map(max, inner), default=-1) + 1  # the chunks at a read nums[a:a + span]
+    chunks = {a: [list(map(seg.__getitem__, row)) for row in inner]
+              for a in set(chain.from_iterable(prefixes)) for seg in [nums[a:a + span]]}
+    peaks = {a: list(map(_peak, vs)) for a, vs in chunks.items()}
+    fields = _Fields(len(rows), _width(max(chain.from_iterable(peaks.values()), default=0)))
+    held = list if len(prefixes) > 1 else iter  # one prefix: a chunk is a row, not held twice
+    data = {a: held(map(fields.encode, vs)) for a, vs in chunks.items()}
+    packed = [fields.pack(b"".join(parts)) for p in prefixes for parts in zip(*map(data.get, p))]
+    bound = [max(ps) for p in prefixes for ps in zip(*map(peaks.get, p))]
+    diag = [nums[p[h] + row[r]] for h, p in enumerate(prefixes) for r, row in enumerate(inner)]
+    return packed, bound, diag, fields, 1
+
+
 def symmetric_elimination(rows):
-    """Exact inertia of a symmetric rational matrix by pivoted elimination."""
-    a, scale = _integer_matrix(rows)
-    n = len(a)
-    bound = list(map(_peak, a))  # no field of packed[x] exceeds bound[x] in absolute value
-    fields = _Fields(n, _width(max(bound, default=0)))
-    packed = [fields.pack(row) for row in a]  # row x of the active block, over den[x]
-    den, diag = [1] * n, [a[x][x] for x in range(n)]  # diag[x]: field x of packed[x]
+    """Exact inertia of a symmetric rational matrix, or KronMatrix, by pivoted elimination."""
+    packed, bound, diag, fields, scale = _packed_rows(rows)
+    n, den = len(packed), [1] * len(packed)  # packed[x] / den[x]: row x of the active block
     order = list(range(n))  # the active indices, in search order
     cols = []  # (pivot, its packed row and _Fields, len(adds) then), up to the first negative pivot
     adds = []  # row-add congruences (i, j): row and column j added to i

@@ -7,13 +7,14 @@ table of each of the subset's ``factors`` (cached on the factor, see
 ``ElementSubset.meet_table``), the position of a product pair's meet as
 the dot product of its factor positions with the ``strides`` of the
 factors' point counts, and one exact value per distinct meet, as ints
-over one common denominator.  The oracle reads int rows, the writers
-render each value once, and ``decompose`` compares its reconstruction on
-the ints at the meet points; the rows of Fractions are built only when
-read.  Over a meet closed subset the meets are the members, so
-``meet_matrix`` reads f slab by slab in member order (``incidence.slabs``),
-and a ``summatory_function`` f = zeta g is summed from g once there
-(``incidence.summed_blocks``), not point by point.
+over one common denominator.  The oracle packs int rows from the tables
+(``exact.KronMatrix``), the writers render each value once, and
+``decompose`` compares its reconstruction on the ints at the meet points;
+the rows of Fractions are built only when read.  Over a meet closed
+subset the meets are the members, so ``meet_matrix`` reads f slab by slab
+in member order (``incidence.slabs``), and a ``summatory_function``
+f = zeta g is summed from g once there (``incidence.summed_blocks``), not
+point by point.
 
 Over a meet closed subset the matrix factors as E diag(d) E^T with E the
 0/1 order indicator and d the values of f inverted with S's own Mobius
@@ -45,7 +46,7 @@ from .errors import (
     MeetPDError,
     NotMeetClosedError,
 )
-from .exact import Inertia, rational_sum
+from .exact import Inertia, KronMatrix, rational_sum
 from .incidence import _numerator, inverted_values, reader, slabs, summed_blocks
 from .posets import lattice_power, product_subset, strides
 
@@ -61,8 +62,8 @@ class LatticeFunction:
     ``read`` skips it for a whole sequence, ints left ints and, given a slab
     form, no Python frame per member.  The function keeps no values; a value
     read more than once is cached where it repeats (``meet_composed_function``).
-    Functions built through a float fallback carry exact=False: their float
-    values are read as exact rationals, and exact decompositions refuse them.
+    Functions built through a float fallback carry exact=False: meet
+    matrices, decompositions and the diagonal criterion refuse them.
     """
 
     summand = None  # g, if this is a summatory function f = zeta g (``summatory_function``)
@@ -109,6 +110,12 @@ class LatticeFunction:
 
     def __repr__(self):
         return f"LatticeFunction({self.name})"
+
+
+def refuse_inexact(f, what):
+    """Raise InexactFunctionError if f carries float-derived values (exact=False)."""
+    if not getattr(f, "exact", True):
+        raise InexactFunctionError(f"{f!r} carries float-derived values; {what} refuse it")
 
 
 def constant_function(lattice, c, name=None):
@@ -194,19 +201,19 @@ class MeetMatrix:
 
     The matrix is held in index space: each pair of members has a position
     p, the entry there is nums[p] / den (nums ints, den the lcm of the
-    values' denominators, so equal entries give equal int rows), and
-    gather(seq) lists the rows with every position p replaced by seq[p].
-    A meet matrix, reconstructed ones included, has one position per
-    distinct meet, so its values are scaled and rendered once per meet
-    rather than once per entry.  ``rows``, the entries as Fractions, is
-    built on first read.
+    values' denominators, so equal entries give equal int rows), and kron,
+    the ``exact.KronMatrix`` of nums on the factors' meet tables, maps the
+    pairs to their positions.  A meet matrix, reconstructed ones included,
+    has one position per distinct meet, so its values are scaled and
+    rendered once per meet rather than once per entry.  ``rows``, the
+    entries as Fractions, is built on first read.
     """
 
-    def __init__(self, subset, nums, den, gather):
+    def __init__(self, subset, den, kron):
         self.subset = subset
-        self.nums = nums
+        self.nums = kron.nums
         self.den = den
-        self._gather = gather
+        self.kron = kron
 
     @property
     def n(self):
@@ -220,15 +227,15 @@ class MeetMatrix:
 
     @cached_property
     def rows(self):
-        return tuple(map(tuple, self._gather(self.values)))
+        return tuple(map(tuple, self.kron.gather(self.values)))
 
     def integer_rows(self):
         """The entries times den as lists of ints, and den."""
-        return self._gather(self.nums), self.den
+        return self.kron.gather(self.nums), self.den
 
     def text_rows(self):
         """The entries as p/q (or integer) strings, each position rendered once."""
-        return self._gather([str(v) for v in self.values])
+        return self.kron.gather([str(v) for v in self.values])
 
     def max_abs_difference(self, other):
         """max |a - b| over the entries of two matrices of one subset, exactly:
@@ -253,26 +260,6 @@ class MeetMatrix:
         return f"MeetMatrix({self.n}x{self.n})"
 
 
-def _kron_sum(acc, row):
-    return [a + b for a in acc for b in row]
-
-
-def _table_gather(tables, strides):
-    """gather for a product of meet tables: the position of a pair is the
-    sum of its factor positions times the strides."""
-    *outer, inner = [t.rows if s == 1 else [[p * s for p in row] for row in t.rows]
-                     for t, s in zip(tables, strides)]
-
-    def gather(seq):
-        out = []
-        for heads in iter_product(*outer):
-            prefix = reduce(_kron_sum, heads, [0])
-            out.extend([seq[a + b] for a in prefix for b in row] for row in inner)
-        return out
-
-    return gather
-
-
 def meet_matrix(subset, f):
     """Entries f(x_i meet x_j); the subset need not be closed under meets.
 
@@ -284,6 +271,7 @@ def meet_matrix(subset, f):
     by ``incidence.slabs``: once per slab, or summed once from its source
     if f is a summatory function.
     """
+    refuse_inexact(f, "exact meet matrices")
     if subset.meet_closed:
         return _from_values(subset, _block_values(slabs(f, subset)))
     points = [s.meet_table.points for s in subset.factors]
@@ -305,7 +293,7 @@ def _from_values(subset, values):
     nums = [v.numerator * (den // v.denominator) for v in values]
     tables = [s.meet_table for s in subset.factors]
     shape = [len(t.points) for t in tables]
-    return MeetMatrix(subset, nums, den, _table_gather(tables, strides(shape)))
+    return MeetMatrix(subset, den, KronMatrix(nums, [t.rows for t in tables], strides(shape)))
 
 
 class Decomposition:
@@ -352,9 +340,7 @@ def kron_decompose_d(subsets, f):
     subset = product_subset(subsets)
     if not subset.meet_closed:
         raise NotMeetClosedError("factor subset is not meet closed")
-    if not getattr(f, "exact", True):
-        raise InexactFunctionError(
-            f"{f!r} carries float-derived values; exact decompositions refuse it")
+    refuse_inexact(f, "exact decompositions")
     arity = getattr(getattr(f, "lattice", None), "arity", 1)
     if arity != len(subset.factors):
         raise DimensionMismatchError(

@@ -8,8 +8,9 @@ form the diagonal of the meet matrix decomposition) and stops at the
 first negative one.  The oracle route decides matrices up to
 EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) exactly, with no
 tolerance and no float work, by the congruence elimination on int rows
-of ``exact.symmetric_elimination`` (a MeetMatrix gives its values times
-their common denominator).  The elimination packs each row into one int
+of ``exact.symmetric_elimination``; a MeetMatrix goes in as its values
+times their common denominator on its meet tables, an ``exact.KronMatrix``
+packed from the tables.  The elimination packs each row into one int
 of n signed w-bit fields, n^2 w / 8 bytes in all, with w widened only
 when an entry could outgrow it.  Only larger matrices are converted to floats
 and bounded by their smallest eigenvalue; NumPy is imported on that path
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .exact import _rational, quadratic_form, symmetric_elimination
 from .incidence import _numerator, inverted_blocks, inverted_values
-from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable
+from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable, refuse_inexact
 
 POSITIVE = "positive_definite_on_tested_covering"
 NEGATIVE = "not_positive_definite"
@@ -97,19 +98,6 @@ class OracleReport(namedtuple("OracleReport", "is_psd method min_eigenvalue iner
         return v() if callable(v) else v
 
 
-def _rows_and_labels(matrix):
-    """The matrix as (rows, den, labels): its entries times den are the rows.
-
-    A MeetMatrix gives int rows, scaled by the lcm of its values'
-    denominators; any other matrix gives its entries as ints or Fractions, den 1.
-    """
-    if isinstance(matrix, MeetMatrix):
-        rows, den = matrix.integer_rows()
-        return rows, den, tuple(matrix.subset.members)
-    rows = tuple(tuple(map(_rational, row)) for row in matrix)
-    return rows, 1, tuple(range(len(rows)))
-
-
 def _float_eigen(rows, den):
     """The matrix rows / den as a float array and its smallest eigenvalue
     (None if that fails)."""
@@ -130,11 +118,15 @@ def psd_oracle(matrix):
     Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
     decided exactly by pivoted congruence elimination on ints; the float
     minimum eigenvalue is computed only when min_eigenvalue is first
-    read.  A MeetMatrix goes in as den times itself, in ints, and the
-    witness value is divided back by den.  Larger matrices fall back to a
-    float eigenvalue bound with relative tolerance FLOAT_TOL.
+    read.  A MeetMatrix goes in as den times itself, in ints on its meet
+    tables, and the witness value is divided back by den.  Larger matrices
+    fall back to a float eigenvalue bound with relative tolerance FLOAT_TOL.
     """
-    rows, den, labels = _rows_and_labels(matrix)
+    if isinstance(matrix, MeetMatrix):  # its KronMatrix, rows gathered only when iterated
+        rows, den, labels = matrix.kron, matrix.den, tuple(matrix.subset.members)
+    else:
+        rows = tuple(tuple(map(_rational, row)) for row in matrix)
+        den, labels = 1, tuple(range(len(rows)))
     if len(rows) <= EXACT_ORACLE_LIMIT:
         fact = symmetric_elimination(rows)
         witness = (None if fact.is_psd else
@@ -143,6 +135,7 @@ def psd_oracle(matrix):
                             fact.inertia, witness)
     import numpy as np
 
+    rows = list(rows)
     fl, lam_min = _float_eigen(rows, den)
     if lam_min is None:
         raise NumericalFailureError(
@@ -190,10 +183,11 @@ def pd_criterion(f, family, bound):
     Mobius-inverted value over the (lower closed) covering set is
     nonnegative.  The scan stops in the first block holding a negative value,
     whose first negative member is the witness; f is not read past that block.
-    The family must have a least element (NoLeastElementError otherwise).
+    The family must have a least element, and f exact values (exact=True).
     """
     if getattr(family, "least", None) is None:
         raise NoLeastElementError("family has no least element")
+    refuse_inexact(f, "exact verdicts")
     s = family.covering_set(bound)
     for xs, values, den in inverted_blocks(f, s):
         # a block's sign is its numerators' sign: Fractions only where a slab kept them
@@ -216,7 +210,7 @@ def scale(f, a):
     certificate = f.certificate or q == 0
     return LatticeFunction(
         f.lattice, lambda x: q * f(x),
-        name=f"{q}*{f.name}", certificate=certificate,
+        name=f"{q}*{f.name}", certificate=certificate, exact=f.exact,
     )
 
 
@@ -226,6 +220,7 @@ def add(f, g):
     return LatticeFunction(
         f.lattice, lambda x: f(x) + g(x),
         name=f"{f.name}+{g.name}", certificate=f.certificate and g.certificate,
+        exact=f.exact and g.exact,
     )
 
 
@@ -236,4 +231,5 @@ def pointwise_mul(f, g):
     return LatticeFunction(
         f.lattice, lambda x: f(x) * g(x),
         name=f"{f.name}*{g.name}", certificate=f.certificate and g.certificate,
+        exact=f.exact and g.exact,
     )

@@ -381,9 +381,11 @@ def test_a_builtin_criterion_keeps_no_value_per_member():
 
 @pytest.mark.parametrize("route", ["criterion", "meet_matrix"])
 def test_a_meet_composed_builtin_reads_its_base_rule_once_per_distinct_meet(monkeypatch, route):
+    # every read of the base function n^1, by its rule or its slab form
     seen = []
-    power = arith._power_value
-    monkeypatch.setattr(arith, "_power_value", lambda n, a: seen.append(n) or power(n, a))
+    read = LatticeFunction.read
+    monkeypatch.setattr(LatticeFunction, "read", lambda g, xs, out: (
+        seen.extend(xs) if g.name == "n^1" else None) or read(g, xs, out))
     f = builtin("gcd_pow", alpha=1, d=2)
     if route == "criterion":
         assert pd_criterion(f, divisor_lattice(2), 12).is_positive
@@ -391,6 +393,29 @@ def test_a_meet_composed_builtin_reads_its_base_rule_once_per_distinct_meet(monk
         meet_matrix(divisor_lattice(2).covering_set(12), f)
     # the gcds over {1..12}^2 are 1..12, each read once
     assert sorted(seen) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_integer_gcd_power_reads_a_slab_in_ints_by_no_call_of_its_rule(monkeypatch, d):
+    xs = list(divisor_lattice(d).covering_set({1: 30, 2: 6, 3: 4}[d]).members)
+    for k in (0, 1, 3):
+        f = builtin("gcd_pow", alpha=k, d=d)
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_power_value", lambda n, a: pytest.fail("the rule was called"))
+            out = f.read(xs, [])
+        assert out == [builtin("gcd_pow", alpha=k, d=d).evaluate(x) for x in xs]
+        assert set(map(type, out)) == {int}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), -1, Fraction(-3, 2)])
+def test_other_gcd_powers_read_a_slab_by_their_rule(monkeypatch, alpha):
+    calls = []
+    power = arith._power_value
+    monkeypatch.setattr(arith, "_power_value", lambda n, a: calls.append(n) or power(n, a))
+    f = builtin("gcd_pow", alpha=alpha)
+    out = f.read(list(range(1, 31)), [])
+    assert calls == list(range(1, 31))
+    assert out == [f.evaluate(x) for x in range(1, 31)] and set(map(type, out)) == {Fraction}
 
 
 def test_builtin_unknown():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meetpd import cli, meetmatrix, pdcheck
 from meetpd.arith import MAX_EXPONENT, builtin, pd_check_grid
@@ -104,14 +108,6 @@ def test_decompose_lcm_has_negative_diag(capsys, tmp_path):
     assert [tuple(labels[t][i] for t, i in enumerate(multi)) for multi in multis] == [
         x for x, _ in expected]
     assert doc["diag"] == [str(v) for _, v in expected]
-
-
-def test_check_float_exponent_witness_is_pinned(capsys):
-    code, out, _ = run(capsys, "check", "--fn", "lcm_pow:1/2", "--d", "2", "--m", "8")
-    assert code == 1
-    witness = json.loads(out)["witness"]
-    assert witness["element"] == [2, 2]
-    assert witness["value"] == "-1865452045155277/4503599627370496"
 
 
 def test_tol_flag_is_gone():
@@ -320,13 +316,49 @@ def test_check_keeps_values_short_on_tables_with_many_denominators(
     assert max(widest) <= 2 * (SLACK_BITS + 64)
 
 
-@pytest.mark.xfail(strict=True, reason="gcd_pow with a fractional exponent is evaluated in "
-                   "floats, and check reads the rounded values as exact rationals")
 def test_check_on_a_fractional_gcd_power_is_never_negative(capsys):
     # gcd^a is positive definite for every a >= 0; at 90 the true inverted
     # value is (2^a - 1) 3^a (3^a - 1) (5^a - 1), about +1.2e-18 here
     code, _, _ = run(capsys, "check", "--fn", "gcd_pow:1/1000000", "--m", "90")
     assert code != 1
+
+
+EXPONENTS = st.one_of(st.integers(-4, 4).map(str),
+                      st.tuples(st.integers(-6, 6), st.integers(1, 6)).map("{0[0]}/{0[1]}".format),
+                      st.sampled_from(["", "1/0", "x", "0.5", "1e3"]))
+
+
+@st.composite
+def builtin_specs(draw):
+    """A --fn builtin spec and its exponent (None unless it is a number)."""
+    name = draw(st.sampled_from(["gcd_pow", "lcm_pow", "zeta_d", "delta_d", "mu_d",
+                                 "divisor_count", "ramanujan_C", "no_such_builtin"]))
+    powers = name.endswith("_pow")
+    param = draw(EXPONENTS if powers else st.sampled_from(["", "", "", "2"]))
+    try:
+        alpha = Fraction(param)
+    except (ValueError, ZeroDivisionError):
+        alpha = None
+    return f"{name}:{param}" if param else name, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["check", "matrix", "decompose"]), builtin_specs(),
+       st.one_of(st.none(), st.integers(1, 3)), st.integers(1, 12),
+       st.sampled_from(["divisor", "min"]))
+def test_a_builtin_spec_exits_with_a_known_code_and_no_traceback(command, spec, d, m, family):
+    fn, alpha = spec
+    argv = [command, "--family", family, "--fn", fn, "--m", str(m),
+            *(["--d", str(d)] if d else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    if fn.startswith("gcd_pow") and family == "divisor" and alpha is not None and alpha >= 0:
+        assert code != 1  # gcd^a is positive definite on divisors for every a >= 0
 
 
 def test_round_trip_matrix_to_check(capsys, tmp_path):
@@ -414,6 +446,8 @@ HOSTILE_INPUTS = {
        for name in ("zeta_d", "delta_d", "mu_d", "divisor_count", "ramanujan_C")},
     "unwritable_out": (None, None),
     "decompose_float_exponent": (None, None),
+    "check_float_exponent": (None, None),
+    "matrix_float_exponent": (None, None),
     "zero_denominator_exponent": (None, None),
 }
 
@@ -424,6 +458,10 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     command = "matrix"
     if case == "decompose_float_exponent":
         command, argv = "decompose", ["--fn", "gcd_pow:1/2"]
+    elif case == "check_float_exponent":  # float values give no verdict
+        command, argv = "check", ["--fn", "lcm_pow:1/2", "--d", "2"]
+    elif case == "matrix_float_exponent":  # nor a document of exact values
+        argv = ["--fn", "gcd_pow:1/2"]
     elif case == "zero_denominator_exponent":
         command, argv = "check", ["--fn", "gcd_pow:1/0"]
     elif name is None and text is not None:

@@ -14,15 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meetpd import exact
+from meetpd.arith import builtin, to_lattice_function
 from meetpd.exact import (
     Inertia,
+    KronMatrix,
     SymmetricFactorization,
     char_poly,
     quadratic_form,
     symmetric_elimination,
 )
-from meetpd.meetmatrix import meet_matrix, summatory_function
-from meetpd.posets import divisor_lattice, min_lattice
+from meetpd.meetmatrix import (
+    kron_decompose_d,
+    meet_matrix,
+    reconstruct,
+    summatory_function,
+    table_function,
+)
+from meetpd.pdcheck import psd_oracle
+from meetpd.posets import divisor_lattice, load_hasse, min_lattice, product_subset, subset
 
 
 # --------------------------------------------------------------------------
@@ -579,6 +588,92 @@ def test_rejects_nonsymmetric():
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         symmetric_elimination([[1, 2, 3], [2, 1, 1]])
+
+
+# --------------------------------------------------------------------------
+# A meet matrix is packed from its factor meet tables (KronMatrix); the
+# list path packs the same entries gathered to n^2 rows.
+
+def _builtin_on(make, d, bound, name, alpha=None):
+    lat = make(d)
+    return meet_matrix(lat.covering_set(bound), to_lattice_function(builtin(name, alpha, d), lat))
+
+
+def _signed_summatory(make, d, bound, seed):
+    rng, lat = random.Random(seed), make(d)
+    g = {}
+    f = summatory_function(lat, lambda z: g.setdefault(z, rng.randint(-3, 4)), certify_nonneg=False)
+    return meet_matrix(lat.covering_set(bound), f)
+
+
+def _hasse_matrix():
+    # M3 with a top: 0 < a, b, c < t, values with a negative Mobius inversion
+    lat = load_hasse(["elem 0", "elem a", "elem b", "elem c", "elem t", "edge 0 a", "edge 0 b",
+                      "edge 0 c", "edge a t", "edge b t", "edge c t"])
+    values = {"0": 1, "a": 3, "b": -2, "c": Fraction(5, 2), "t": 4}
+    return meet_matrix(subset(lat, list(values)), table_function(lat, values))
+
+
+def _reconstructed():
+    lat = divisor_lattice(2)
+    f = summatory_function(lat, lambda z: Fraction(z[0] - z[1], z[0] + 1), certify_nonneg=False)
+    return reconstruct(kron_decompose_d(lat.covering_set(6).factors, f))
+
+
+KRON_CASES = {
+    "divisor1": lambda: _builtin_on(divisor_lattice, 1, 16, "gcd_pow", 1),
+    "divisor1_wide": lambda: _builtin_on(divisor_lattice, 1, 64, "gcd_pow", -1),  # w = 128
+    "divisor2": lambda: _signed_summatory(divisor_lattice, 2, 6, 1),
+    "divisor2_wide": lambda: _builtin_on(divisor_lattice, 2, 6, "lcm_pow", 20),  # w = 128
+    "divisor3": lambda: _builtin_on(divisor_lattice, 3, 3, "lcm_pow", 1),
+    "min1_fractions": lambda: _builtin_on(min_lattice, 1, 20, "gcd_pow", -1),
+    "min2": lambda: _signed_summatory(min_lattice, 2, 5, 2),
+    "min3": lambda: _builtin_on(min_lattice, 3, 3, "mu_d"),
+    "not_meet_closed": lambda: meet_matrix(subset(divisor_lattice(), [4, 6, 9, 10, 15]),
+                                           builtin("gcd_pow", 1)),
+    "not_meet_closed_product": lambda: meet_matrix(
+        product_subset([subset(divisor_lattice(), [6, 10, 15]), subset(divisor_lattice(), [2, 3])]),
+        builtin("lcm_pow", 1, 2)),
+    "hasse": _hasse_matrix,
+    "reconstructed": _reconstructed,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_a_meet_matrix_packs_from_its_tables_as_its_gathered_rows(case):
+    m = KRON_CASES[case]()
+    rows, den = m.integer_rows()
+    assert len(m.kron) == len(rows) == m.n and list(m.kron) == rows
+    packed, bound, diag, fields, scale = exact._packed_rows(m.kron)
+    expected = exact._packed_rows(rows)
+    assert (packed, bound, diag, fields.w, fields.lo, scale) == (
+        expected[0], expected[1], expected[2], expected[3].w, expected[3].lo, 1)
+    assert symmetric_elimination(m.kron) == symmetric_elimination(rows)
+    assert case != "min1_fractions" or den > 1
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_the_oracle_reports_a_meet_matrix_as_its_rational_rows(case):
+    m = KRON_CASES[case]()
+    got, want = psd_oracle(m), psd_oracle(m.rows)
+    assert (got.is_psd, got.method, got.inertia) == (want.is_psd, "exact", want.inertia)
+    assert got.min_eigenvalue == want.min_eigenvalue  # read from the gathered rows
+    if not got.is_psd:
+        assert got.witness.labels == tuple(m.subset.members)
+        assert (got.witness.vector, got.witness.value) == (want.witness.vector, want.witness.value)
+        assert quadratic_form(m.rows, got.witness.vector) == got.witness.value < 0
+
+
+@pytest.mark.parametrize("nums,tables", [
+    ([1, 2, 3, 4], [[[0, 1], [2, 3]]]),  # asymmetric
+    ([1, 2, 3], [[[0, 1], [1, 2]], [[0, 1]]]),  # not square
+    ([1, Fraction(1, 2), 3], [[[0, 1], [1, 2]]]),  # not ints
+    ([1.0, 2, 3], [[[0, 1], [1, 2]]]),
+])
+def test_a_kron_matrix_of_a_bad_table_or_values_is_refused(nums, tables):
+    strides = [len(t) for t in tables[1:]] + [1]
+    with pytest.raises(ValueError):
+        symmetric_elimination(KronMatrix(nums, tables, strides))
 
 
 def test_char_poly_known_cases():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from meetpd.arith import builtin, pd_check_grid, to_lattice_function
 from meetpd.errors import (
+    InexactFunctionError,
     NegativeScalarError,
     NoLeastElementError,
     NumericalFailureError,
@@ -395,6 +396,20 @@ def test_add_and_mul_preserve_psd_on_oracle():
 def test_combinators_reject_mismatched_lattices():
     with pytest.raises(PosetMismatchError):
         add(identity(divisor_lattice()), identity(min_lattice()))
+
+
+@pytest.mark.parametrize("combine", [lambda f, g: scale(f, 1), add, pointwise_mul,
+                                     lambda f, g: add(g, f)], ids=["scale", "add", "mul", "add_r"])
+def test_a_combination_with_a_float_derived_function_gets_no_exact_verdict(combine):
+    # gcd^(1/10^6) is positive definite, but its rounded values read as
+    # exact rationals give a negative inverted value at 90
+    dl = divisor_lattice()
+    h = combine(builtin("gcd_pow", Fraction(1, 10 ** 6)), identity(dl))
+    assert not h.exact
+    with pytest.raises(InexactFunctionError):
+        pd_criterion(h, dl, 90)
+    with pytest.raises(InexactFunctionError):
+        meet_matrix(dl.covering_set(6), h)
 
 
 def test_combinators_propagate_certificates():
