@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arith import builtin, to_lattice_function
 from .errors import EvaluationError, MeetPDError
-from .incidence import slabs
+from .incidence import value_blocks
 from .meetmatrix import (
     decomposition_to_json,
     kron_decompose_d,
@@ -35,8 +35,9 @@ EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
 # check reads each member once and never builds a product covering set: at
-# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 1.8-2.2 s and 25 MB
-# peak, and at d = 1, m = 100,000 took 1.4-2.3 s and 94 MB (cold, 2 vCPUs)
+# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 0.65 s and 46 MB
+# peak, and at d = 1 check --fn gcd_pow:1 took 0.27-0.29 s and 42-45 MB at
+# m = 100,000 and 2.3-2.9 s and 269-291 MB at m = 1,048,576 (cold, 2 vCPUs)
 MAX_CHECK_MEMBERS = 1 << 20
 
 
@@ -89,14 +90,19 @@ def _parse_cell(text):
 
 
 def _table(rows, path):
-    """Value table from (coordinates, value) rows of one arity."""
+    """Value table from (coordinates, value) rows of one arity, one row per
+    element; a value that is an integer is kept as an int."""
     mapping = {}
     arity = None
     for keys, value in rows:
         if arity is not None and len(keys) != arity:
             raise ConfigError(f"rows of {path} have {arity} and {len(keys)} coordinates")
         arity = len(keys)
-        mapping[keys[0] if arity == 1 else tuple(keys)] = Fraction(value)
+        key = keys[0] if arity == 1 else tuple(keys)
+        if key in mapping:
+            raise ConfigError(f"value table {path} has a duplicate row for {key}")
+        q = Fraction(value)
+        mapping[key] = q.numerator if q.denominator == 1 else q
     if not mapping:
         raise ConfigError(f"value table {path} is empty")
     return mapping, arity
@@ -294,7 +300,7 @@ def cmd_grid(config):
     _refuse_large_covering(config, "grid", MAX_CHECK_MEMBERS)
     f = summatory_function(config.family, lambda _z: 1, name="lower_set_size")
     lines = [f"{a},{b},{Fraction(v, den) if den > 1 else v}"
-             for xs, values, den in slabs(f, config.family.covering_set(config.bound))
+             for xs, values, den in value_blocks(f, config.family.covering_set(config.bound))
              for (a, b), v in zip(xs, values)]
     _emit(lambda: "\n".join(lines) + "\n", config.out)
     return 0

@@ -4,17 +4,25 @@ The diagonal criterion and the LDL^T diagonal read the Mobius values
 mu(z, x) below each member x, which ``mobius`` gives as integer rows, the
 one place rows are built: off the lattice's ``sieve`` on a covering set
 {1..m}, by Rota's product rule on a product, else by Rota's recursion.
-``inverted_blocks`` inverts f one axis at a time on flat int lists, one
-slab of the first axis at a time, so a product's member list is never
-built: by the first factor's rows, and within a slab by the lattice's
-sieve, one slice step per prime on the divisor lattice.  ``summed_blocks``
-is its transpose f = zeta g, by the same rows and the lattice's ``zeta``;
-a summatory function reaches the criterion and ``meet_matrix`` through it,
-and ``reconstruct`` multiplies E diag(d) E^T back as the meet matrix of zeta d.
+``inverted_blocks`` inverts f one axis at a time on flat int lists, so a
+product's member list is never built.  f is read by ``value_blocks`` in
+doubling runs of first-axis slabs, 1, 1, 2, 4, ... slabs (a slab is one
+member of a single subset), one ``read`` and one common denominator per
+run, so f is read up to the end of the run holding the slab a consumer
+stops in and never past it.  A run's inner axes are inverted by the
+lattice's sieve, one slice step per prime on the divisor lattice, on the
+run's columns at d = 2 once the run has RUN_COLUMNS slabs (each step once
+per run), else slab by slab; its first axis by the lattice's sieve over
+the prefix of slabs read so far at d = 1 on {1..m}, else by the first
+factor's rows.  The values come out one slab at a time, in member order.
+``summed_blocks`` is its transpose f = zeta g, by the same rows and the
+lattice's ``zeta``; a summatory function reaches the criterion and
+``meet_matrix`` through it, and ``reconstruct`` multiplies E diag(d) E^T
+back as the meet matrix of zeta d.
 """
 
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from itertools import product as iter_product
 from math import lcm, prod
 from operator import add, attrgetter, floordiv, mul, sub
@@ -22,7 +30,11 @@ from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
 _AXIS_CACHE = WeakKeyDictionary(), WeakKeyDictionary()  # sieve, zeta
+_POSITION_ROWS = WeakKeyDictionary()
 SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
+# a run of fewer slabs transforms its inner axis slab by slab: on short
+# columns a step costs more than on a slab
+RUN_COLUMNS = 8
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
@@ -50,8 +62,9 @@ def _rows(subset):
         if subset.factors[0] is not subset:
             rows = _product_rows(subset)
         else:
-            steps = _program(subset, "sieve")
-            rows = _recursive_rows(subset) if steps is None else _sieve_rows(subset.members, steps)
+            program = _program(subset, "sieve")
+            rows = (_sieve_rows(subset.members, program(len(subset))) if program
+                    else _recursive_rows(subset))
         _MOBIUS_CACHE[subset] = rows
     return rows
 
@@ -109,69 +122,128 @@ def _recursive_rows(subset):
 
 def inverted_blocks(f, subset):
     """Yield the Mobius-inverted values of f over the subset in member order,
-    as blocks (xs, values, den): values[i] / den (den > 0) is the sum of
-    f(z) mu(z, x) over the members z below x = xs[i].
+    as blocks (xs, values, den), one per slab of the first axis (one member
+    of a single subset): values[i] / den (den > 0) is the sum of f(z) mu(z, x)
+    over the members z below x = xs[i].
 
     These are the diagonal of E diag(d) E^T and the numbers the diagonal
     criterion inspects.  A plain subset is a product with one factor; over
     a product, mu(z, x) is the product of the factor values (Rota), so the
     axes are inverted one at a time (Yates; Bjorklund, Husfeldt, Kaski and
-    Koivisto, "Fourier meets Mobius", STOC 2007).  A block is a slab of the
-    first axis, one member of a single subset, with f's values from ``slabs``;
-    its inner axes are inverted (by the lattice's ``sieve`` on a covering set
-    {1..m}), and it is the sum of w times the partial slab z over the first
-    factor's row (z, w).  f is read once per member, in member order, and
-    never past the block a consumer stops in; if f raises, the values before
-    it come out.
+    Koivisto, "Fourier meets Mobius", STOC 2007), on a doubling run of
+    first-axis slabs at a time: 1, 1, 2, 4, ... slabs, f's values read by
+    ``value_blocks``.  The inner axes run on the run's columns, each step
+    once per run, or slab by slab (``_transform``); the first axis by its
+    lattice's ``sieve`` steps over the prefix of slabs read so far at d = 1
+    on a covering set {1..m}, else by the first factor's rows on the run's
+    slabs.  f is read once per member, in
+    member order, and never past the run holding the slab a consumer stops
+    in; if f raises, the values before it come out.
     """
-    return _blocks(f, subset, zeta=False)
+    return _slabbed(_blocks(f, subset, zeta=False), subset.strides[0])
 
 
 def summed_blocks(g, subset):
     """Yield f = zeta_S g, at each member x the sum of g(z) over the members
     z <= x of the subset, as blocks in the form and with the reads of
-    ``inverted_blocks``, its transpose: inner axes by the lattice's ``zeta``
-    on a covering set {1..m}, else by solving their Mobius rows in member
-    order, and slab c of the first axis as F_c = H_c - sum of mu(z, c) F_z
-    over the z below c in the first factor's row.  On a lower closed subset
-    these are the sums of g over the lattice's lower sets.
+    ``inverted_blocks``, its transpose: each axis by the lattice's ``zeta``
+    on a covering set {1..m}, else by solving its Mobius rows in member
+    order.  On a lower closed subset these are the sums of g over the
+    lattice's lower sets.
     """
-    return _blocks(g, subset, zeta=True)
+    return _slabbed(_blocks(g, subset, zeta=True), subset.strides[0])
 
 
 def _blocks(f, subset, zeta):
-    first = mobius(subset.factors[0])
-    inner = [_axis(s, zeta) for s in subset.factors[1:]]
-    strides = subset.strides[1:]
-    parts, dens, fractional = {}, {}, False
-    for (xs, ints, fden), (zs, ws) in zip(slabs(f, subset), first):
-        n, c = len(ints), zs[-1]
-        ints += [0] * (len(xs) - n)  # a member reads no later one: unread ones stand at 0
-        parts[c], dens[c] = _transform(ints, inner, strides, zeta) if inner else ints, fden
-        fractional = fractional or fden > 1
-        den = lcm(*map(dens.__getitem__, zs)) if fractional else 1
-        if zeta:
-            ws = [-w for w in ws[:-1]] + [1]
-        coefs = ws if den == 1 else [w * (den // dens[z]) for z, w in zip(zs, ws)]
-        values = _combine(list(map(parts.__getitem__, zs)), coefs)
-        if zeta:  # later slabs read the sums F_c, not the partial slab H_c
-            parts[c], dens[c] = values, den
-        yield xs, values[:n], den
+    """f transformed by runs of first-axis slabs, as the runs of ``value_blocks``.
+
+    At d = 1 on a covering set {1..m} the lattice's steps run over the prefix
+    read so far, recomputed for each run, which the doubling keeps to twice
+    one pass; otherwise the run's own rows of the first factor combine its
+    slabs with earlier ones, and with zeta later runs read the sums.  The
+    prefix is held over one common denominator (``_joined``)."""
+    first, *inner = subset.factors
+    program = None if inner else _program(first, "zeta" if zeta else "sieve")
+    rows = None if program else _position_rows(first)
+    axes = [_axis(s, zeta) for s in inner]
+    size = subset.strides[0]
+    parts, den, top = [], 1, 1  # the slabs so far, inner axes done, over den
+    for xs, values, vden in value_blocks(f, subset):
+        n = len(values)
+        if n < len(xs):  # a member reads no later one: unread ones stand at 0
+            values = values + [0] * (len(xs) - n)
+        if len(axes) == 1 and len(xs) >= RUN_COLUMNS * size:  # each step once, on the columns
+            values = list(zip(*_along([values[j::size] for j in range(size)], axes[0], zeta, True)))
+        elif len(axes) == 1:
+            values = [_along(values[i:i + size], axes[0], zeta, False)
+                      for i in range(0, len(values), size)]
+        elif axes:
+            values = [_transform(values[i:i + size], axes, subset.strides[1:], zeta)
+                      for i in range(0, len(values), size)]
+        top = max(top, vden)
+        parts, den = _joined(parts, den, values, vden, top.bit_length() + SLACK_BITS, bool(axes))
+        lo, hi = len(parts) - len(values), len(parts)
+        axis = (program(hi), None) if program else (None, rows[:hi])
+        out = _along(parts, axis, zeta, bool(axes), lo)
+        if zeta and rows:  # later slabs read the sums, not the partial slabs
+            parts[lo:] = out
+        yield xs, (list(chain.from_iterable(out)) if axes else out)[:n], den
 
 
-def slabs(f, subset):
-    """Yield f over the subset by slabs of the first axis, as blocks in the
-    form of ``inverted_blocks``: summed from its source by ``summed_blocks``
-    if f is a summatory function on the lattice of a lower closed subset,
-    else read by one ``reader`` call per slab, as ints over the lcm of the
-    slab's denominators.  If f raises, the values before it come out.
+def _joined(parts, den, values, vden, budget, nested):
+    """parts over den followed by values over vden, as one list over their lcm,
+    or over 1 as exact numbers once that lcm is longer than budget bits; with
+    nested each item is a slab."""
+    if vden != den:
+        common = lcm(den, vden)
+        if common.bit_length() > budget:
+            parts, values, common = (_each(Fraction, parts, den, nested),
+                                     _each(Fraction, values, vden, nested), 1)
+        else:
+            parts, values = (_each(mul, parts, common // den, nested),
+                             _each(mul, values, common // vden, nested))
+        den = common
+    parts += values
+    return parts, den
+
+
+def _each(op, items, c, nested):
+    """op(v, c) for each value v of the items, or of each item with nested; the
+    items themselves if c is 1."""
+    if c == 1:
+        return items
+    if nested:
+        return [list(map(op, item, repeat(c))) for item in items]
+    return list(map(op, items, repeat(c)))
+
+
+def _slabbed(blocks, size):
+    """The blocks split into first-axis slabs of size members, (xs, values, den)
+    each; a block cut short by an error ends in the slab it was cut in."""
+    for xs, values, den in blocks:
+        members = iter(xs)
+        for i in range(0, min(len(values) + 1, len(xs)), size):
+            yield list(islice(members, size)), values[i:i + size], den
+
+
+def value_blocks(f, subset):
+    """Yield f over the subset by doubling runs of first-axis slabs, 1, 1, 2,
+    4, ... slabs, as (xs, values, den) with values[i] / den == f(xs[i]): summed
+    from its source by ``summed_blocks``'s transform if f is a summatory
+    function on the lattice of a lower closed subset, else read by one
+    ``reader`` call per run, as ints over the lcm of the run's denominators.
+    If f raises, the values before it come out, then the error.
     """
     g = getattr(f, "summand", None)
     if g is not None and f.lattice == subset.lattice and subset.lower_closed:
-        yield from summed_blocks(g, subset)
+        yield from _blocks(g, subset, zeta=True)
         return
-    read = reader(f, subset.lattice)
-    for xs in zip(*[iter(subset)] * subset.strides[0]):
+    read, (first, *inner) = reader(f, subset.lattice), subset.factors
+    lo = 0
+    while lo < len(first):
+        hi = min(max(2 * lo, 1), len(first))
+        xs = _Run((first.members[lo:hi], *(s.members for s in inner))) if inner else (
+            first.members[lo:hi])
         fs, error = [], None
         try:
             read(xs, fs)
@@ -180,6 +252,27 @@ def slabs(f, subset):
         yield (xs, *_scaled(fs))
         if error is not None:
             raise error
+        lo = hi
+
+
+class _Run:
+    """The members of a run of a product's first-axis slabs, in member order:
+    the product of the first factor's members in the run with the other
+    factors', each member built only as it is iterated or indexed."""
+
+    __slots__ = ("factors", "size")
+
+    def __init__(self, factors):
+        self.factors, self.size = factors, prod(map(len, factors))
+
+    def __iter__(self):
+        return iter_product(*self.factors)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        return next(islice(self, i, None))
 
 
 def _scaled(fs):
@@ -187,6 +280,8 @@ def _scaled(fs):
     their denominators, or fs itself over 1 once that lcm runs more than
     SLACK_BITS past the largest; the lcm is taken 32 denominators at a time and
     given up as soon as it passes that budget."""
+    if set(map(type, fs)) <= {int}:
+        return fs, 1
     ds = list(map(_denominator, fs))
     distinct = set(ds)
     if len(distinct) <= 1:
@@ -209,51 +304,73 @@ def reader(f, lattice):
 
 def _axis(s, zeta=False):
     """An inner factor's (steps, rows): its lattice's ``sieve`` (or ``zeta``)
-    on {1..m}, else its Mobius rows as positions."""
+    on {1..m}, else its ``_position_rows``."""
     cache = _AXIS_CACHE[zeta]
     if s not in cache:
-        steps = _program(s, "zeta" if zeta else "sieve")
-        cache[s] = steps, None if steps is not None else [
-            (tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
+        program = _program(s, "zeta" if zeta else "sieve")
+        cache[s] = (program(len(s)), None) if program else (None, _position_rows(s))
     return cache[s]
 
 
+def _position_rows(s):
+    """The Mobius rows of s with each member given by its position."""
+    if s not in _POSITION_ROWS:
+        _POSITION_ROWS[s] = [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
+    return _POSITION_ROWS[s]
+
+
 def _program(s, name):
-    """The lattice's ``sieve`` or ``zeta`` steps if s is {1..m}, else None."""
+    """The lattice's ``sieve`` or ``zeta`` (steps on {1..m} for each m) if s
+    is {1..m}, else None."""
     program = getattr(s.lattice, name, None)
     if program and s.members == tuple(range(1, len(s) + 1)):
-        return program(len(s))
+        return program
     return None
 
 
 def _transform(values, axes, strides, zeta=False):
-    """values with each axis transformed, later axes first in sub-blocks of strides[0]:
-    a slice step (dst, src, op) sets out[dst] to op(out[dst], out[src]), each
-    step reading the running values, ``accumulate`` (MIN's zeta) is one running
-    sum, and a row (js, ws) of x sets out[x] to the sum of w * values[j], or
-    with zeta solves it in member order, out[x] = values[x] - the sum of
-    w * out[j] over the j below x; elementwise or, on a middle axis, by sub-block."""
-    (steps, rows), *rest = axes
+    """values with each axis transformed by ``_along``, later axes first in
+    sub-blocks of strides[0], a middle axis on its sub-blocks."""
+    axis, *rest = axes
     if rest:
         values = [_transform(values[i:i + strides[0]], rest, strides[1:], zeta)
                   for i in range(0, len(values), strides[0])]
-    if steps is accumulate:
-        out = list(accumulate(values, _add if rest else add))
-    elif steps is None and zeta:
-        out = []
-        for (js, ws), v in zip(rows, values):
-            below = list(map(out.__getitem__, js[:-1]))
-            out.append(_combine(below + [v], [-w for w in ws[:-1]] + [1]) if rest
-                       else v - sum(map(mul, ws, below)))
-    elif steps is None:
-        out = ([_combine([values[j] for j in js], ws) for js, ws in rows] if rest
-               else [sum(map(mul, ws, map(values.__getitem__, js))) for js, ws in rows])
-    else:
-        out = values[:]
-        for dst, src, op in steps:
-            pairs = out[dst], out[src]
-            out[dst] = map(list, map(map, repeat(op), *pairs)) if rest else map(op, *pairs)
+    out = _along(values, axis, zeta, bool(rest))
     return list(chain.from_iterable(out)) if rest else out
+
+
+def _along(cells, axis, zeta, nested, start=0):
+    """cells transformed along one axis (steps, rows), elementwise or, nested,
+    each cell a list, from position start on: a slice step (dst, src, op)
+    sets out[dst] to op(out[dst], out[src]), each step reading the running
+    values, ``accumulate`` (MIN's zeta) is one running sum, and a row
+    (js, ws) of x sets out[x] to the sum of w * cells[j], or with zeta solves
+    it in member order, out[x] = cells[x] - the sum of w * out[j] over the j
+    below x (the cells before start already solved)."""
+    steps, rows = axis
+    if steps is accumulate:
+        return list(accumulate(cells, _add if nested else add))[start:]
+    if steps is None and zeta:
+        out = cells[:]
+        for x in range(start, len(rows)):
+            js, ws = rows[x]
+            below = list(map(out.__getitem__, js[:-1]))
+            out[x] = (_combine(below + [out[x]], [-w for w in ws[:-1]] + [1]) if nested
+                      else out[x] - sum(map(mul, ws, below)))
+        return out[start:]
+    if steps is None:
+        return ([_combine([cells[j] for j in js], ws) for js, ws in rows[start:]] if nested
+                else [sum(map(mul, ws, map(cells.__getitem__, js))) for js, ws in rows[start:]])
+    out = cells[:]
+    if not nested:
+        for dst, src, op in steps:
+            out[dst] = map(op, out[dst], out[src])
+        return out[start:]
+    width = len(cells[0])  # a nested step runs as one map over the cells joined end to end
+    for dst, src, op in steps:
+        flat = list(map(op, chain.from_iterable(out[dst]), chain.from_iterable(out[src])))
+        out[dst] = [flat[i:i + width] for i in range(0, len(flat), width)]
+    return out[start:]
 
 
 def _add(a, b):

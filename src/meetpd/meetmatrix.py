@@ -11,8 +11,8 @@ over one common denominator.  The oracle packs int rows from the tables
 (``exact.KronMatrix``), the writers render each value once, and
 ``decompose`` compares its reconstruction on the ints at the meet points;
 the rows of Fractions are built only when read.  Over a meet closed
-subset the meets are the members, so ``meet_matrix`` reads f slab by slab
-in member order (``incidence.slabs``), and a ``summatory_function``
+subset the meets are the members, so ``meet_matrix`` reads f run by run
+in member order (``incidence.value_blocks``), and a ``summatory_function``
 f = zeta g is summed from g once there (``incidence.summed_blocks``), not
 point by point.
 
@@ -34,8 +34,8 @@ per meet.
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import count, repeat
+from functools import cached_property, reduce
+from itertools import count, filterfalse, repeat, starmap, takewhile
 from itertools import product as iter_product
 from operator import eq, sub
 
@@ -47,7 +47,7 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia, KronMatrix, rational_sum
-from .incidence import _numerator, inverted_values, reader, slabs, summed_blocks
+from .incidence import _numerator, inverted_values, reader, summed_blocks, value_blocks
 from .posets import lattice_power, product_subset, strides
 
 
@@ -149,9 +149,9 @@ def summatory_function(lattice, g, certify_nonneg=True, name=None):
     Fractions are read as Fraction(v).  With certify_nonneg every g value
     must be >= 0, and f carries an unconditional positive definiteness
     certificate: its Mobius-inverted values are g.  f.summand is that
-    checked g, under f's name, from which ``incidence.slabs`` sums f once,
-    slab by slab, over a lower closed subset (the criterion,
-    ``meet_matrix``, ``grid``), read, typed and signed once per slab.
+    checked g, under f's name, from which ``incidence.value_blocks`` sums f
+    once, run by run, over a lower closed subset (the criterion,
+    ``meet_matrix``, ``grid``), read, typed and signed once per run.
     """
     read = reader(g, lattice)
     def checked(v, z):
@@ -184,15 +184,36 @@ def meet_composed_function(g, d, name=None):
 
     g must be a LatticeFunction on the base lattice; the composed function
     lives on the cached ``lattice_power(base, d)``.  At d >= 2 g is read
-    once per distinct meet, through one cache a slab maps its meets through;
-    at d = 1 f is g on the same lattice, read by g's ``read``.
+    once per distinct meet: a slab is one ``read`` of g on its meets not
+    read before, and each member's meet is then looked up in one dict; at
+    d = 1 f is g on the same lattice, read by g's ``read``.
     """
-    base, cached = g.lattice, lru_cache(None)(lambda z: g.read((z,), [])[0])  # ints stay ints
-    f = LatticeFunction(lattice_power(base, d),
-                        g.evaluate if d == 1 else lambda x: cached(reduce(base.meet, x)),
-                        name=name or (g.name if d == 1 else f"{g.name}(meet)"), exact=g.exact)
-    f._slab = g.read if d == 1 else (
-        lambda xs, out: out.extend(map(cached, map(reduce, repeat(base.meet), xs))))
+    base = g.lattice
+    if d == 1:
+        f = LatticeFunction(base, g.evaluate, name=name or g.name, exact=g.exact)
+        f._slab = g.read
+        return f
+    meet, known = base.meet, {}  # g at every meet read so far, ints kept ints
+
+    def value(x):
+        z = reduce(meet, x)
+        if z not in known:
+            known[z] = g.read((z,), [])[0]
+        return known[z]
+
+    def slab(xs, out):
+        zs = list(starmap(meet, xs) if d == 2 else map(reduce, repeat(meet), xs))
+        new = list(filterfalse(known.__contains__, dict.fromkeys(zs)))
+        vs = []
+        try:
+            g.read(new, vs)
+        finally:  # if g fails, the members before the first meet it did not read come out
+            known.update(zip(new, vs))
+            out.extend(map(known.__getitem__, takewhile(known.__contains__, zs)))
+
+    f = LatticeFunction(lattice_power(base, d), value, name=name or f"{g.name}(meet)",
+                        exact=g.exact)
+    f._slab = slab
     return f
 
 
@@ -268,12 +289,12 @@ def meet_matrix(subset, f):
     factors' point counts.  f is read once per point, in point order: the
     order of a factor's ``MeetTable.points``, lexicographic over a product.
     On a meet closed subset the points are the members, so f is read there
-    by ``incidence.slabs``: once per slab, or summed once from its source
-    if f is a summatory function.
+    by ``incidence.value_blocks``: once per run of slabs, or summed once
+    from its source if f is a summatory function.
     """
     refuse_inexact(f, "exact meet matrices")
     if subset.meet_closed:
-        return _from_values(subset, _block_values(slabs(f, subset)))
+        return _from_values(subset, _block_values(value_blocks(f, subset)))
     points = [s.meet_table.points for s in subset.factors]
     points = points[0] if len(points) == 1 else list(iter_product(*points))
     return _from_values(subset, reader(f, subset.lattice)(points, []))

@@ -181,8 +181,9 @@ def pd_criterion(f, family, bound):
 
     The function is positive definite on the tested covering iff every
     Mobius-inverted value over the (lower closed) covering set is
-    nonnegative.  The scan stops in the first block holding a negative value,
-    whose first negative member is the witness; f is not read past that block.
+    nonnegative.  The scan stops in the first slab holding a negative value,
+    whose first negative member is the witness; f is not read past the
+    doubling run of slabs that holds it (``incidence.value_blocks``).
     The family must have a least element, and f exact values (exact=True).
     """
     if getattr(family, "least", None) is None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,11 +17,21 @@ from hypothesis import strategies as st
 from meetpd import cli, meetmatrix, pdcheck
 from meetpd.arith import MAX_EXPONENT, builtin, pd_check_grid
 from meetpd.cli import main
-from meetpd.errors import ExponentLimitError
+from meetpd.errors import EvaluationError, ExponentLimitError
 from meetpd.incidence import SLACK_BITS, inverted_values
 from meetpd.meetmatrix import Decomposition
 from meetpd.pdcheck import POSITIVE
-from meetpd.posets import MAX_ARITY, MAX_HASSE_ELEMENTS, Poset, ProductSubset, divisor_lattice
+from meetpd.posets import (
+    MAX_ARITY,
+    MAX_HASSE_ELEMENTS,
+    DivisorLattice,
+    MinLattice,
+    Poset,
+    ProductSubset,
+    divisor_lattice,
+    lattice_power,
+    load_hasse,
+)
 
 
 def run(capsys, *argv):
@@ -752,3 +763,121 @@ def test_cli_imports_neither_numpy_nor_dataclasses_and_runs_without_numpy(capsys
 ])
 def test_decomposition_text_is_json_dumps_with_indent_2(doc):
     assert cli._decomposition_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("name, text, element", [
+    ("dup.csv", "1,1\n2,3\n2,-5\n3,2\n", "2"),
+    ("grid.csv", "1,1,1\n1,2,1\n2,1,1\n1,2,4\n2,2,1\n", "(1, 2)"),
+    ("dup.json", '{"kind": "meet_matrix", "labels": [1, 2, 2], '
+                 '"entries": [["1"], ["1", "3"], ["1", "3", "-5"]]}', "2"),
+], ids=["csv", "csv_d2", "json_labels"])
+def test_a_value_table_with_two_rows_for_one_element_is_refused(capsys, tmp_path, name, text,
+                                                                 element):
+    # keeping the last row for 2 would give f(2) = -5 and a negative verdict
+    # that the first row does not have
+    table = tmp_path / name
+    table.write_text(text)
+    d = "2" if name == "grid.csv" else "1"
+    code, out, err = run(capsys, "check", "--fn", f"@{table}", "--d", d, "--m", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: value table {table} has a duplicate row for {element}\n"
+
+
+def test_integer_table_cells_are_read_as_ints(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("1,3\n2, -4 \n3,6/3\n4,1/2\n")
+    mapping, arity = cli._load_table(str(table), text_ids=False)
+    assert (mapping, arity) == ({1: 3, 2: -4, 3: 2, 4: Fraction(1, 2)}, 1)
+    assert [type(v) for v in mapping.values()] == [int, int, int, Fraction]
+
+
+HASSE_IDS = ["a", "b", "c", "d", "1"]
+# valid lattices (a chain, a diamond, M3) for fuzzed lines to be added to
+HASSE_BASES = [
+    ["elem a", "elem b", "elem c", "edge a b", "edge b c"],
+    ["elem a", "elem b", "elem c", "elem d", "edge a b", "edge a c", "edge b d", "edge c d"],
+    ["elem a", "elem b", "elem c", "elem d", "elem 1",
+     "edge a b", "edge a c", "edge a d", "edge b 1", "edge c 1", "edge d 1"],
+]
+HASSE_LINES = st.one_of(
+    st.sampled_from(HASSE_IDS).map("elem {}".format),  # a duplicate element, or a new one
+    st.tuples(st.sampled_from(HASSE_IDS), st.sampled_from(HASSE_IDS)).map(
+        "edge {0[0]} {0[1]}".format),  # a cycle, a self-loop or an unknown element
+    st.sampled_from(["edge a", "elem", "node a", "# a comment", "", "elem a b", "family min d=x"]),
+)
+VALID_CELLS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 5)).map("{0[0]}/{0[1]}".format))
+JUNK_CELLS = st.sampled_from(["x", "1/0", "", " 2 ", "1.5", "--1"])
+
+
+@st.composite
+def fuzzed_tables(draw, ids):
+    """Rows "id,value" for each id with valid values; then, each now and
+    then, a junk value, a row gone, and a row of an id again (a duplicate)
+    or of an unknown one."""
+    rows = [(x, draw(VALID_CELLS)) for x in ids]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = (rows[i][0], draw(JUNK_CELLS))
+    if draw(st.integers(0, 3)) == 0:
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        rows.append((draw(st.sampled_from(ids + ["z", "0"])), draw(VALID_CELLS)))
+    return rows
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_replays(code, out, err, lattice_of, table, text_ids, bound):
+    """A known exit code, no traceback, and an exit-1 witness equal to the
+    inverted value at its element (``inverted_table``'s, read up to a gap)."""
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code != 1:
+        return
+    witness = json.loads(out)["witness"]
+    lattice = lattice_of()
+    mapping, _ = cli._load_table(str(table), text_ids)
+    f = meetmatrix.table_function(lattice, mapping)
+    element = witness["element"]
+    element = tuple(element) if isinstance(element, list) else element
+    inverted = {}  # up to a value the table lacks, which may come after the witness
+    with contextlib.suppress(EvaluationError):
+        for x, v in inverted_values(f, lattice.covering_set(bound)):
+            inverted[x] = v
+    assert Fraction(witness["value"]) == inverted[element] < 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HASSE_BASES), st.lists(HASSE_LINES, max_size=2), st.data())
+def test_fuzzed_hasse_files_and_tables_exit_cleanly_and_negative_witnesses_replay(base, extra,
+                                                                                  data):
+    lines = base + extra
+    rows = data.draw(fuzzed_tables(sorted({line.split()[1] for line in base
+                                           if line.startswith("elem")})))
+    with tempfile.TemporaryDirectory() as tmp:
+        hasse, table = Path(tmp, "h.txt"), Path(tmp, "t.csv")
+        hasse.write_text("\n".join(lines) + "\n")
+        table.write_text("".join(f"{x},{v}\n" for x, v in rows))
+        code, out, err = _main_quietly(["check", "--hasse", str(hasse), "--fn", f"@{table}",
+                                        "--m", "1"])
+        _assert_replays(code, out, err, lambda: load_hasse(str(hasse)), table, True, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["divisor", "min"]), st.integers(1, 2), st.integers(1, 5), st.data())
+def test_fuzzed_tables_on_a_family_exit_cleanly_and_negative_witnesses_replay(family, d, m, data):
+    points = [",".join(map(str, x)) for x in itertools.product(range(1, m + 1), repeat=d)]
+    rows = data.draw(fuzzed_tables(points))
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp, "t.csv")
+        table.write_text("".join(f"{x},{v}\n" for x, v in rows))
+        code, out, err = _main_quietly(["check", "--family", family, "--d", str(d),
+                                        "--fn", f"@{table}", "--m", str(m)])
+        base = DivisorLattice() if family == "divisor" else MinLattice()
+        _assert_replays(code, out, err, lambda: lattice_power(base, d), table, False, m)

@@ -445,9 +445,11 @@ COUNTED_SUBSETS = {
 
 def block_end(s, k):
     """How many members f has been read at once k inverted values are out:
-    the end of the block that holds member k - 1.  The blocks are the slabs
-    of the first axis, one member each on a single subset."""
-    return -(-k // s.strides[0]) * s.strides[0]
+    the end of the block that holds member k - 1.  The blocks are doubling
+    runs of first-axis slabs, 1, 1, 2, 4, ... slabs, ending after slab 1, 2,
+    4, 8, ..., and a slab is one member on a single subset."""
+    slab = (k - 1) // s.strides[0]
+    return min(1 << slab.bit_length(), s.shape[0]) * s.strides[0]
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -787,3 +789,79 @@ def test_zeta_then_sieve_is_the_identity_on_a_last_and_on_a_middle_axis(lattice)
         grid = [rng.randint(-50, 50) for _ in range(3 * m)]  # axis m in the middle, 3 last
         summed = _transform(grid, [zeta, last[0]], (3,), zeta=True)
         assert _transform(summed, [sieve, last[1]], (3,)) == grid
+
+
+# The block path against a per-member reference on the recursive rows, at
+# first factors of m members for m at and just past the ends of the doubling
+# runs (after 1, 2, 4, 8, 16 and 32 slabs), with inner factors of 3 and 2.
+BLOCK_MS = [1, 2, 3, 5, 17, 33]
+
+
+def divisibility_semilattice(m):
+    """{1..m} under divisibility as an explicit meet semilattice with string ids."""
+    return MeetSemilattice([str(i) for i in range(1, m + 1)],
+                           [(str(i), str(i * p)) for i in range(1, m + 1)
+                            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if i * p <= m])
+
+
+def block_grid(kind, d, m):
+    def factor(size):
+        if kind == "explicit":
+            return divisibility_semilattice(size).covering_set()
+        return (divisor_lattice() if kind == "divisor" else min_lattice()).covering_set(size)
+    return product_subset([factor(m), *map(factor, [3, 2][:d - 1])])
+
+
+def first_primes(n):
+    found = []
+    k = 2
+    while len(found) < n:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def block_values(grid, values, seed):
+    rng = random.Random(seed)
+    nums = [rng.randint(-9, 9) for _ in grid.members]
+    if values == "int":
+        vs = nums
+    elif values == "fraction":
+        vs = [Fraction(v, rng.randint(1, 4)) for v in nums]
+    else:  # a distinct prime denominator per member
+        vs = [Fraction(v, p) for v, p in zip(nums, first_primes(len(nums)))]
+    return dict(zip(grid.members, vs))
+
+
+@pytest.mark.parametrize("values, slack", [("int", 1024), ("fraction", 1024),
+                                           ("many", 1024), ("many", 0)])
+@pytest.mark.parametrize("kind", ["divisor", "min", "explicit"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", BLOCK_MS)
+def test_block_path_equals_the_per_member_sums_over_the_recursive_rows(m, d, kind, values, slack):
+    grid = block_grid(kind, d, m)
+    table = block_values(grid, values, f"{m}-{d}-{kind}")
+    ms = grid.members
+    expected = [(x, sum((table[z] * w for z, w in zip(zs, ws)), Fraction(0)))
+                for x, (zs, ws) in zip(ms, _recursive_rows(grid))]
+    sums = [(x, sum((table[z] for z in ms[:i + 1] if grid.leq(z, x)), Fraction(0)))
+            for i, x in enumerate(ms)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incidence, "SLACK_BITS", slack)
+        assert list(inverted_values(table_function(grid.lattice, table), grid)) == expected
+        summed = [(x, Fraction(v, den)) for xs, vs, den in incidence.summed_blocks(
+            table.__getitem__, grid) for x, v in zip(xs, vs)]
+        assert summed == sums
+        verdict = pd_criterion(table_function(grid.lattice, table), whole_set(grid), 1)
+    negatives = [(x, v) for x, v in expected if v < 0]
+    assert verdict.witness == (ElementWitness(*negatives[0]) if negatives else None)
+
+
+@pytest.mark.parametrize("lattice", [DivisorLattice(), MinLattice()], ids=["divisor", "min"])
+def test_a_d1_criterion_on_a_covering_set_builds_no_mobius_rows(lattice):
+    s = lattice.covering_set(777)
+    incidence._MOBIUS_CACHE.pop(s, None)
+    f = to_lattice_function(builtin("gcd_pow", 1), lattice)
+    assert pd_criterion(f, lattice, 777).is_positive
+    assert s not in incidence._MOBIUS_CACHE
