@@ -35,9 +35,9 @@ EVAL_ERROR = 3
 # matrix and decompose write n x n documents
 MAX_MATRIX_MEMBERS = 1024
 # check reads each member once and never builds a product covering set: at
-# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 0.65 s and 46 MB
-# peak, and at d = 1 check --fn gcd_pow:1 took 0.27-0.29 s and 42-45 MB at
-# m = 100,000 and 2.3-2.9 s and 269-291 MB at m = 1,048,576 (cold, 2 vCPUs)
+# this limit check --d 2 --fn gcd_pow:1 --m 1024 took 0.54-0.70 s and 40 MB
+# peak, and at d = 1 check --fn gcd_pow:1 took 0.23-0.36 s and 41 MB at
+# m = 100,000 and 2.0-2.5 s and 266 MB at m = 1,048,576 (cold, 2 vCPUs)
 MAX_CHECK_MEMBERS = 1 << 20
 
 

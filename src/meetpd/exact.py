@@ -10,7 +10,8 @@ fields, so "row minus k times the pivot row" is one big-int subtraction;
 the n x n matrix takes n^2 w / 8 bytes.  w starts from the largest entry.
 A ``KronMatrix``, a meet matrix on its meet tables, is packed chunk by
 chunk: a row is one join of the bytes of its chunks, each encoded once,
-all the chunks at one prefix point in one encoding.
+all the chunks at one prefix point in one encoding; with one prefix point
+(d = 1) a chunk is a row, encoded as it is packed.
 Each row keeps a bound on its fields, raised at each update by what the
 pivot row's largest field can add; when a bound would leave its field,
 the row's bound is first refreshed from its fields, and if that is not
@@ -211,7 +212,8 @@ def _packed_rows(rows):
     """(packed rows, their bounds, diagonal, _Fields, scale) of the rows times scale,
     the lcm of their denominators.  KronMatrix row (h, r) joins the bytes of the chunks
     nums[a + b], b in inner[r], for a in prefixes[h], each encoded and its peak taken once:
-    the chunks at one point a end to end, in one encoding and one pass of peaks."""
+    the chunks at one point a end to end, in one encoding and one pass of peaks, or
+    with one prefix point each chunk, a row, encoded as it is packed."""
     if not isinstance(rows, KronMatrix):
         a, scale = _integer_matrix(rows)
         bound = list(map(_peak, a))
@@ -225,15 +227,18 @@ def _packed_rows(rows):
         raise ValueError("a KronMatrix's tables must be square and symmetric")
     prefixes, inner = rows.layout()
     span = max(map(max, inner), default=-1) + 1  # the chunks at a read nums[a:a + span]
-    size, cols = len(inner[0]), list(chain.from_iterable(inner))  # inner rows have one length
-    chunks = {a: list(map(nums[a:a + span].__getitem__, cols))
+    size = len(inner[0])  # inner rows have one length
+    chunks = {a: list(map(nums[a:a + span].__getitem__, chain.from_iterable(inner)))
               for a in set(chain.from_iterable(prefixes))}  # a's chunks end to end
     peaks = {a: list(map(max, zip(*[map(abs, vs)] * size))) for a, vs in chunks.items()}
     fields = _Fields(len(rows), _width(max(chain.from_iterable(peaks.values()), default=0)))
-    step = size * fields.w // 8
-    held = list if len(prefixes) > 1 else iter  # one prefix: a chunk is a row, not held twice
-    data = {a: held(blob[i:i + step] for i in range(0, len(blob), step))
-            for a, vs in chunks.items() for blob in [fields.encode(vs)]}
+    if len(prefixes) > 1:  # a chunk is part of several rows: encode a point's chunks at once
+        step = size * fields.w // 8
+        data = {a: [blob[i:i + step] for i in range(0, len(blob), step)]
+                for a, vs in chunks.items() for blob in [fields.encode(vs)]}
+    else:  # one prefix: a chunk is a row, encoded as packed, so no row's bytes are held twice
+        data = {a: (fields.encode(vs[i:i + size]) for i in range(0, len(vs), size))
+                for a, vs in chunks.items()}
     packed = [fields.pack(b"".join(parts)) for p in prefixes for parts in zip(*map(data.get, p))]
     bound = [max(ps) for p in prefixes for ps in zip(*map(peaks.get, p))]
     diag = [nums[p[h] + row[r]] for h, p in enumerate(prefixes) for r, row in enumerate(inner)]

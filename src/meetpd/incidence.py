@@ -30,7 +30,7 @@ from weakref import WeakKeyDictionary
 
 _MOBIUS_CACHE = WeakKeyDictionary()
 _AXIS_CACHE = WeakKeyDictionary(), WeakKeyDictionary()  # sieve, zeta
-_POSITION_ROWS = WeakKeyDictionary()
+_POSITION_ROWS = WeakKeyDictionary(), WeakKeyDictionary()
 SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
 # a run of fewer slabs transforms its inner axis slab by slab: on short
 # columns a step costs more than on a slab
@@ -136,9 +136,9 @@ def inverted_blocks(f, subset):
     once per run, or slab by slab (``_transform``); the first axis by its
     lattice's ``sieve`` steps over the prefix of slabs read so far at d = 1
     on a covering set {1..m}, else by the first factor's rows on the run's
-    slabs.  f is read once per member, in
-    member order, and never past the run holding the slab a consumer stops
-    in; if f raises, the values before it come out.
+    slabs.  f is read once per member, in member order, and never past the
+    run holding the slab a consumer stops in; if f raises, the values before
+    it come out.
     """
     return _slabbed(_blocks(f, subset, zeta=False), subset.strides[0])
 
@@ -160,51 +160,43 @@ def _blocks(f, subset, zeta):
     At d = 1 on a covering set {1..m} the lattice's steps run over the prefix
     read so far, recomputed for each run, which the doubling keeps to twice
     one pass; otherwise the run's own rows of the first factor combine its
-    slabs with earlier ones, and with zeta later runs read the sums.  The
-    prefix is held over one common denominator (``_joined``)."""
+    slabs with earlier ones, and with zeta solve them in place, so later runs
+    read the sums.  The prefix is held over one common denominator."""
     first, *inner = subset.factors
     program = None if inner else _program(first, "zeta" if zeta else "sieve")
-    rows = None if program else _position_rows(first)
-    axes = [_axis(s, zeta) for s in inner]
-    size = subset.strides[0]
+    axis = None if program else (None, _position_rows(first, zeta))
+    axes, strides, nested = [_axis(s, zeta) for s in inner], subset.strides, bool(inner)
+    size = strides[0]
     parts, den, top = [], 1, 1  # the slabs so far, inner axes done, over den
     for xs, values, vden in value_blocks(f, subset):
-        n = len(values)
-        if n < len(xs):  # a member reads no later one: unread ones stand at 0
-            values = values + [0] * (len(xs) - n)
-        if len(axes) == 1 and len(xs) >= RUN_COLUMNS * size:  # each step once, on the columns
+        n, total = len(values), len(xs)
+        if n < total:  # a member reads no later one: unread ones stand at 0
+            values = values + [0] * (total - n)
+        if len(axes) == 1 and total >= RUN_COLUMNS * size:  # each step once, on the columns
             values = list(zip(*_along([values[j::size] for j in range(size)], axes[0], zeta, True)))
-        elif len(axes) == 1:
-            values = [_along(values[i:i + size], axes[0], zeta, False)
-                      for i in range(0, len(values), size)]
         elif axes:
-            values = [_transform(values[i:i + size], axes, subset.strides[1:], zeta)
-                      for i in range(0, len(values), size)]
+            values = [_transform(values[i:i + size], axes, strides[1:], zeta)
+                      for i in range(0, total, size)]
         top = max(top, vden)
-        parts, den = _joined(parts, den, values, vden, top.bit_length() + SLACK_BITS, bool(axes))
-        lo, hi = len(parts) - len(values), len(parts)
-        axis = (program(hi), None) if program else (None, rows[:hi])
-        out = _along(parts, axis, zeta, bool(axes), lo)
-        if zeta and rows:  # later slabs read the sums, not the partial slabs
-            parts[lo:] = out
-        yield xs, (list(chain.from_iterable(out)) if axes else out)[:n], den
+        if vden != den:
+            parts, values, den = _rescaled(parts, den, values, vden, top.bit_length() + SLACK_BITS,
+                                           nested)
+        lo = len(parts)
+        parts += values
+        out = _along(parts, axis or (program(len(parts)), None), zeta, nested, lo)
+        out = list(chain.from_iterable(out)) if nested else out
+        yield xs, out[:n] if n < total else out, den
 
 
-def _joined(parts, den, values, vden, budget, nested):
-    """parts over den followed by values over vden, as one list over their lcm,
-    or over 1 as exact numbers once that lcm is longer than budget bits; with
-    nested each item is a slab."""
-    if vden != den:
-        common = lcm(den, vden)
-        if common.bit_length() > budget:
-            parts, values, common = (_each(Fraction, parts, den, nested),
-                                     _each(Fraction, values, vden, nested), 1)
-        else:
-            parts, values = (_each(mul, parts, common // den, nested),
-                             _each(mul, values, common // vden, nested))
-        den = common
-    parts += values
-    return parts, den
+def _rescaled(parts, den, values, vden, budget, nested):
+    """(parts, values, common): parts over den and values over vden, both over
+    their lcm, or over 1 as exact numbers once that lcm is longer than budget
+    bits; with nested each item is a slab."""
+    common = lcm(den, vden)
+    if common.bit_length() > budget:
+        return _each(Fraction, parts, den, nested), _each(Fraction, values, vden, nested), 1
+    return (_each(mul, parts, common // den, nested), _each(mul, values, common // vden, nested),
+            common)
 
 
 def _each(op, items, c, nested):
@@ -219,11 +211,11 @@ def _each(op, items, c, nested):
 
 def _slabbed(blocks, size):
     """The blocks split into first-axis slabs of size members, (xs, values, den)
-    each; a block cut short by an error ends in the slab it was cut in."""
+    each, a product's slab a ``_Run`` too; a block cut short by an error ends
+    in the slab it was cut in."""
     for xs, values, den in blocks:
-        members = iter(xs)
-        for i in range(0, min(len(values) + 1, len(xs)), size):
-            yield list(islice(members, size)), values[i:i + size], den
+        for k, i in enumerate(range(0, min(len(values) + 1, len(xs)), size)):
+            yield xs.slab(k) if type(xs) is _Run else xs[i:i + size], values[i:i + size], den
 
 
 def value_blocks(f, subset):
@@ -239,11 +231,10 @@ def value_blocks(f, subset):
         yield from _blocks(g, subset, zeta=True)
         return
     read, (first, *inner) = reader(f, subset.lattice), subset.factors
-    lo = 0
-    while lo < len(first):
-        hi = min(max(2 * lo, 1), len(first))
-        xs = _Run((first.members[lo:hi], *(s.members for s in inner))) if inner else (
-            first.members[lo:hi])
+    members, rest, lo = first.members, [s.members for s in inner], 0
+    while lo < len(members):
+        hi = min(max(2 * lo, 1), len(members))
+        xs = _Run((members[lo:hi], *rest)) if rest else members[lo:hi]
         fs, error = [], None
         try:
             read(xs, fs)
@@ -272,7 +263,13 @@ class _Run:
         return self.size
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(islice(self, *i.indices(self.size)))
         return next(islice(self, i, None))
+
+    def slab(self, k):
+        """The run's k-th first-axis slab, as a run."""
+        return _Run((self.factors[0][k:k + 1], *self.factors[1:]))
 
 
 def _scaled(fs):
@@ -308,15 +305,18 @@ def _axis(s, zeta=False):
     cache = _AXIS_CACHE[zeta]
     if s not in cache:
         program = _program(s, "zeta" if zeta else "sieve")
-        cache[s] = (program(len(s)), None) if program else (None, _position_rows(s))
+        cache[s] = (program(len(s)), None) if program else (None, _position_rows(s, zeta))
     return cache[s]
 
 
-def _position_rows(s):
-    """The Mobius rows of s with each member given by its position."""
-    if s not in _POSITION_ROWS:
-        _POSITION_ROWS[s] = [(tuple(map(s.index, zs)), ws) for zs, ws in mobius(s)]
-    return _POSITION_ROWS[s]
+def _position_rows(s, zeta=False):
+    """The Mobius rows of s with each member given by its position, or with
+    zeta as the rows that solve for the sums: x's own weight 1, the others negated."""
+    cache = _POSITION_ROWS[zeta]
+    if s not in cache:
+        cache[s] = [(tuple(map(s.index, zs)), (*(-w for w in ws[:-1]), 1) if zeta else ws)
+                    for zs, ws in mobius(s)]
+    return cache[s]
 
 
 def _program(s, name):
@@ -344,23 +344,22 @@ def _along(cells, axis, zeta, nested, start=0):
     each cell a list, from position start on: a slice step (dst, src, op)
     sets out[dst] to op(out[dst], out[src]), each step reading the running
     values, ``accumulate`` (MIN's zeta) is one running sum, and a row
-    (js, ws) of x sets out[x] to the sum of w * cells[j], or with zeta solves
-    it in member order, out[x] = cells[x] - the sum of w * out[j] over the j
-    below x (the cells before start already solved)."""
+    (js, ws) of x sets out[x] to the sum of w * cells[j], with zeta in member
+    order and in place, each row reading the cells solved before it (those
+    before start already solved)."""
     steps, rows = axis
     if steps is accumulate:
         return list(accumulate(cells, _add if nested else add))[start:]
     if steps is None and zeta:
-        out = cells[:]
-        for x in range(start, len(rows)):
+        for x in range(start, len(cells)):
             js, ws = rows[x]
-            below = list(map(out.__getitem__, js[:-1]))
-            out[x] = (_combine(below + [out[x]], [-w for w in ws[:-1]] + [1]) if nested
-                      else out[x] - sum(map(mul, ws, below)))
-        return out[start:]
+            cells[x] = (_combine(list(map(cells.__getitem__, js)), ws) if nested
+                        else sum(map(mul, ws, map(cells.__getitem__, js))))
+        return cells[start:]
     if steps is None:
-        return ([_combine([cells[j] for j in js], ws) for js, ws in rows[start:]] if nested
-                else [sum(map(mul, ws, map(cells.__getitem__, js))) for js, ws in rows[start:]])
+        rows = rows[start:len(cells)]
+        return ([_combine([cells[j] for j in js], ws) for js, ws in rows] if nested
+                else [sum(map(mul, ws, map(cells.__getitem__, js))) for js, ws in rows])
     out = cells[:]
     if not nested:
         for dst, src, op in steps:

@@ -209,7 +209,8 @@ def meet_composed_function(g, d, name=None):
             g.read(new, vs)
         finally:  # if g fails, the members before the first meet it did not read come out
             known.update(zip(new, vs))
-            out.extend(map(known.__getitem__, takewhile(known.__contains__, zs)))
+            out.extend(map(known.__getitem__, zs if len(vs) == len(new)
+                           else takewhile(known.__contains__, zs)))
 
     f = LatticeFunction(lattice_power(base, d), value, name=name or f"{g.name}(meet)",
                         exact=g.exact)

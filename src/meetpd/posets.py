@@ -26,7 +26,7 @@ import os
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
-from itertools import accumulate, compress, repeat, takewhile
+from itertools import accumulate, compress, repeat
 from operator import add, and_, itemgetter, sub
 
 from .errors import (
@@ -179,6 +179,14 @@ class IntegerLattice:
         return f"{type(self).__name__}()"
 
 
+def _primes(m):
+    """The primes p <= m in increasing order, by Eratosthenes' slice steps."""
+    prime = bytearray(2) + bytearray([1]) * (m - 1)
+    for p in compress(range(math.isqrt(m) + 1), prime):
+        prime[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+    return compress(range(m + 1), prime)
+
+
 class DivisorLattice(IntegerLattice):
     """Positive integers under divisibility; meet is gcd."""
 
@@ -195,19 +203,19 @@ class DivisorLattice(IntegerLattice):
 
     def sieve(self, m):
         """Mobius inversion on {1..m} as slice steps, the Euler product of
-        (1 - p^-s): each prime p <= m (by Eratosthenes' slice steps), in
-        increasing order, subtracts the running values[:m // p] from values[p-1::p]."""
-        prime = bytearray(2) + bytearray([1]) * (m - 1)
-        for p in compress(range(math.isqrt(m) + 1), prime):
-            prime[p * p::p] = bytes(len(range(p * p, m + 1, p)))
-        return tuple((slice(p - 1, None, p), slice(m // p), sub)
-                     for p in compress(range(m + 1), prime))
+        (1 - p^-s): each prime p <= m, in increasing order, subtracts the
+        running values[:m // p] from values[p-1::p]."""
+        return tuple((slice(p - 1, None, p), slice(m // p), sub) for p in _primes(m))
 
     def zeta(self, m):
         """Summation on {1..m}, each sieve step inverted as (1 + p^-s)(1 + p^-2s)(1 + p^-4s)...:
         values[q-1::q] += the running values[:m // q] for q = p, p^2, p^4, ... <= m."""
-        return tuple((slice(q - 1, None, q), slice(m // q), add) for dst, _, _ in self.sieve(m)
-                     for q in takewhile(m.__ge__, accumulate(repeat(2), pow, initial=dst.step)))
+        steps = []
+        for q in _primes(m):
+            while q <= m:
+                steps.append((slice(q - 1, None, q), slice(m // q), add))
+                q *= q
+        return tuple(steps)
 
 
 class MinLattice(IntegerLattice):
