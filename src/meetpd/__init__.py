@@ -24,7 +24,6 @@ from .errors import (
     NoLeastElementError,
     NotASemilatticeError,
     NotMeetClosedError,
-    NumericalFailureError,
     PosetMismatchError,
     UnknownBuiltinError,
 )

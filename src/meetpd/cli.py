@@ -89,6 +89,25 @@ def _parse_cell(text):
         return text
 
 
+def _too_many_digits():
+    return ConfigError(f"a value has more than {sys.get_int_max_str_digits()} digits, "
+                       "more than can be written")
+
+
+def _rational_cell(value):
+    """Fraction(value) of a string or int table value.  A decimal exponent
+    past str()'s digit limit is refused before 10**exponent is built."""
+    if type(value) not in (str, int):
+        raise ValueError(f"value {value!r} is neither a string nor an integer")
+    _, e, exponent = str(value).lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > sys.get_int_max_str_digits():
+            raise _too_many_digits()
+    except ValueError:  # not a decimal exponent: Fraction judges the value
+        pass
+    return Fraction(value)
+
+
 def _table(rows, path):
     """Value table from (coordinates, value) rows of one arity, one row per
     element; a value that is an integer is kept as an int."""
@@ -101,7 +120,7 @@ def _table(rows, path):
         key = keys[0] if arity == 1 else tuple(keys)
         if key in mapping:
             raise ConfigError(f"value table {path} has a duplicate row for {key}")
-        q = Fraction(value)
+        q = _rational_cell(value)
         mapping[key] = q.numerator if q.denominator == 1 else q
     if not mapping:
         raise ConfigError(f"value table {path} is empty")
@@ -210,8 +229,7 @@ def _emit(render, out):
     try:
         text = render()
     except ValueError:
-        raise ConfigError(f"a value has more than {sys.get_int_max_str_digits()} digits, "
-                          "more than can be written") from None
+        raise _too_many_digits() from None
     if out is None:
         sys.stdout.write(text)
     else:

@@ -45,10 +45,6 @@ class InexactFunctionError(MeetPDError, ValueError):
     """An exact routine was given a function with float-derived values."""
 
 
-class NumericalFailureError(MeetPDError):
-    """The floating point path failed and no exact path applies."""
-
-
 class NegativeScalarError(MeetPDError):
     """Scaling a positive definite function needs a nonnegative scalar."""
 

@@ -6,39 +6,31 @@ reads the Mobius-inverted values of the function over a lower closed
 covering set from ``incidence.inverted_blocks`` (the same values that
 form the diagonal of the meet matrix decomposition) and stops at the
 first negative one.  The oracle route decides matrices up to
-EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) exactly, with no
-tolerance and no float work, by the congruence elimination on int rows
-of ``exact.symmetric_elimination``; a MeetMatrix goes in as its values
-times their common denominator on its meet tables, an ``exact.KronMatrix``
-packed from the tables.  The elimination packs each row into one int
-of n signed w-bit fields, n^2 w / 8 bytes in all, with w widened only
-when an entry could outgrow it.  Only larger matrices are converted to floats
-and bounded by their smallest eigenvalue; NumPy is imported on that path
-alone.  A positive verdict is always relative to the tested covering
-bound; negative verdicts carry a reproducible witness.  The closure
-combinators (``scale``, ``add``, ``pointwise_mul``) build functions that
-stay positive definite when their operands are.
+EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (1,024 x 1,024, the largest meet
+matrix the CLI writes) exactly, with no tolerance and no float work, by
+the congruence elimination on int rows of ``exact.symmetric_elimination``,
+and refuses larger ones; a MeetMatrix goes in as its values times their
+common denominator on its meet tables, an ``exact.KronMatrix`` packed
+from the tables.  The elimination packs each row into one int of n
+signed w-bit fields, n^2 w / 8 bytes in all, with w widened only when an
+entry could outgrow it.  A positive verdict is always relative to the
+tested covering bound; negative verdicts carry a reproducible witness.
+The closure combinators (``scale``, ``add``, ``pointwise_mul``) build
+functions that stay positive definite when their operands are.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
-from .errors import (
-    NegativeScalarError,
-    NoLeastElementError,
-    NumericalFailureError,
-    PosetMismatchError,
-)
-from .exact import _rational, quadratic_form, symmetric_elimination
+from .errors import NegativeScalarError, NoLeastElementError, PosetMismatchError
+from .exact import symmetric_elimination
 from .incidence import _numerator, inverted_blocks, inverted_values
 from .meetmatrix import LatticeFunction, MeetMatrix, _jsonable, refuse_inexact
 
 POSITIVE = "positive_definite_on_tested_covering"
 NEGATIVE = "not_positive_definite"
 
-EXACT_ORACLE_LIMIT = 256
-FLOAT_TOL = 1e-9  # relative tolerance of the float path
+EXACT_ORACLE_LIMIT = 1024  # cli.MAX_MATRIX_MEMBERS
 
 
 class ElementWitness(namedtuple("ElementWitness", "element value")):
@@ -83,92 +75,34 @@ class PDVerdict(namedtuple("PDVerdict", "verdict tested_bound witness certificat
         }
 
 
-class OracleReport(namedtuple("OracleReport", "is_psd method min_eigenvalue inertia witness")):
-    """Oracle outcome; min_eigenvalue is the float estimate (None if it failed).
-
-    On the exact path the estimate plays no part in the verdict, so the
-    min_eigenvalue field holds a cached thunk, run when first read.
-    """
+class OracleReport(namedtuple("OracleReport", "is_psd inertia witness")):
+    """Oracle outcome: the exact inertia, and a witness when not PSD."""
 
     __slots__ = ()
-
-    @property
-    def min_eigenvalue(self):
-        v = self[2]
-        return v() if callable(v) else v
-
-
-def _float_eigen(rows, den):
-    """The matrix rows / den as a float array and its smallest eigenvalue
-    (None if that fails)."""
-    import numpy as np
-
-    # int / int rounds correctly, as float() of the Fraction does
-    to_float = float if den == 1 else (lambda v: v / den)
-    fl = np.array([list(map(to_float, row)) for row in rows], dtype=float)
-    try:
-        return fl, float(np.linalg.eigvalsh(fl)[0])
-    except np.linalg.LinAlgError:
-        return fl, None
+    method = "exact"
 
 
 def psd_oracle(matrix):
-    """Positive semidefiniteness of a symmetric rational matrix.
+    """Positive semidefiniteness of a symmetric rational matrix, decided exactly.
 
-    Matrices up to EXACT_ORACLE_LIMIT x EXACT_ORACLE_LIMIT (256x256) are
-    decided exactly by pivoted congruence elimination on ints; the float
-    minimum eigenvalue is computed only when min_eigenvalue is first
-    read.  A MeetMatrix goes in as den times itself, in ints on its meet
-    tables, and the witness value is divided back by den.  Larger matrices
-    fall back to a float eigenvalue bound with relative tolerance FLOAT_TOL.
+    Pivoted congruence elimination on ints gives the inertia and, when
+    the matrix is not PSD, a rational vector v with v^T A v < 0.  A
+    MeetMatrix goes in as den times itself, in ints on its meet tables,
+    and the witness value is divided back by den.  A matrix of more than
+    EXACT_ORACLE_LIMIT rows raises ValueError before any row is read.
     """
     if isinstance(matrix, MeetMatrix):  # its KronMatrix, rows gathered only when iterated
-        rows, den, labels = matrix.kron, matrix.den, tuple(matrix.subset.members)
+        rows, den, labels = matrix.kron, matrix.den, matrix.subset.members
     else:
-        rows = tuple(tuple(map(_rational, row)) for row in matrix)
-        den, labels = 1, tuple(range(len(rows)))
-    if len(rows) <= EXACT_ORACLE_LIMIT:
-        fact = symmetric_elimination(rows)
-        witness = (None if fact.is_psd else
-                   VectorWitness(labels, fact.negative_direction, fact.negative_value / den))
-        return OracleReport(fact.is_psd, "exact", cache(lambda: _float_eigen(rows, den)[1]),
-                            fact.inertia, witness)
-    import numpy as np
-
-    rows = list(rows)
-    fl, lam_min = _float_eigen(rows, den)
-    if lam_min is None:
-        raise NumericalFailureError(
-            "float eigenvalue computation failed and the matrix exceeds the exact path limit"
-        )
-    scale = max(1.0, float(np.max(np.sum(np.abs(fl), axis=1))))
-    if lam_min >= -FLOAT_TOL * scale:
-        return OracleReport(True, "float", lam_min, None, None)
-    approx, value = _negative_direction(rows, np.linalg.eigh(fl)[1][:, 0])
-    return OracleReport(False, "float", lam_min, None, VectorWitness(labels, approx, value / den))
-
-
-def _negative_direction(rows, vec):
-    """The float vector rounded to one power-of-two denominator 2**bits,
-    and its exact value v^T A v < 0.
-
-    bits grows (0, 16, 32, 64, ...) until the exact replay is negative,
-    up to the bits at which every entry is exact; a common denominator
-    keeps the replayed value as small as the entries.
-    """
-    ratios = [float(c).as_integer_ratio() for c in vec]
-    exact = max(b for _, b in ratios).bit_length() - 1
-    bits = 0
-    while True:
-        unit = 1 << bits
-        # a / b * unit, rounded half up on ints; b is a power of two
-        ints = [(2 * a * unit + b) // (2 * b) for a, b in ratios]
-        value = quadratic_form(rows, ints)
-        if value < 0:
-            return tuple(Fraction(k, unit) for k in ints), value / (unit * unit)
-        if bits >= exact:
-            raise NumericalFailureError("could not replay a negative direction exactly")
-        bits = min(max(2 * bits, 16), exact)
+        rows = list(matrix)
+        den, labels = 1, range(len(rows))
+    if len(rows) > EXACT_ORACLE_LIMIT:
+        raise ValueError(f"the oracle decides matrices of at most {EXACT_ORACLE_LIMIT} "
+                         f"rows; this one has {len(rows)}")
+    fact = symmetric_elimination(rows)
+    witness = (None if fact.is_psd else
+               VectorWitness(tuple(labels), fact.negative_direction, fact.negative_value / den))
+    return OracleReport(fact.is_psd, fact.inertia, witness)
 
 
 def inverted_table(f, subset):

@@ -305,17 +305,17 @@ def test_criterion_10_decompose_at_the_member_limit(capsys):
 
 
 def test_criterion_11_exact_oracle_at_its_size_limit():
-    # n = EXACT_ORACLE_LIMIT = 256, the largest matrices the exact path takes;
-    # a fraction-free (Bareiss) elimination grows its entries to the size of
-    # the determinant on these (10.6 s for the two on a 2-vCPU host, Python 3.11)
-    with budget("criterion 11: exact oracle on the gcd matrix and MIN 16x16 at n=256", 2.0):
+    # n = EXACT_ORACLE_LIMIT = 1,024, the largest matrices the oracle takes
+    # and the largest matrix and decompose write; a fraction-free (Bareiss)
+    # elimination grows its entries to the size of the determinant on these
+    with budget("criterion 11: exact oracle on the gcd matrix and MIN 32x32 at n=1,024", 2.0):
         dl = divisor_lattice()
         gcd = psd_oracle(meet_matrix(dl.covering_set(EXACT_ORACLE_LIMIT), builtin("gcd_pow", 1)))
         assert gcd.method == "exact"
         assert gcd.inertia.as_tuple() == (EXACT_ORACLE_LIMIT, 0, 0)
         rng = random.Random(16)
         lat = min_lattice(2)
-        cover = lat.covering_set(16)
+        cover = lat.covering_set(32)
         g = {z: Fraction(rng.randint(-3, 6)) for z in cover.members}
         m = meet_matrix(cover, summatory_function(lat, g.__getitem__, certify_nonneg=False))
         report = psd_oracle(m)

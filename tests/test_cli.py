@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -497,7 +498,12 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     ({"labels": [1, 2], "entries": [["1"], []]}, "a row ends before its diagonal entry"),
     ({"labels": 5, "entries": [["1"]]}, "labels must be a list"),
     ({"entries": [["1"]]}, "labels must be a list"),
-], ids=["row_shorter_than_its_position", "labels_not_a_list", "labels_missing"])
+    # matrix writes entries as strings; a JSON float would be read as a binary rational
+    ({"labels": [1, 2], "entries": [[0.1, 0], [0, 0.3]]},
+     "value 0.1 is neither a string nor an integer"),
+    ({"labels": [1], "entries": [[True]]}, "value True is neither a string nor an integer"),
+], ids=["row_shorter_than_its_position", "labels_not_a_list", "labels_missing", "float_entry",
+        "bool_entry"])
 def test_a_malformed_matrix_document_exits_two_with_its_own_message(capsys, tmp_path, doc,
                                                                      message):
     path = tmp_path / "m.json"
@@ -505,6 +511,35 @@ def test_a_malformed_matrix_document_exits_two_with_its_own_message(capsys, tmp_
     code, out, err = run(capsys, "check", "--fn", f"@{path}", "--m", "2")
     assert (code, out) == (2, "")
     assert err == f"error: cannot read {path}: {message}\n"
+
+
+def test_a_matrix_document_with_an_overflowing_float_entry_exits_two(capsys, tmp_path):
+    # json reads 1e400 as inf, which Fraction cannot take
+    path = tmp_path / "inf.json"
+    path.write_text('{"kind":"meet_matrix","labels":[1,2],"entries":[[1e400,0],[0,1]]}')
+    assert run(capsys, "check", "--fn", f"@{path}", "--m", "2") == (
+        2, "", f"error: cannot read {path}: value inf is neither a string nor an integer\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.csv", "1,1\n2,1e100000000\n"),
+    ("huge.json", '{"kind": "meet_matrix", "labels": [1, 2], '
+                  '"entries": [["1"], ["1", "-1E+1_000_000_000"]]}'),
+], ids=["csv", "json"])
+def test_a_cell_with_a_huge_decimal_exponent_exits_two_at_once(tmp_path, name, text):
+    # Fraction would build 10**exponent, minutes of work at 10**8; a cold
+    # interpreter is part of the time
+    (tmp_path / name).write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "meetpd.cli", "check", "--fn",
+                           f"@{tmp_path / name}", "--m", "2"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: a value has more than {sys.get_int_max_str_digits()} "
+                           "digits, more than can be written\n")
 
 
 @pytest.mark.parametrize("command", ["check", "matrix", "decompose"])
@@ -652,12 +687,15 @@ def test_an_exponent_above_the_limit_exits_two_before_any_value(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "limit of 700" in lines[0]
 
 
+# a table exponent past the limit is refused as the table is read, so
+# these reach it with 10**4300 (4,301 digits): in the witness's
+# denominator, a matrix entry and the diagonal value 10**4300 + 1
 @pytest.mark.parametrize("command, table", [
-    (["check"], "1,1/3\n2,1e-5000\n"),  # the witness value is past the limit
-    (["matrix"], "1,1\n2,1e5000\n"),
-    (["matrix", "--format", "csv"], "1,1\n2,1e5000\n"),
-    (["decompose"], "1,1\n2,1e5000\n"),
-    (["decompose", "--format", "csv"], "1,1\n2,1e5000\n"),
+    (["check"], "1,1/3\n2,1e-4300\n"),
+    (["matrix"], "1,-1\n2,1e4300\n"),
+    (["matrix", "--format", "csv"], "1,-1\n2,1e4300\n"),
+    (["decompose"], "1,-1\n2,1e4300\n"),
+    (["decompose", "--format", "csv"], "1,-1\n2,1e4300\n"),
 ], ids=["check", "matrix_json", "matrix_csv", "decompose_json", "decompose_csv"])
 def test_a_value_past_the_digit_limit_of_str_exits_two_before_any_document(capsys, tmp_path,
                                                                             command, table):

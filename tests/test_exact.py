@@ -472,14 +472,22 @@ def test_fields_widen_as_the_scaled_rows_grow(monkeypatch):
 
 
 # Runs in a fresh interpreter: the exact oracle on a 100 x 100 summatory
-# meet matrix, then whether NumPy was imported.
+# meet matrix, then whether NumPy was imported; then, with NumPy blocked
+# (any import of it raises ImportError), on MIN meet matrices of 289 and
+# 1,024 members, the oracle's limit.
 ORACLE_PROBE = """
 import sys
-from meetpd import divisor_lattice, meet_matrix, psd_oracle, summatory_function
+from meetpd import divisor_lattice, meet_matrix, min_lattice, psd_oracle, summatory_function
 lat = divisor_lattice(2)
 f = summatory_function(lat, lambda z: (7 * z[0] + 3 * z[1]) % 5 - 1, certify_nonneg=False)
 rep = psd_oracle(meet_matrix(lat.covering_set(10), f))
 print(rep.method, list(rep.inertia), "numpy" in sys.modules)
+sys.modules["numpy"] = None
+lat = min_lattice(2)
+f = summatory_function(lat, lambda z: (5 * z[0] + 2 * z[1]) % 7 - 2, certify_nonneg=False)
+for bound in (17, 32):
+    rep = psd_oracle(meet_matrix(lat.covering_set(bound), f))
+    print(rep.method, list(rep.inertia))
 """
 
 
@@ -489,9 +497,14 @@ def test_exact_oracle_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", ORACLE_PROBE],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    g = [(7 * a + 3 * b) % 5 - 1 for a in range(1, 11) for b in range(1, 11)]
-    inertia = [sum(v > 0 for v in g), sum(v < 0 for v in g), g.count(0)]
-    assert proc.stdout.strip() == f"exact {inertia} False"
+    lines = []
+    for bound, g in ((10, lambda a, b: (7 * a + 3 * b) % 5 - 1),
+                     (17, lambda a, b: (5 * a + 2 * b) % 7 - 2),
+                     (32, lambda a, b: (5 * a + 2 * b) % 7 - 2)):
+        values = [g(a, b) for a in range(1, bound + 1) for b in range(1, bound + 1)]
+        inertia = [sum(v > 0 for v in values), sum(v < 0 for v in values), values.count(0)]
+        lines.append(f"exact {inertia}" + (" False" if bound == 10 else ""))
+    assert proc.stdout.splitlines() == lines
 
 @settings(max_examples=100, deadline=None)
 @given(rational_symmetric_matrices(), st.data())
@@ -657,7 +670,6 @@ def test_the_oracle_reports_a_meet_matrix_as_its_rational_rows(case):
     m = KRON_CASES[case]()
     got, want = psd_oracle(m), psd_oracle(m.rows)
     assert (got.is_psd, got.method, got.inertia) == (want.is_psd, "exact", want.inertia)
-    assert got.min_eigenvalue == want.min_eigenvalue  # read from the gathered rows
     if not got.is_psd:
         assert got.witness.labels == tuple(m.subset.members)
         assert (got.witness.vector, got.witness.value) == (want.witness.vector, want.witness.value)

@@ -12,7 +12,6 @@ from meetpd.errors import (
     InexactFunctionError,
     NegativeScalarError,
     NoLeastElementError,
-    NumericalFailureError,
     PosetMismatchError,
 )
 from meetpd.exact import quadratic_form, symmetric_elimination
@@ -69,7 +68,6 @@ def test_oracle_gcd_matrix_exact_psd():
     assert report.is_psd
     assert report.method == "exact"
     assert report.inertia.as_tuple() == (4, 0, 0)
-    assert report.min_eigenvalue > 0
 
 
 def test_oracle_lcm_grid_not_psd_with_witness():
@@ -79,7 +77,10 @@ def test_oracle_lcm_grid_not_psd_with_witness():
     assert report.inertia.negative == 1
     w = report.witness
     assert quadratic_form(lcm_grid_matrix().rows, w.vector) == w.value < 0
-    assert report.min_eigenvalue < 0
+    doc = w.to_json()
+    assert doc["kind"] == "subset_vector" and doc["subset"] == [list(x) for x in w.labels]
+    assert ([Fraction(c) for c in doc["vector"]], Fraction(doc["value"])) == (list(w.vector),
+                                                                              w.value)
 
 
 def test_oracle_zero_matrix():
@@ -87,58 +88,34 @@ def test_oracle_zero_matrix():
     assert report.is_psd
 
 
-def test_oracle_float_path_large_psd():
-    n = EXACT_ORACLE_LIMIT + 6
+def test_oracle_large_identity_is_exact_psd():
+    n = 262
     rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     report = psd_oracle(rows)
-    assert report.method == "float"
-    assert report.is_psd
+    assert report.method == "exact"
+    assert report.is_psd and report.inertia.as_tuple() == (n, 0, 0)
 
 
-def test_oracle_float_path_large_indefinite_witness_replays():
-    n = EXACT_ORACLE_LIMIT + 6
+def test_oracle_large_indefinite_diagonal_witness_replays():
+    n = 262
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = Fraction(1)
     rows[3][3] = Fraction(-2)
     report = psd_oracle(rows)
-    assert report.method == "float"
+    assert report.method == "exact"
     assert not report.is_psd
     assert quadratic_form(rows, report.witness.vector) == report.witness.value < 0
 
 
-def test_float_path_witness_is_small_enough_to_serialize():
-    # the gcd matrix of {1..400} with entry (2, 2) lowered by 9; rounding
-    # each eigenvector entry on its own gave a value of about 5,455 digits,
-    # past the 4,300 that str() of an int allows
-    n = 400
-    rows = [[math.gcd(i, j) - 9 * (i == j == 2) for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
-    report = psd_oracle(rows)
-    assert report.method == "float" and not report.is_psd
-    doc = report.witness.to_json()
-    assert Fraction(doc["value"]) == report.witness.value
-    assert quadratic_form(rows, report.witness.vector) == report.witness.value < 0
-    # one power-of-two denominator for the whole vector
-    dens = {c.denominator for c in report.witness.vector}
-    assert all(d & (d - 1) == 0 for d in dens)
-
-
-def test_float_path_refuses_a_direction_that_never_replays_negative(monkeypatch):
-    n = EXACT_ORACLE_LIMIT + 6
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows[3][3] = Fraction(-2)
-    eigh = np.linalg.eigh
-
-    def positive_direction(a):
-        w, v = eigh(a)
-        v[:, 0] = 0.0
-        v[0, 0] = 1.0 / 3.0
-        return w, v
-
-    monkeypatch.setattr(np.linalg, "eigh", positive_direction)
-    with pytest.raises(NumericalFailureError):
-        psd_oracle(rows)
+def test_oracle_refuses_a_matrix_past_its_limit_before_reading_a_row():
+    # rows that could not be read as numbers: the size alone refuses them
+    rows = [["not a number"]] * (EXACT_ORACLE_LIMIT + 1)
+    lat = min_lattice(2)
+    big = meet_matrix(lat.covering_set(33), summatory_function(lat, lambda _z: 1))  # 1,089
+    for matrix in (rows, big):
+        with pytest.raises(ValueError, match=f"at most {EXACT_ORACLE_LIMIT} rows"):
+            psd_oracle(matrix)
 
 
 def test_oracle_exact_path_near_the_limit_on_summatory_meet_matrix():
@@ -519,7 +496,7 @@ def test_criterion_positive_implies_monotone():
 
 
 
-@pytest.mark.parametrize("n, den", [(6, 1), (6, 2), (64, 1), (EXACT_ORACLE_LIMIT + 2, 2)])
+@pytest.mark.parametrize("n, den", [(6, 1), (6, 2), (64, 1), (258, 2)])
 def test_oracle_reads_int_fraction_and_float_copies_of_one_matrix_alike(n, den):
     # a gcd matrix with one diagonal entry lowered (indefinite), over den so
     # that every entry is exact in binary
@@ -529,7 +506,7 @@ def test_oracle_reads_int_fraction_and_float_copies_of_one_matrix_alike(n, den):
     if den == 1:
         copies.append([[int(v) for v in row] for row in rows])
     reports = [psd_oracle(c) for c in copies]
-    assert reports[0].method == ("exact" if n <= EXACT_ORACLE_LIMIT else "float")
+    assert reports[0].method == "exact"
     assert not reports[0].is_psd
-    fields = [(r.is_psd, r.method, r.min_eigenvalue, r.inertia, r.witness) for r in reports]
+    fields = [(r.is_psd, r.method, r.inertia, r.witness) for r in reports]
     assert fields == fields[:1] * len(fields)
