@@ -157,6 +157,9 @@ def _load_matrix_diagonal(path, text_ids):
         raise ValueError("entries must hold one row per label")
     if any(len(row) <= i for i, row in enumerate(entries)):
         raise ValueError("a row ends before its diagonal entry")
+    for x in labels:  # as matrix writes them: an int or a string, or a list of those
+        if not all(type(c) in (int, str) for c in (x if type(x) is list else [x])):
+            raise ValueError(f"label {x!r} is neither a string, an integer nor a list of those")
     labels = [[str(c) if text_ids else c for c in (x if type(x) is list else [x])] for x in labels]
     return _table(((x, entries[i][i]) for i, x in enumerate(labels)), path)
 

@@ -8,13 +8,13 @@ one place rows are built: off the lattice's ``sieve`` on a covering set
 product's member list is never built.  f is read by ``value_blocks`` in
 doubling runs of first-axis slabs, 1, 1, 2, 4, ... slabs (a slab is one
 member of a single subset), one ``read`` and one common denominator per
-run, so f is read up to the end of the run holding the slab a consumer
-stops in and never past it.  A run's inner axes are inverted by the
+run, so f is read up to the end of the run holding the member a consumer
+stops at and never past it.  A run's inner axes are inverted by the
 lattice's sieve, one slice step per prime on the divisor lattice, on the
 run's columns at d = 2 once the run has RUN_COLUMNS slabs (each step once
 per run), else slab by slab; its first axis by the lattice's sieve over
 the prefix of slabs read so far at d = 1 on {1..m}, else by the first
-factor's rows.  The values come out one slab at a time, in member order.
+factor's rows.  The values come out one block per run, in member order.
 ``summed_blocks`` is its transpose f = zeta g, by the same rows and the
 lattice's ``zeta``; a summatory function reaches the criterion and
 ``meet_matrix`` through it, and ``reconstruct`` multiplies E diag(d) E^T
@@ -31,7 +31,7 @@ from weakref import WeakKeyDictionary
 _MOBIUS_CACHE = WeakKeyDictionary()
 _AXIS_CACHE = WeakKeyDictionary(), WeakKeyDictionary()  # sieve, zeta
 _POSITION_ROWS = WeakKeyDictionary(), WeakKeyDictionary()
-SLACK_BITS = 1024  # how much longer a slab's common denominator may be than its largest
+SLACK_BITS = 1024  # how much longer a block's common denominator may be than its largest
 # a run of fewer slabs transforms its inner axis slab by slab: on short
 # columns a step costs more than on a slab
 RUN_COLUMNS = 8
@@ -122,9 +122,9 @@ def _recursive_rows(subset):
 
 def inverted_blocks(f, subset):
     """Yield the Mobius-inverted values of f over the subset in member order,
-    as blocks (xs, values, den), one per slab of the first axis (one member
-    of a single subset): values[i] / den (den > 0) is the sum of f(z) mu(z, x)
-    over the members z below x = xs[i].
+    as blocks (xs, values, den), one per doubling run of first-axis slabs
+    (``value_blocks``'s runs): values[i] / den (den > 0) is the sum of
+    f(z) mu(z, x) over the members z below x = xs[i].
 
     These are the diagonal of E diag(d) E^T and the numbers the diagonal
     criterion inspects.  A plain subset is a product with one factor; over
@@ -137,10 +137,10 @@ def inverted_blocks(f, subset):
     lattice's ``sieve`` steps over the prefix of slabs read so far at d = 1
     on a covering set {1..m}, else by the first factor's rows on the run's
     slabs.  f is read once per member, in member order, and never past the
-    run holding the slab a consumer stops in; if f raises, the values before
-    it come out.
+    run holding the member a consumer stops at; if f raises, the values
+    before it come out, in a block whose values end short of its xs.
     """
-    return _slabbed(_blocks(f, subset, zeta=False), subset.strides[0])
+    return _blocks(f, subset, zeta=False)
 
 
 def summed_blocks(g, subset):
@@ -151,7 +151,7 @@ def summed_blocks(g, subset):
     order.  On a lower closed subset these are the sums of g over the
     lattice's lower sets.
     """
-    return _slabbed(_blocks(g, subset, zeta=True), subset.strides[0])
+    return _blocks(g, subset, zeta=True)
 
 
 def _blocks(f, subset, zeta):
@@ -209,15 +209,6 @@ def _each(op, items, c, nested):
     return list(map(op, items, repeat(c)))
 
 
-def _slabbed(blocks, size):
-    """The blocks split into first-axis slabs of size members, (xs, values, den)
-    each, a product's slab a ``_Run`` too; a block cut short by an error ends
-    in the slab it was cut in."""
-    for xs, values, den in blocks:
-        for k, i in enumerate(range(0, min(len(values) + 1, len(xs)), size)):
-            yield xs.slab(k) if type(xs) is _Run else xs[i:i + size], values[i:i + size], den
-
-
 def value_blocks(f, subset):
     """Yield f over the subset by doubling runs of first-axis slabs, 1, 1, 2,
     4, ... slabs, as (xs, values, den) with values[i] / den == f(xs[i]): summed
@@ -267,10 +258,6 @@ class _Run:
             return list(islice(self, *i.indices(self.size)))
         return next(islice(self, i, None))
 
-    def slab(self, k):
-        """The run's k-th first-axis slab, as a run."""
-        return _Run((self.factors[0][k:k + 1], *self.factors[1:]))
-
 
 def _scaled(fs):
     """fs as (values, den) with values[i] / den == fs[i]: ints over the lcm of
@@ -293,10 +280,23 @@ def _scaled(fs):
 
 
 def reader(f, lattice):
-    """f's ``read`` if f is a function on the lattice, else a read of f's own calls."""
+    """f's ``read`` if f is a function on the lattice, else one of f's calls, made exact."""
     if lattice == getattr(f, "lattice", None):
         return f.read
-    return lambda xs, out: out.extend(map(f, xs)) or out
+
+    def read(xs, out):
+        start = len(out)
+        try:
+            return out.extend(map(f, xs)) or out
+        finally:  # also when f raises, on the values before it
+            exact_from(out, start)
+    return read
+
+
+def exact_from(out, start):
+    """out's values from start on as ints and Fractions: if any is neither, each as Fraction(v)."""
+    if not set(map(type, out[start:])) <= {int, Fraction}:
+        out[start:] = map(Fraction, out[start:])
 
 
 def _axis(s, zeta=False):
@@ -379,8 +379,6 @@ def _add(a, b):
 def _combine(parts, coefs):
     """The elementwise sum of c * slab over the slabs and their int
     coefficients, from the last slab (x's own in a Mobius row) back."""
-    if len(parts[0]) == 1:  # slabs of one member, as on a single subset
-        return [sum(map(mul, coefs, chain.from_iterable(parts)))]
     total = parts[-1] if coefs[-1] == 1 else [coefs[-1] * v for v in parts[-1]]
     for slab, c in zip(parts[:-1], coefs):
         op = sub if c < 0 else add

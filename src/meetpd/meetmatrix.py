@@ -47,7 +47,7 @@ from .errors import (
     NotMeetClosedError,
 )
 from .exact import Inertia, KronMatrix, rational_sum
-from .incidence import _numerator, inverted_values, reader, summed_blocks, value_blocks
+from .incidence import _numerator, exact_from, inverted_values, reader, summed_blocks, value_blocks
 from .posets import lattice_power, product_subset, strides
 
 
@@ -99,8 +99,7 @@ class LatticeFunction:
         except Exception as exc:
             self._failed(xs[len(out) - start], exc)
         finally:  # other values become Fractions, as evaluate makes them
-            if not set(map(type, out[start:])) <= {int, Fraction}:
-                out[start:] = map(Fraction, out[start:])
+            exact_from(out, start)
         return out
 
     def _failed(self, x, exc):

@@ -115,9 +115,9 @@ def pd_criterion(f, family, bound):
 
     The function is positive definite on the tested covering iff every
     Mobius-inverted value over the (lower closed) covering set is
-    nonnegative.  The scan stops in the first slab holding a negative value,
-    whose first negative member is the witness; f is not read past the
-    doubling run of slabs that holds it (``incidence.value_blocks``).
+    nonnegative.  The scan stops in the first block, a doubling run of
+    first-axis slabs (``incidence.value_blocks``), holding a negative value,
+    whose first negative member is the witness; f is not read past that run.
     The family must have a least element, and f exact values (exact=True).
     """
     if getattr(family, "least", None) is None:
@@ -125,7 +125,7 @@ def pd_criterion(f, family, bound):
     refuse_inexact(f, "exact verdicts")
     s = family.covering_set(bound)
     for xs, values, den in inverted_blocks(f, s):
-        # a block's sign is its numerators' sign: Fractions only where a slab kept them
+        # a block's sign is its numerators' sign: Fractions only where a run kept them
         if values and min(values if type(values[0]) is int else map(_numerator, values)) < 0:
             i = next(i for i, v in enumerate(values) if v < 0)
             return PDVerdict(NEGATIVE, bound, ElementWitness(xs[i], Fraction(values[i], den)))

@@ -323,7 +323,8 @@ def test_check_keeps_values_short_on_tables_with_many_denominators(
     code, out, _ = run(capsys, "check", "--family", "min", "--d", str(d),
                        "--fn", f"@{table}", "--m", str(m))
     assert code == 0 and json.loads(out)["verdict"] == POSITIVE
-    assert len(widest) == len(points) // m ** (d - 1)
+    # one block per doubling run of the m first-axis slabs: 1, 1, 2, 4, ... slabs
+    assert len(widest) == (m - 1).bit_length() + 1
     # at most the slack over two rows' worth of denominators
     assert max(widest) <= 2 * (SLACK_BITS + 64)
 
@@ -494,6 +495,9 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
         assert lines[0] == f"error: {text.partition(':')[0]} takes no parameter"
 
 
+NOT_A_LABEL = "is neither a string, an integer nor a list of those"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"labels": [1, 2], "entries": [["1"], []]}, "a row ends before its diagonal entry"),
     ({"labels": 5, "entries": [["1"]]}, "labels must be a list"),
@@ -502,8 +506,13 @@ def test_hostile_input_exits_two_with_one_error_line(capsys, tmp_path, case):
     ({"labels": [1, 2], "entries": [[0.1, 0], [0, 0.3]]},
      "value 0.1 is neither a string nor an integer"),
     ({"labels": [1], "entries": [[True]]}, "value True is neither a string nor an integer"),
+    # labels that matrix never writes: a bool, a float, a bool inside a list
+    ({"labels": [True, 2.0], "entries": [["1", "0"], ["0", "1"]]}, f"label True {NOT_A_LABEL}"),
+    ({"labels": [1.5, 2], "entries": [["1", "0"], ["0", "1"]]}, f"label 1.5 {NOT_A_LABEL}"),
+    ({"labels": [[1, True], [2, 2]], "entries": [["1", "0"], ["0", "1"]]},
+     f"label [1, True] {NOT_A_LABEL}"),
 ], ids=["row_shorter_than_its_position", "labels_not_a_list", "labels_missing", "float_entry",
-        "bool_entry"])
+        "bool_entry", "bool_and_float_labels", "fractional_label", "bool_in_a_list_label"])
 def test_a_malformed_matrix_document_exits_two_with_its_own_message(capsys, tmp_path, doc,
                                                                      message):
     path = tmp_path / "m.json"

@@ -14,7 +14,7 @@ from meetpd.arith import builtin, to_lattice_function
 from meetpd.errors import EvaluationError
 from meetpd.incidence import _recursive_rows, _transform, inverted_values, mobius
 from meetpd.intfun import mobius_int
-from meetpd.meetmatrix import LatticeFunction, summatory_function, table_function
+from meetpd.meetmatrix import LatticeFunction, meet_matrix, summatory_function, table_function
 from meetpd.pdcheck import ElementWitness, pd_criterion
 from meetpd.posets import (
     DivisorLattice,
@@ -856,6 +856,27 @@ def test_block_path_equals_the_per_member_sums_over_the_recursive_rows(m, d, kin
         verdict = pd_criterion(table_function(grid.lattice, table), whole_set(grid), 1)
     negatives = [(x, v) for x, v in expected if v < 0]
     assert verdict.witness == (ElementWitness(*negatives[0]) if negatives else None)
+
+
+def test_values_of_a_plain_callable_are_made_exact_as_a_lattice_function_reads_them():
+    s = divisor_lattice().covering_set(4)
+    assert list(inverted_values(lambda x: 0.5, s)) == [(1, Fraction(1, 2)), (2, 0), (3, 0), (4, 0)]
+    assert meet_matrix(s, lambda x: x / 2) == meet_matrix(s, lambda x: Fraction(x, 2))
+    summed = [(x, Fraction(v, den)) for xs, vs, den in incidence.summed_blocks(lambda x: "1/3", s)
+              for x, v in zip(xs, vs)]
+    assert summed == [(1, Fraction(1, 3)), (2, Fraction(2, 3)), (3, Fraction(2, 3)), (4, 1)]
+
+
+def test_blocks_are_the_doubling_runs_of_first_axis_slabs():
+    # 36 slabs of 36 members: runs of 1, 1, 2, 4, 8 and 16 slabs, then the last 4
+    s = divisor_lattice(2).covering_set(36)
+    f = builtin("gcd_pow", 1, d=2)
+    sizes = [36, 36, 72, 144, 288, 576, 144]
+    for blocks in (incidence.inverted_blocks(f, s), incidence.summed_blocks(f, s)):
+        blocks = list(blocks)
+        assert [len(xs) for xs, _, _ in blocks] == sizes
+        assert [len(values) for _, values, _ in blocks] == sizes
+        assert [x for xs, _, _ in blocks for x in xs] == list(s.members)
 
 
 @pytest.mark.parametrize("lattice", [DivisorLattice(), MinLattice()], ids=["divisor", "min"])
